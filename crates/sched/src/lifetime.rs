@@ -11,32 +11,13 @@
 use crate::mrt::slot;
 
 /// Per-cluster live-value counts per kernel slot.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PressureTable {
     ii: i64,
     caps: Vec<i64>,
-    /// Row-major live counts, `live[cluster · II + slot]`. One flat vector
-    /// instead of per-cluster rows: the table clones on the scheduler's
-    /// clone-per-trial placement path, and a flat row costs one allocation.
+    /// Row-major live counts, `live[cluster · II + slot]`: one flat vector
+    /// instead of per-cluster rows, so a table is one allocation.
     live: Vec<i64>,
-}
-
-impl Clone for PressureTable {
-    fn clone(&self) -> Self {
-        PressureTable {
-            ii: self.ii,
-            caps: self.caps.clone(),
-            live: self.live.clone(),
-        }
-    }
-
-    /// Reuses both buffers; the clone-per-trial placement path recycles
-    /// tables through a state pool, making this the hot path.
-    fn clone_from(&mut self, source: &Self) {
-        self.ii = source.ii;
-        self.caps.clone_from(&source.caps);
-        self.live.clone_from(&source.live);
-    }
 }
 
 impl PressureTable {

@@ -13,33 +13,13 @@ pub fn slot(t: i64, ii: i64) -> usize {
 }
 
 /// Reservation table of one cluster's functional units at a fixed II.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterMrt {
     ii: i64,
     caps: [u32; 3],
-    /// Row-major usage counts, `used[kind · II + slot]`. Flat so that the
-    /// clone-per-trial placement path pays one allocation per cluster
-    /// rather than one per resource kind.
+    /// Row-major usage counts, `used[kind · II + slot]`: one flat row
+    /// rather than one vector per resource kind.
     used: Vec<u32>,
-}
-
-impl Clone for ClusterMrt {
-    fn clone(&self) -> Self {
-        ClusterMrt {
-            ii: self.ii,
-            caps: self.caps,
-            used: self.used.clone(),
-        }
-    }
-
-    /// `clone_from` reuses the existing `used` buffer — the placement path
-    /// recycles schedule states through a pool, so this runs far more often
-    /// than `clone`.
-    fn clone_from(&mut self, source: &Self) {
-        self.ii = source.ii;
-        self.caps = source.caps;
-        self.used.clone_from(&source.used);
-    }
 }
 
 impl ClusterMrt {
@@ -131,37 +111,17 @@ impl ClusterMrt {
 /// this is exact; with more it ignores fragmentation across parallel
 /// links, the same documented simplification the bus model made.)
 ///
-/// The table clones on the scheduler's hottest path (transactional
-/// placement clones the whole partial schedule per candidate), so its
-/// occupancy rows are one flat `Vec` (`used[ch · II + slot]`) and the
+/// The occupancy rows are one flat `Vec` (`used[ch · II + slot]`) and the
 /// per-channel capacity — uniform across channels in every
 /// [`gpsched_machine::Interconnect`] variant (bus count, p2p channels,
-/// ring links per hop) — is a single scalar: cloning costs one
+/// ring links per hop) — is a single scalar, so a table costs one
 /// allocation, exactly like the single-bus table it replaced.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChannelTable {
     ii: i64,
     nch: u32,
     cap: u32,
     used: Vec<u32>,
-}
-
-impl Clone for ChannelTable {
-    fn clone(&self) -> Self {
-        ChannelTable {
-            ii: self.ii,
-            nch: self.nch,
-            cap: self.cap,
-            used: self.used.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.ii = source.ii;
-        self.nch = source.nch;
-        self.cap = source.cap;
-        self.used.clone_from(&source.used);
-    }
 }
 
 impl ChannelTable {

@@ -39,7 +39,9 @@ use cluster::{ClusterPolicy, PlaceCtx};
 use gpsched_ddg::timing::{Timing, TimingWorkspace};
 use gpsched_ddg::{Ddg, OpId};
 use gpsched_machine::MachineConfig;
-use gpsched_partition::{partition_ddg_with, CostEvaluator, PartitionOptions, PartitionResult};
+use gpsched_partition::{
+    partition_ddg_with, CostEvaluator, Partition, PartitionOptions, PartitionResult,
+};
 use growth::IiGrowthPolicy;
 use order::OrderPolicy;
 use spill::SpillPolicy;
@@ -89,6 +91,10 @@ enum ScanMode {
 /// window: at most II consecutive cycles, direction depending on which
 /// neighbours are placed), written into `times` (cleared first) so one
 /// buffer serves every op of an attempt.
+///
+/// Returns whether [`ScanMode::AsapFirst`] orders this window differently
+/// from [`ScanMode::Tight`]: the window scans ascending from `lo` to `hi`
+/// and `lo < asap ≤ hi`. Every other window is the same in both modes.
 #[allow(clippy::too_many_arguments)]
 fn window_into(
     times: &mut Vec<i64>,
@@ -99,7 +105,7 @@ fn window_into(
     max_path: i64,
     ii: i64,
     mode: ScanMode,
-) {
+) -> bool {
     times.clear();
     let mut estart: Option<i64> = None;
     let mut lstart: Option<i64> = None;
@@ -132,9 +138,9 @@ fn window_into(
     // II would never converge.
     let a = asap[op.index()];
     let floor = a - max_path;
-    let asap_first = |times: &mut Vec<i64>, lo: i64, hi: i64| {
+    let ascending = |times: &mut Vec<i64>, lo: i64, hi: i64| {
         if lo > hi {
-            return;
+            return false;
         }
         match mode {
             ScanMode::Tight => times.extend(lo..=hi),
@@ -144,21 +150,26 @@ fn window_into(
                 times.extend(lo..split);
             }
         }
+        lo < a && a <= hi
     };
     match (estart, lstart) {
         (Some(e), Some(l)) => {
             let e = e.max(floor);
-            if e <= l {
-                asap_first(times, e, l.min(e + ii - 1));
-            }
+            e <= l && ascending(times, e, l.min(e + ii - 1))
         }
         (Some(e), None) => {
             let e = e.max(floor);
-            asap_first(times, e, e + ii - 1);
+            ascending(times, e, e + ii - 1)
         }
-        (None, Some(l)) => times.extend(((l - ii + 1).max(floor)..=l).rev()),
+        (None, Some(l)) => {
+            times.extend(((l - ii + 1).max(floor)..=l).rev());
+            false
+        }
         // Fresh regions anchor at ASAP.
-        (None, None) => times.extend(a..a + ii),
+        (None, None) => {
+            times.extend(a..a + ii);
+            false
+        }
     }
 }
 
@@ -167,6 +178,12 @@ fn window_into(
 /// II). Tries the tight scan first, the ASAP-first scan as a second
 /// chance at the same II. Timing and node order depend only on the II
 /// (extras are zero here), so both scans share one analysis and one order.
+///
+/// The two scans compute the same windows, and so make the same
+/// placements, up to the first op whose window they order differently
+/// (DESIGN.md §6.6). The second scan therefore starts at that op, on a
+/// replay of the tight scan's committed prefix, and does not run at all
+/// when the tight scan failed before reaching such an op.
 #[allow(clippy::too_many_arguments)]
 fn attempt<'a>(
     ddg: &'a Ddg,
@@ -187,64 +204,99 @@ fn attempt<'a>(
         policies.order.order(ddg, t, ocache)
     };
     debug_assert_eq!(order.len(), ddg.op_count(), "order must cover the loop");
-    attempt_with(
-        ddg,
-        machine,
-        ii,
-        partition,
-        cfg,
-        policies,
-        ScanMode::Tight,
-        t,
-        &order,
-    )
-    .or_else(|| {
-        attempt_with(
-            ddg,
-            machine,
-            ii,
-            partition,
-            cfg,
-            policies,
-            ScanMode::AsapFirst,
-            t,
-            &order,
-        )
-    })
+    let rung = Rung::new(ddg, machine, ii, partition, cfg, policies, t, &order);
+    let fresh = || PartialSchedule::with_spill_policy(ddg, machine, ii, policies.spill.as_ref());
+    let mut tight = fresh();
+    let diverged = {
+        let _span = gpsched_trace::span!("sched.ii_attempt", "ii={ii}");
+        match rung.scan(&mut tight, ScanMode::Tight, 0) {
+            Ok(()) => return Some(tight),
+            Err(diverged) => diverged?,
+        }
+    };
+    let _span = gpsched_trace::span!("sched.ii_attempt", "ii={ii}");
+    let mut second = fresh();
+    second.replay(order[..diverged].iter().map(|&op| {
+        let pl = tight
+            .placement(op)
+            .expect("the tight scan placed its prefix");
+        (op, pl)
+    }));
+    rung.scan(&mut second, ScanMode::AsapFirst, diverged)
+        .ok()
+        .map(|()| second)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn attempt_with<'a>(
-    ddg: &'a Ddg,
-    machine: &'a MachineConfig,
+/// What every window scan at one II reads besides the schedule it fills.
+struct Rung<'r> {
+    ddg: &'r Ddg,
     ii: i64,
-    partition: Option<&PartitionResult>,
-    cfg: &DriverConfig,
-    policies: &'a PolicySet,
-    mode: ScanMode,
-    t: &Timing,
-    order: &[OpId],
-) -> Option<PartialSchedule<'a>> {
-    let _span = gpsched_trace::span!("sched.ii_attempt", "ii={ii}");
-    let mut ps = PartialSchedule::with_spill_policy(ddg, machine, ii, policies.spill.as_ref());
-    let nclusters = machine.cluster_count();
+    t: &'r Timing,
+    order: &'r [OpId],
+    partition: Option<&'r Partition>,
+    cluster: &'r dyn ClusterPolicy,
+    nclusters: usize,
+    merit_threshold: f64,
+}
 
-    let mut times = Vec::new();
-    for &op in order {
-        window_into(&mut times, &ps, ddg, op, &t.asap, t.max_path, ii, mode);
-        if times.is_empty() {
-            return None;
-        }
-        let ctx = PlaceCtx {
-            op,
-            times: &times,
+impl<'r> Rung<'r> {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        ddg: &'r Ddg,
+        machine: &MachineConfig,
+        ii: i64,
+        partition: Option<&'r PartitionResult>,
+        cfg: &DriverConfig,
+        policies: &'r PolicySet,
+        t: &'r Timing,
+        order: &'r [OpId],
+    ) -> Self {
+        Rung {
+            ddg,
+            ii,
+            t,
+            order,
             partition: partition.map(|p| &p.partition),
-            nclusters,
+            cluster: policies.cluster.as_ref(),
+            nclusters: machine.cluster_count(),
             merit_threshold: cfg.merit_threshold,
-        };
-        policies.cluster.place(&mut ps, &ctx)?;
+        }
     }
-    Some(ps)
+
+    /// Places `order[from..]` into `ps` in scan `mode`, stopping at the
+    /// first op no cluster admits. On failure, returns the order index of
+    /// the first op up to the failing one whose window
+    /// [`ScanMode::AsapFirst`] orders differently from [`ScanMode::Tight`],
+    /// or `None` when the two modes agree on every window the scan computed.
+    fn scan(
+        &self,
+        ps: &mut PartialSchedule<'_>,
+        mode: ScanMode,
+        from: usize,
+    ) -> Result<(), Option<usize>> {
+        let (asap, max_path) = (&self.t.asap, self.t.max_path);
+        let mut times = Vec::new();
+        let mut diverged = None;
+        for (i, &op) in self.order.iter().enumerate().skip(from) {
+            if window_into(&mut times, ps, self.ddg, op, asap, max_path, self.ii, mode) {
+                diverged.get_or_insert(i);
+            }
+            if times.is_empty() {
+                return Err(diverged);
+            }
+            let ctx = PlaceCtx {
+                op,
+                times: &times,
+                partition: self.partition,
+                nclusters: self.nclusters,
+                merit_threshold: self.merit_threshold,
+            };
+            if self.cluster.place(ps, &ctx).is_none() {
+                return Err(diverged);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The ladder segment one driver round will probe: starts at `ii` after
@@ -525,6 +577,157 @@ mod tests {
         // At least one pair must actually climb the ladder, or the racing
         // path was never exercised.
         assert!(grew, "no kernel grew its II — racing untested");
+    }
+
+    #[test]
+    fn window_divergence_flag_is_exact() {
+        // `window_into` flags a window exactly when the two scan modes
+        // order its cycles differently, for every window shape and every
+        // position of the ASAP cycle relative to the window.
+        let mut b = gpsched_ddg::DdgBuilder::new("w");
+        let p = b.op(gpsched_machine::OpClass::IntAlu, "p");
+        let x = b.op(gpsched_machine::OpClass::IntAlu, "x");
+        let s = b.op(gpsched_machine::OpClass::IntAlu, "s");
+        b.flow(p, x);
+        b.flow(x, s);
+        let ddg = b.build().unwrap();
+        let m = MachineConfig::two_cluster(32, 1, 1);
+        let ii = 4;
+        let schedule = |placed: &[(OpId, i64)]| {
+            let mut ps = PartialSchedule::new(&ddg, &m, ii);
+            for &(op, t) in placed {
+                ps.place(op, 0, t).unwrap();
+            }
+            ps
+        };
+        let mut flagged = 0;
+        // Neither neighbour, consumer only, producer only, both: windows
+        // (none), (… , 2] descending, [1, 4] and [1, 2] ascending.
+        for placed in [vec![], vec![(s, 3)], vec![(p, 0)], vec![(p, 0), (s, 3)]] {
+            let ps = schedule(&placed);
+            for a in -3..10 {
+                let mut asap = vec![0; 3];
+                asap[x.index()] = a;
+                let (mut tight, mut asap_first) = (Vec::new(), Vec::new());
+                let diverges =
+                    window_into(&mut tight, &ps, &ddg, x, &asap, 20, ii, ScanMode::Tight);
+                window_into(
+                    &mut asap_first,
+                    &ps,
+                    &ddg,
+                    x,
+                    &asap,
+                    20,
+                    ii,
+                    ScanMode::AsapFirst,
+                );
+                assert_eq!(
+                    diverges,
+                    tight != asap_first,
+                    "{placed:?}, asap {a}: {tight:?} vs {asap_first:?}"
+                );
+                flagged += usize::from(diverges);
+            }
+        }
+        assert!(flagged > 0, "no divergent window exercised");
+    }
+
+    #[test]
+    fn resumed_second_scan_matches_full_rescan() {
+        // The second-chance scan resumes at the first window it orders
+        // differently, on a replay of the tight scan's prefix, and is
+        // skipped when the tight scan failed before any such window. Every
+        // rung of the ladder from the MII must return exactly what the
+        // tight scan followed by a from-scratch ASAP-first scan returns:
+        // the same schedule under `state_eq`, or the same failure.
+        let ring = gpsched_machine::topology_presets()
+            .into_iter()
+            .find(|m| m.short_name() == "c4r64ring1x1")
+            .expect("ring reference machine");
+        let machines = [
+            MachineConfig::two_cluster(32, 1, 1),
+            MachineConfig::four_cluster(32, 1, 2),
+            ring,
+        ];
+        let mut loops = kernels::all_kernels(200);
+        for name in gpsched_workloads::PRESET_NAMES {
+            let profile = gpsched_workloads::preset(name).expect("bundled preset");
+            loops.extend(gpsched_workloads::synth::corpus(name, &profile, 11, 2));
+        }
+        let cfg = DriverConfig::default();
+        let popts = PartitionOptions::default();
+        let (mut resumed, mut skipped) = (0usize, 0usize);
+        for ddg in &loops {
+            for m in &machines {
+                let start = gpsched_ddg::mii::mii(ddg, m);
+                let part = gpsched_partition::partition_ddg(ddg, m, start, &popts);
+                // Every pipeline spec: each cluster, order, growth and
+                // spill policy the catalog ships.
+                for spec in crate::AlgorithmSpec::CATALOG
+                    .iter()
+                    .filter(|s| !s.is_list())
+                {
+                    let policies = spec.policies();
+                    let mut ws = TimingWorkspace::new();
+                    let mut ocache = order::OrderCache::default();
+                    let (mut ii, mut failures) = (start, 0);
+                    while ii <= crate::drivers::cap_for(start, &cfg) {
+                        let got = attempt(
+                            ddg,
+                            m,
+                            ii,
+                            Some(&part),
+                            &cfg,
+                            &policies,
+                            &mut ws,
+                            &mut ocache,
+                        );
+                        let want = ws.analyze(ddg, ii, |_| 0).and_then(|t| {
+                            let order = policies.order.order(ddg, t, &mut ocache);
+                            let rung =
+                                Rung::new(ddg, m, ii, Some(&part), &cfg, &policies, t, &order);
+                            let full = |mode| {
+                                let spill = policies.spill.as_ref();
+                                let mut ps = PartialSchedule::with_spill_policy(ddg, m, ii, spill);
+                                rung.scan(&mut ps, mode, 0).map(|()| ps)
+                            };
+                            full(ScanMode::Tight)
+                                .or_else(|diverged| {
+                                    match diverged {
+                                        Some(0) => {}
+                                        Some(_) => resumed += 1,
+                                        None => skipped += 1,
+                                    }
+                                    full(ScanMode::AsapFirst)
+                                })
+                                .ok()
+                        });
+                        let at = format!(
+                            "{} on {} with {spec} at II {ii}",
+                            ddg.name(),
+                            m.short_name()
+                        );
+                        match (&got, &want) {
+                            (Some(g), Some(w)) => assert!(g.state_eq(w), "{at}: schedules differ"),
+                            (None, None) => {}
+                            _ => panic!(
+                                "{at}: resumed {:?} vs full {:?}",
+                                got.is_some(),
+                                want.is_some()
+                            ),
+                        }
+                        if got.is_some() {
+                            break;
+                        }
+                        ii = policies.growth.next_ii(ii, failures);
+                        failures += 1;
+                    }
+                }
+            }
+        }
+        // Both shortcuts must actually be taken, or the test is vacuous.
+        assert!(resumed > 0, "no second scan resumed mid-order");
+        assert!(skipped > 0, "no second scan skipped");
     }
 
     #[test]

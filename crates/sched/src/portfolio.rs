@@ -69,8 +69,8 @@ pub struct FeatureVector {
     /// Largest flow fan-out of any op (consumer count).
     pub max_fanout: i64,
     /// Estimated `MaxLive` register pressure: flow lifetimes
-    /// `[asap(def), max asap(use) + II·distance]` folded through one
-    /// pooled [`PressureTable`] row at `II = MII`.
+    /// `[asap(def), max asap(use) + II·distance]` folded through a
+    /// single-cluster [`PressureTable`] at `II = MII`.
     pub pressure: i64,
     /// Per-cluster register file capacity.
     pub registers: i64,

@@ -85,7 +85,7 @@ pub struct SpillLoad {
 }
 
 /// A spilled value: store after definition, loads before late uses.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Spill {
     /// Producing op (index).
     pub producer: usize,
@@ -95,26 +95,6 @@ pub struct Spill {
     pub store: i64,
     /// Reloads feeding uses later than the store.
     pub loads: Vec<SpillLoad>,
-}
-
-impl Clone for Spill {
-    fn clone(&self) -> Self {
-        Spill {
-            producer: self.producer,
-            cluster: self.cluster,
-            store: self.store,
-            loads: self.loads.clone(),
-        }
-    }
-
-    /// Reuses the `loads` buffer — `Vec<Spill>::clone_from` calls this per
-    /// element, so pooled schedule states keep their nested allocations.
-    fn clone_from(&mut self, source: &Self) {
-        self.producer = source.producer;
-        self.cluster = source.cluster;
-        self.store = source.store;
-        self.loads.clone_from(&source.loads);
-    }
 }
 
 /// Why a placement attempt failed.
@@ -190,9 +170,8 @@ pub struct PartialSchedule<'a> {
     mrts: Vec<ClusterMrt>,
     net: ChannelTable,
     /// Row-major pairwise transfer latencies (`pair_lat[from·n + to]`),
-    /// shared immutably across the clone-per-trial placement path so the
-    /// per-candidate quick-reject indexes instead of dispatching on the
-    /// topology.
+    /// precomputed once per schedule so the per-candidate quick-reject
+    /// indexes instead of dispatching on the topology.
     pair_lat: std::sync::Arc<[i64]>,
     pressure: PressureTable,
     /// Last registered read of each op's source-cluster register interval
@@ -245,6 +224,8 @@ impl Default for SchedStats {
     }
 }
 
+/// A clone copies the booking state and starts outside any trial: empty
+/// undo log, no shadow, zeroed stats.
 impl<'a> Clone for PartialSchedule<'a> {
     fn clone(&self) -> Self {
         PartialSchedule {
@@ -265,28 +246,6 @@ impl<'a> Clone for PartialSchedule<'a> {
             shadow: None,
             stats: SchedStats::default(),
         }
-    }
-
-    /// Field-wise `clone_from`: every vector (including the nested spill
-    /// reload lists) reuses its existing allocation, so refreshing a
-    /// recycled state allocates nothing. The undo log and any shadow are
-    /// reset — a clone starts outside any trial.
-    fn clone_from(&mut self, source: &Self) {
-        self.ddg = source.ddg;
-        self.machine = source.machine;
-        self.ii = source.ii;
-        self.placements.clone_from(&source.placements);
-        self.mrts.clone_from(&source.mrts);
-        self.net.clone_from(&source.net);
-        self.pair_lat.clone_from(&source.pair_lat);
-        self.pressure.clone_from(&source.pressure);
-        self.reg_last.clone_from(&source.reg_last);
-        self.transfer_last.clone_from(&source.transfer_last);
-        self.transfers.clone_from(&source.transfers);
-        self.spills.clone_from(&source.spills);
-        self.spill_policy = source.spill_policy;
-        self.undo.clear();
-        self.shadow = None;
     }
 }
 
@@ -540,13 +499,12 @@ impl<'a> PartialSchedule<'a> {
             return None;
         }
         let span = (hi - lo + 1).min(self.ii);
-        let range: Box<dyn Iterator<Item = i64>> = if ascending {
-            Box::new(lo..lo + span)
+        let free = |t: &i64| self.mrts[cluster].can_place(ResourceKind::MemPort, *t);
+        if ascending {
+            (lo..lo + span).find(free)
         } else {
-            Box::new((hi - span + 1..=hi).rev())
-        };
-        let mut range = range;
-        range.find(|&t| self.mrts[cluster].can_place(ResourceKind::MemPort, t))
+            (hi - span + 1..=hi).rev().find(free)
+        }
     }
 
     /// Ensures a transfer `producer → to_cluster` arriving by `deadline`.
@@ -667,7 +625,7 @@ impl<'a> PartialSchedule<'a> {
     /// Cheap feasibility pre-check: `true` if placing `op` in `cluster` at
     /// `time` is certainly impossible (functional unit busy, or an
     /// intra-cluster timing deadline already violated). Used to skip the
-    /// clone-and-try cycle for hopeless slots.
+    /// trial-and-rollback cycle for hopeless slots.
     pub fn quick_reject(&self, op: OpId, cluster: usize, time: i64) -> bool {
         let idx = op.index();
         let class = self.op_class(idx);
@@ -872,6 +830,25 @@ impl<'a> PartialSchedule<'a> {
         }
     }
 
+    /// Re-places `placed` in order, outside any trial: the committed prefix
+    /// of an earlier scan at this II, reproduced without a window search.
+    /// `place` is deterministic and committed placements are never unwound,
+    /// so on a schedule that started empty each call sees exactly the state
+    /// the original commit saw and reproduces its bookings (DESIGN.md §6.6).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a placement fails — the prefix was not committed on this
+    /// schedule's machine and II.
+    pub(crate) fn replay(&mut self, placed: impl IntoIterator<Item = (OpId, Placement)>) {
+        debug_assert!(self.undo.is_empty(), "replay runs outside any trial");
+        for (op, pl) in placed {
+            self.place(op, pl.cluster, pl.time)
+                .expect("a committed placement replays");
+        }
+        self.undo.clear();
+    }
+
     /// Extends `producer`'s source-cluster register interval to cover a
     /// read at `read`. No-op for spilled values (their in-register span is
     /// pinned at [def, store]) and for ops without an interval.
@@ -970,6 +947,22 @@ impl<'a> PartialSchedule<'a> {
         last
     }
 
+    /// Debug cross-check: for an unspilled value defined at `def`, the
+    /// `reg_last` mirror the spill ranking reads must equal the last
+    /// register read derived from the graph and the transfer list.
+    /// Compiled out of release builds.
+    #[cfg(debug_assertions)]
+    fn debug_check_reg_last(&self, producer: usize, cluster: usize, def: i64) {
+        debug_assert_eq!(
+            self.reg_last[producer].max(def),
+            self.last_register_read(producer, cluster).max(def),
+            "reg_last of op {producer} diverged from its register reads"
+        );
+    }
+
+    #[cfg(not(debug_assertions))]
+    fn debug_check_reg_last(&self, _producer: usize, _cluster: usize, _def: i64) {}
+
     /// Same-cluster register reads of `producer`'s value: consumer issue
     /// times (+ II·distance) of placed same-cluster consumers, plus
     /// transfer read times.
@@ -1001,7 +994,9 @@ impl<'a> PartialSchedule<'a> {
         let _span = gpsched_trace::span!("sched.spill");
         // Candidates: placed value producers in this cluster, not yet
         // spilled, ranked by the active spill policy (default: longest
-        // register interval first).
+        // register interval first). An unspilled value's interval ends at
+        // its `reg_last` mirror (DESIGN.md §6.6), so ranking reads no
+        // graph; the read list is built only for candidates actually tried.
         let mut cands: Vec<(i64, usize)> = Vec::new();
         for (opi, pl) in self.placements.iter().enumerate() {
             let Some(pl) = pl else { continue };
@@ -1012,9 +1007,8 @@ impl<'a> PartialSchedule<'a> {
                 continue;
             }
             let def = pl.time + self.op_latency(opi);
-            let reads = self.register_reads(opi, cluster);
-            let last = reads.iter().copied().max().unwrap_or(def);
-            let len = last - def;
+            self.debug_check_reg_last(opi, cluster, def);
+            let len = self.reg_last[opi].max(def) - def;
             if len > self.ii {
                 cands.push((len, opi));
             }
@@ -1024,6 +1018,7 @@ impl<'a> PartialSchedule<'a> {
         'cand: for (_, opi) in cands {
             let pl = self.placements[opi].expect("candidate is placed");
             let def = pl.time + self.op_latency(opi);
+            let last = self.reg_last[opi];
             let reads = self.register_reads(opi, cluster);
             // Transfers read the register directly; the store must come at
             // or after every transfer read.
@@ -1035,7 +1030,6 @@ impl<'a> PartialSchedule<'a> {
                 .max()
                 .unwrap_or(def)
                 .max(def);
-            let last = reads.iter().copied().max().unwrap_or(def);
             let Some(store) = self.find_mem_slot(cluster, min_store, last - 1, true) else {
                 continue;
             };
@@ -1084,7 +1078,7 @@ impl<'a> PartialSchedule<'a> {
             for l in &loads {
                 self.mrt_place(cluster, ResourceKind::MemPort, l.time);
             }
-            self.pressure_remove(cluster, def, self.reg_last[opi]);
+            self.pressure_remove(cluster, def, last);
             self.pressure_add(cluster, def, store.max(def));
             for l in &loads {
                 self.pressure_add(cluster, l.time + self.load_latency(), l.use_time);
