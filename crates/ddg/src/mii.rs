@@ -10,7 +10,7 @@
 
 use crate::ddg::Ddg;
 use crate::DepId;
-use gpsched_graph::feasibility;
+use gpsched_graph::feasibility::BfKernel;
 use gpsched_machine::{MachineConfig, ResourceKind};
 
 /// Resource-constrained MII for `ddg` on `machine`, treating the machine's
@@ -101,8 +101,21 @@ pub fn rec_mii(ddg: &Ddg) -> i64 {
 /// distance-0 subgraph is acyclic.
 pub fn rec_mii_with(ddg: &Ddg, mut extra: impl FnMut(DepId) -> i64) -> i64 {
     let deps = ddg.constraint_deps(&mut extra);
+    rec_mii_on(&mut BfKernel::build(ddg.op_count(), &deps), &deps)
+}
+
+/// [`rec_mii_with`] on a kernel the caller already built from `deps` (a
+/// DDG's [`Ddg::constraint_deps`]): the same binary search over the same
+/// bounds, so a caller that goes on probing the kernel builds it once.
+///
+/// # Panics
+///
+/// Panics if no feasible II exists below the latency sum (see
+/// [`rec_mii_with`]).
+pub fn rec_mii_on(kernel: &mut BfKernel, deps: &[(usize, usize, i64, i64)]) -> i64 {
     let upper: i64 = deps.iter().map(|d| d.2.max(0)).sum::<i64>().max(1);
-    feasibility::min_feasible_ii(ddg.op_count(), &deps, 1, upper)
+    kernel
+        .min_feasible_ii(1, upper, None)
         .expect("validated DDG must have a feasible II")
 }
 

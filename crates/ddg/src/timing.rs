@@ -11,7 +11,6 @@ use crate::ddg::Ddg;
 use crate::dep::Dep;
 use crate::DepId;
 use gpsched_graph::feasibility::BfKernel;
-use gpsched_graph::NodeId;
 
 /// Result of [`analyze`].
 #[derive(Clone, Debug, Default)]
@@ -76,6 +75,17 @@ pub fn analyze(ddg: &Ddg, ii: i64, extra: impl FnMut(DepId) -> i64) -> Option<Ti
 /// computed once by [`TimingWorkspace::prepare`], and every buffer of the
 /// analysis itself is reused, so the steady state allocates nothing.
 ///
+/// Extras reach the kernels through one of two entry points. The closure
+/// form ([`TimingWorkspace::analyze`], [`TimingWorkspace::analyze_exec`])
+/// evaluates the closure on every dep. The patched form
+/// ([`TimingWorkspace::analyze_patched`]) takes the caller's *resident*
+/// extras vector plus a short list of overridden deps; it touches only the
+/// overridden deps and those of the previous patch, and resyncs every dep
+/// once after [`TimingWorkspace::resident_changed`]. Both apply values
+/// through one per-dep setter that patches the kernel bases only where the
+/// value differs from what is applied, so both produce the same analysis
+/// for the same extras.
+///
 /// A workspace is bound to the DDG most recently passed to `prepare` (or
 /// to the first `analyze` call), identified by address plus shape
 /// (op/dep counts); analyzing a *different* DDG re-prepares
@@ -113,33 +123,42 @@ pub struct TimingWorkspace {
     ndeps: usize,
     /// Per-dep `(src, dst, latency, distance)` in dep-id order.
     shape: Vec<(u32, u32, i64, i64)>,
-    /// Topological order of the distance-0 sub-DAG.
-    topo0: Vec<NodeId>,
+    /// The distance-0 deps as `(src, dst, latency, dep)`, grouped by
+    /// source in topological order of the distance-0 sub-DAG: a forward
+    /// walk computes `start`, a backward walk `tail`.
+    flat0: Vec<(u32, u32, i64, u32)>,
     /// Prepared forward constraint-graph kernel (asap solves). Bases are
     /// `lat + extra`; the II term is applied inside the kernel, so probing
     /// a new II rebuilds nothing.
     fwd_kernel: BfKernel,
     /// The same for the reversed constraint graph (alap via out-lengths).
     rev_kernel: BfKernel,
-    /// The kernels' bases currently carry a nonzero extra (so the next
-    /// zero-extra analysis must reset them).
-    extras_applied: bool,
-    /// Per-dep extras currently applied to the kernels' bases. Successive
-    /// refinement probes differ on a handful of edges (the candidate
-    /// move's incident deps), so analyses patch the difference instead of
-    /// rewriting every base.
+    /// Per-dep extras currently applied to both kernels' bases — the
+    /// extras of the current analysis. Only [`Self::set_extra`] writes it.
     applied: Vec<i64>,
+    /// `applied` equals the patched caller's resident extras everywhere
+    /// except at `patched`. False after `prepare`, a closure-form analysis
+    /// or [`TimingWorkspace::resident_changed`]; the next patched analysis
+    /// then resyncs every dep.
+    resident_synced: bool,
+    /// Deps the last patched analysis overrode (undone by the next one).
+    patched: Vec<u32>,
     /// Per-op latency.
     op_lat: Vec<i64>,
-    /// Per-dep extra delay of the current analysis.
-    extras: Vec<i64>,
+    /// Reverse-solve distances: `alap[v] = span − out_len[v]`.
     out_len: Vec<i64>,
+    /// `max(asap)` of the analysis `out_len` belongs to.
+    span: i64,
     prepared: bool,
     /// The most recent `analyze` call completed successfully, so `timing`
     /// is coherent and `last()` may serve it.
     analyzed: bool,
-    /// The ALAP/slack half of the most recent successful analysis has been
-    /// computed (false after [`TimingWorkspace::analyze_exec`] until
+    /// The reverse solve of the most recent successful analysis has run,
+    /// so [`TimingWorkspace::slack_of`] may answer.
+    reverse_done: bool,
+    /// `alap`, `edge_slack` and `max_slack` of the most recent successful
+    /// analysis have been built (false after
+    /// [`TimingWorkspace::analyze_exec`] until
     /// [`TimingWorkspace::complete_slack`] runs).
     slack_done: bool,
     timing: Timing,
@@ -176,9 +195,9 @@ impl TimingWorkspace {
     }
 
     /// Rebuilds the cached DDG shape (constraint tuples, distance-0
-    /// topological order, op latencies). [`TimingWorkspace::analyze`]
-    /// calls this automatically whenever it is handed a DDG other than
-    /// the one currently bound.
+    /// topological order, op latencies) and clears every applied extra
+    /// and patch. The analysis entry points call this automatically
+    /// whenever they are handed a DDG other than the one currently bound.
     pub fn prepare(&mut self, ddg: &Ddg) {
         let _span = gpsched_trace::span!("ddg.timing.prepare");
         self.stats.prepares.add(1);
@@ -196,8 +215,23 @@ impl TimingWorkspace {
                 dep.distance as i64,
             )
         }));
-        self.topo0 = gpsched_graph::topo::topo_order(ddg.graph(), |_, dep: &Dep| dep.distance == 0)
+        let graph = ddg.graph();
+        let topo0 = gpsched_graph::topo::topo_order(graph, |_, dep: &Dep| dep.distance == 0)
             .expect("distance-0 subgraph is acyclic by construction");
+        self.flat0.clear();
+        for &v in &topo0 {
+            for (e, w) in graph.out_edges(v) {
+                let dep = graph.edge_weight(e);
+                if dep.distance == 0 {
+                    self.flat0.push((
+                        v.index() as u32,
+                        w.index() as u32,
+                        dep.latency as i64,
+                        e.index() as u32,
+                    ));
+                }
+            }
+        }
         // Prepared CSR kernels for both directions; built once here,
         // reused by every II probe until the workspace rebinds.
         let fwd: Vec<(usize, usize, i64, i64)> = self
@@ -212,13 +246,44 @@ impl TimingWorkspace {
             .map(|&(s, d, lat, dist)| (d as usize, s as usize, lat, dist))
             .collect();
         self.rev_kernel = BfKernel::build(self.nops, &rev);
-        self.extras_applied = false;
         self.applied.clear();
         self.applied.resize(self.ndeps, 0);
+        self.resident_synced = false;
+        self.patched.clear();
         self.op_lat.clear();
         self.op_lat
             .extend(ddg.op_ids().map(|v| ddg.op(v).latency as i64));
         self.prepared = true;
+        self.analyzed = false;
+    }
+
+    /// Prepares for `ddg` unless it is the bound DDG. Rebinds on a
+    /// different address *or* a different shape: a DDG allocated where a
+    /// dropped one used to live aliases the address check, so the shape
+    /// comparison (O(1)) backstops it. Callers cycling through many
+    /// same-shaped short-lived DDGs must call `prepare` explicitly (or
+    /// keep the DDGs alive).
+    fn bind(&mut self, ddg: &Ddg) {
+        if !self.prepared
+            || self.bound != ddg as *const Ddg as usize
+            || self.nops != ddg.op_count()
+            || self.ndeps != ddg.dep_count()
+        {
+            self.prepare(ddg);
+        }
+    }
+
+    /// Applies extra `x` to dep `d`. The modulo constraint weight is
+    /// `lat + extra − II·dist`; the prepared kernels hold `lat` and `dist`
+    /// already, so only a changed extra touches their bases.
+    #[inline]
+    fn set_extra(&mut self, d: usize, x: i64) {
+        let delta = x - self.applied[d];
+        if delta != 0 {
+            self.fwd_kernel.add_extra(d, delta);
+            self.rev_kernel.add_extra(d, delta);
+            self.applied[d] = x;
+        }
     }
 
     /// Workspace-backed equivalent of [`analyze`]: identical results, no
@@ -246,141 +311,193 @@ impl TimingWorkspace {
     ///
     /// The partitioner's candidate screen lives on this split: most
     /// candidates are rejected on execution time alone, and only the
-    /// survivors pay for the reverse solve that the slack tiebreak needs.
+    /// survivors pay for the reverse solve ([`TimingWorkspace::solve_reverse`])
+    /// that the slack tiebreak reads per cut dep through
+    /// [`TimingWorkspace::slack_of`].
     pub fn analyze_exec(
         &mut self,
         ddg: &Ddg,
         ii: i64,
         mut extra: impl FnMut(DepId) -> i64,
     ) -> Option<&Timing> {
-        // Rebind on a different address *or* a different shape: a DDG
-        // allocated where a dropped one used to live aliases the address
-        // check, so the shape comparison (O(1)) backstops it. Callers
-        // cycling through many same-shaped short-lived DDGs must call
-        // `prepare` explicitly (or keep the DDGs alive).
-        if !self.prepared
-            || self.bound != ddg as *const Ddg as usize
-            || self.nops != ddg.op_count()
-            || self.ndeps != ddg.dep_count()
-        {
-            self.prepare(ddg);
+        self.bind(ddg);
+        for e in ddg.dep_ids() {
+            let x = extra(e);
+            self.set_extra(e.index(), x);
         }
+        // The applied extras no longer follow any patched caller's
+        // resident vector.
+        self.resident_synced = false;
+        self.solve_forward(ii)
+    }
+
+    /// [`TimingWorkspace::analyze_exec`] with extras `resident[e]` on every
+    /// dep except the deps listed in `patch`, which take `patch`'s values.
+    ///
+    /// `resident` is the caller's own, long-lived extras vector (indexed by
+    /// dep id). The workspace assumes it is unchanged since the previous
+    /// patched analysis, so only the previous patch's deps are restored to
+    /// it and the new patch's deps overridden — O(patch), not O(E). After
+    /// the caller changes `resident`, it must call
+    /// [`TimingWorkspace::resident_changed`]; the next patched analysis
+    /// then resyncs every dep once. A closure-form analysis or a rebind
+    /// in between forces that resync too.
+    ///
+    /// The partitioner's trial probe lives on this: a candidate move
+    /// overrides only the deps incident to the moved ops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `resident` does not have one entry per dep.
+    pub fn analyze_patched(
+        &mut self,
+        ddg: &Ddg,
+        ii: i64,
+        resident: &[i64],
+        patch: &[(u32, i64)],
+    ) -> Option<&Timing> {
+        self.bind(ddg);
+        assert_eq!(resident.len(), self.ndeps, "resident extras/ddg mismatch");
+        if self.resident_synced {
+            for i in 0..self.patched.len() {
+                let d = self.patched[i] as usize;
+                self.set_extra(d, resident[d]);
+            }
+        } else {
+            for (d, &x) in resident.iter().enumerate() {
+                self.set_extra(d, x);
+            }
+            self.resident_synced = true;
+        }
+        self.patched.clear();
+        for &(d, x) in patch {
+            self.set_extra(d as usize, x);
+            self.patched.push(d);
+        }
+        self.solve_forward(ii)
+    }
+
+    /// Tells the workspace that the resident extras vector of
+    /// [`TimingWorkspace::analyze_patched`] changed: the next patched
+    /// analysis resyncs every dep instead of only the patched ones.
+    pub fn resident_changed(&mut self) {
+        self.resident_synced = false;
+    }
+
+    /// The forward solve over the applied extras, plus the
+    /// intra-iteration `start`/`tail`/`max_path` passes.
+    fn solve_forward(&mut self, ii: i64) -> Option<&Timing> {
         // Counted, not spanned: a refinement pass runs one analysis per
         // candidate move, so a span here would swamp the trace buffers.
         self.stats.analyses.add(1);
         // A failed probe leaves `timing` partially overwritten; it only
         // becomes readable through `last()` again once a probe succeeds.
         self.analyzed = false;
-        let n = self.nops;
-
-        let mut any_extra = false;
-        self.extras.clear();
-        self.extras.extend(ddg.dep_ids().map(|e| {
-            let x = extra(e);
-            any_extra |= x != 0;
-            x
-        }));
-
-        // Modulo constraint system: w(e) = lat + extra − II·dist. The
-        // prepared kernels hold `lat` and `dist` already; only a nonzero
-        // extra (or clearing a previous one) touches the bases, so the
-        // common zero-extra probe re-solves with no rebuild at all, and
-        // successive nonzero probes patch only the deps whose extra moved
-        // (a candidate move's incident edges, not the whole graph).
-        if any_extra || self.extras_applied {
-            for d in 0..self.ndeps {
-                let delta = self.extras[d] - self.applied[d];
-                if delta != 0 {
-                    self.fwd_kernel.add_extra(d, delta);
-                    self.rev_kernel.add_extra(d, delta);
-                    self.applied[d] = self.extras[d];
-                }
-            }
-            self.extras_applied = any_extra;
-        }
+        self.reverse_done = false;
+        self.slack_done = false;
         if !self.fwd_kernel.solve(ii, &mut self.timing.asap) {
             self.stats.infeasible.add(1);
             return None;
         }
 
         // Intra-iteration longest paths (distance-0 sub-DAG), edge length
-        // lat + extra. Acyclic by Ddg validation even before extras.
-        let graph = ddg.graph();
-        self.timing.start.clear();
-        self.timing.start.resize(n, 0);
-        for &v in &self.topo0 {
-            for (e, w) in graph.out_edges(v) {
-                let dep = graph.edge_weight(e);
-                if dep.distance == 0 {
-                    let cand =
-                        self.timing.start[v.index()] + dep.latency as i64 + self.extras[e.index()];
-                    if cand > self.timing.start[w.index()] {
-                        self.timing.start[w.index()] = cand;
-                    }
-                }
+        // lat + extra. Acyclic by Ddg validation even before extras. The
+        // flat list is grouped by source in topological order, so every
+        // source's `start` is final before its out-edges are read.
+        let n = self.nops;
+        let applied = &self.applied;
+        let start = &mut self.timing.start;
+        start.clear();
+        start.resize(n, 0);
+        for &(s, d, lat, e) in &self.flat0 {
+            let cand = start[s as usize] + lat + applied[e as usize];
+            if cand > start[d as usize] {
+                start[d as usize] = cand;
             }
         }
 
         // tail[v] = max(lat(v), max over dist-0 out-edges (len + tail[dst])):
-        // the completion-inclusive longest path out of v, in reverse
-        // topological order of the dist-0 DAG.
-        self.timing.tail.clear();
-        self.timing.tail.extend_from_slice(&self.op_lat);
-        for &v in self.topo0.iter().rev() {
-            for (e, w) in graph.out_edges(v) {
-                let dep = graph.edge_weight(e);
-                if dep.distance == 0 {
-                    let cand =
-                        dep.latency as i64 + self.extras[e.index()] + self.timing.tail[w.index()];
-                    if cand > self.timing.tail[v.index()] {
-                        self.timing.tail[v.index()] = cand;
-                    }
-                }
+        // the completion-inclusive longest path out of v. Walking the flat
+        // list backwards visits sources in reverse topological order, so
+        // every destination's `tail` is final when it is read.
+        let tail = &mut self.timing.tail;
+        tail.clear();
+        tail.extend_from_slice(&self.op_lat);
+        for &(s, d, lat, e) in self.flat0.iter().rev() {
+            let cand = lat + applied[e as usize] + tail[d as usize];
+            if cand > tail[s as usize] {
+                tail[s as usize] = cand;
             }
         }
-        let start = &self.timing.start;
-        let tail = &self.timing.tail;
+        let (start, tail) = (&self.timing.start, &self.timing.tail);
         self.timing.max_path = (0..n).map(|v| start[v] + tail[v]).max().unwrap_or(0).max(0);
         self.timing.ii = ii;
         self.analyzed = true;
-        self.slack_done = false;
         Some(&self.timing)
     }
 
-    /// Completes the ALAP/slack half of the most recent successful
-    /// [`TimingWorkspace::analyze_exec`]: the reverse constraint solve,
-    /// `alap`, `edge_slack` and `max_slack`. Idempotent — a second call
-    /// (or one after a full [`TimingWorkspace::analyze`]) is a no-op.
+    /// The reverse constraint solve of the most recent successful forward
+    /// analysis, without building `alap`, `edge_slack` or `max_slack`:
+    /// afterwards [`TimingWorkspace::slack_of`] answers per dep. Idempotent.
     ///
     /// # Panics
     ///
     /// Panics if no forward analysis has succeeded yet. The reverse system
     /// shares its cycles with the forward one, so its solve cannot fail
     /// when the forward solve succeeded (asserted).
-    pub fn complete_slack(&mut self) {
+    pub fn solve_reverse(&mut self) {
         assert!(self.analyzed, "no successful forward analysis to complete");
-        if self.slack_done {
+        if self.reverse_done {
             return;
         }
-        let ii = self.timing.ii;
-        let feasible = self.rev_kernel.solve(ii, &mut self.out_len);
+        let feasible = self.rev_kernel.solve(self.timing.ii, &mut self.out_len);
         assert!(
             feasible,
             "reverse constraint system disagrees with the forward one"
         );
-        let n = self.nops;
-        let span = self.timing.asap.iter().copied().max().unwrap_or(0);
-        self.timing.alap.clear();
-        let out_len = &self.out_len;
-        self.timing.alap.extend((0..n).map(|v| span - out_len[v]));
+        self.span = self.timing.asap.iter().copied().max().unwrap_or(0);
+        self.reverse_done = true;
+    }
 
-        // Slack stays in dep-id order (`fwd` is permuted), so recompute the
-        // weight from the shape here.
+    /// Slack of dep `e` (by index) in the most recent analysis:
+    /// `alap[dst] − asap[src] − w(e)`, the value
+    /// [`TimingWorkspace::complete_slack`] stores in `edge_slack[e]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`TimingWorkspace::solve_reverse`] ran for the most
+    /// recent successful analysis.
+    #[inline]
+    pub fn slack_of(&self, e: usize) -> i64 {
+        assert!(self.reverse_done, "slack read before the reverse solve");
+        let (s, d, lat, dist) = self.shape[e];
+        let w = lat + self.applied[e] - self.timing.ii * dist;
+        (self.span - self.out_len[d as usize]) - self.timing.asap[s as usize] - w
+    }
+
+    /// Completes the ALAP/slack half of the most recent successful
+    /// [`TimingWorkspace::analyze_exec`]: [`TimingWorkspace::solve_reverse`]
+    /// plus the `alap`, `edge_slack` and `max_slack` vectors. Idempotent —
+    /// a second call (or one after a full [`TimingWorkspace::analyze`]) is
+    /// a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward analysis has succeeded yet.
+    pub fn complete_slack(&mut self) {
+        self.solve_reverse();
+        if self.slack_done {
+            return;
+        }
+        let span = self.span;
+        self.timing.alap.clear();
+        self.timing
+            .alap
+            .extend(self.out_len.iter().map(|&out| span - out));
         self.timing.edge_slack.clear();
         self.timing.max_slack = 0;
-        for (i, &(s, d, lat, dist)) in self.shape.iter().enumerate() {
-            let w = lat + self.extras[i] - ii * dist;
-            let slack = self.timing.alap[d as usize] - self.timing.asap[s as usize] - w;
+        for e in 0..self.ndeps {
+            let slack = self.slack_of(e);
             self.timing.edge_slack.push(slack);
             self.timing.max_slack = self.timing.max_slack.max(slack);
         }

@@ -170,12 +170,15 @@ pub fn experiments_markdown(
     out.push_str("## Table 2 — scheduling CPU time\n\n");
     out.push_str(
         "Paper: URACAM is 2–7× slower than Fixed/GP because it tries every\n\
-         cluster for every node. Our measurement reproduces that shape on\n\
-         the 4-cluster configurations, where the per-node cluster search\n\
-         dominates. On the 2-cluster configurations our partitioner +\n\
-         restart overhead outweighs URACAM's 2-way search — a deviation\n\
-         from the paper (their partitioning was evidently cheaper relative\n\
-         to their scheduler); see `DESIGN.md` §7.\n\n",
+         cluster for every node. Here URACAM is slower than Fixed on every\n\
+         configuration (the last column divides by the faster of Fixed/GP),\n\
+         by less on the 2-cluster machines than on the 4-cluster ones, where\n\
+         its per-node search covers four clusters. GP's selective\n\
+         re-partitioning as the II grows puts it close to or above URACAM on\n\
+         the slow-bus (latency 2) machines and on the 4-cluster ones. Every\n\
+         column includes the unit's MII and seed partition, which URACAM\n\
+         computes but never reads. The paper's magnitudes do not reproduce\n\
+         because our URACAM shares the stronger engine; see `DESIGN.md` §7.\n\n",
     );
     out.push_str("| config | URACAM (ms) | Fixed (ms) | GP (ms) | URACAM slowdown |\n");
     out.push_str("|---|---|---|---|---|\n");

@@ -191,6 +191,15 @@ impl Default for BfStats {
     }
 }
 
+/// The work one [`BfKernel::solve`] did: passes, edges scanned and
+/// successful relaxations.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct BfWork {
+    rounds: u64,
+    scanned: u64,
+    relaxations: u64,
+}
+
 /// One CSR edge of a [`BfKernel`], kept as a record so the hot relaxation
 /// loop touches one contiguous 32-byte stride per edge.
 #[derive(Clone, Copy, Debug, Default)]
@@ -343,6 +352,17 @@ impl BfKernel {
     /// [`longest_from_all_sources_into`] over the same weighted edges.
     /// Returns `false` when a positive cycle exists.
     pub fn solve(&mut self, ii: i64, dist: &mut Vec<i64>) -> bool {
+        let (feasible, work) = self.solve_counted(ii, dist);
+        self.stats.runs.add(1);
+        self.stats.rounds.add(work.rounds);
+        self.stats.edges_scanned.add(work.scanned);
+        self.stats.relaxations.add(work.relaxations);
+        feasible
+    }
+
+    /// [`Self::solve`] without the stats flush: the feasibility verdict
+    /// plus the work this solve did.
+    fn solve_counted(&mut self, ii: i64, dist: &mut Vec<i64>) -> (bool, BfWork) {
         let n = self.n;
         dist.clear();
         dist.resize(n, 0);
@@ -351,6 +371,9 @@ impl BfKernel {
         let mut relaxations = 0u64;
         let mut feasible = true;
         if n > 0 && !self.edges.is_empty() {
+            // A positive-cycle exit leaves pending marks in `active`; both
+            // worklists start empty so no solve rescans another's nodes.
+            self.active.clear();
             self.next.clear();
             // Pass 0 is dense: every node starts live, so bit tracking
             // would only add overhead. Sweeping sources in level-rank order
@@ -437,11 +460,12 @@ impl BfKernel {
                 }
             }
         }
-        self.stats.runs.add(1);
-        self.stats.rounds.add(rounds);
-        self.stats.edges_scanned.add(scanned);
-        self.stats.relaxations.add(relaxations);
-        feasible
+        let work = BfWork {
+            rounds,
+            scanned,
+            relaxations,
+        };
+        (feasible, work)
     }
 
     /// Kernel-backed [`min_feasible_ii`]: smallest feasible `ii` in
@@ -688,6 +712,30 @@ mod tests {
         let mut k = BfKernel::build(3, &[]);
         assert!(k.solve(1, &mut dist));
         assert_eq!(dist, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn infeasible_solve_leaves_no_work_behind() {
+        // A recurrence (RecMII 4) whose positive cycle at II 2 leaves
+        // marks pending, plus an acyclic carried edge 3 → 2 that goes
+        // backward in level order and still relaxes at II 4, so the
+        // feasible solve runs sparse passes that would pick stale marks up.
+        let deps = [(0, 1, 3, 0), (1, 0, 1, 1), (3, 2, 6, 1)];
+        let mut dist = Vec::new();
+        let mut fresh = BfKernel::build(4, &deps);
+        let (ok, expect) = fresh.solve_counted(4, &mut dist);
+        assert!(ok);
+        assert!(
+            expect.rounds > 1,
+            "the feasible solve must run a sparse pass"
+        );
+        let fresh_dist = dist.clone();
+        let mut reused = BfKernel::build(4, &deps);
+        assert!(!reused.solve_counted(2, &mut dist).0);
+        let (ok, work) = reused.solve_counted(4, &mut dist);
+        assert!(ok);
+        assert_eq!(dist, fresh_dist);
+        assert_eq!(work, expect, "stale worklist bits were rescanned");
     }
 
     #[test]

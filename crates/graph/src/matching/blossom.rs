@@ -67,14 +67,15 @@ pub fn maximum_weight_matching(
 
 struct Matcher {
     nvertex: usize,
-    nedge: usize,
     edges: Vec<WeightedEdge>,
     max_cardinality: bool,
     /// `endpoint[p]` = vertex at endpoint `p` (edge `p/2`, side `p%2`).
     endpoint: Vec<usize>,
-    /// For vertex `v`, the endpoints `p` such that `endpoint[p]` is the
-    /// *remote* end of an edge incident to `v`.
-    neighbend: Vec<Vec<usize>>,
+    /// CSR over vertices: `neighbend[neighbend_row[v]..neighbend_row[v + 1]]`
+    /// are the endpoints `p` such that `endpoint[p]` is the *remote* end of
+    /// an edge incident to `v`, in edge order.
+    neighbend_row: Vec<usize>,
+    neighbend: Vec<usize>,
     /// `mate[v]` = remote endpoint of the matched edge, or −1.
     mate: Vec<isize>,
     /// Label per (top-level) vertex/blossom: 0 free, 1 S, 2 T
@@ -95,6 +96,10 @@ struct Matcher {
     dualvar: Vec<i64>,
     allowedge: Vec<bool>,
     queue: Vec<usize>,
+    /// Scratch for the leaf walk in [`Self::assign_label`].
+    leaf_stack: Vec<usize>,
+    /// Scratch for the breadcrumb trail in [`Self::scan_blossom`].
+    scan_path: Vec<usize>,
 }
 
 impl Matcher {
@@ -106,19 +111,32 @@ impl Matcher {
             endpoint.push(i);
             endpoint.push(j);
         }
-        let mut neighbend = vec![Vec::new(); nvertex];
+        // Stable counting sort by vertex: each vertex keeps its incident
+        // endpoints in edge order.
+        let mut neighbend_row = vec![0usize; nvertex + 1];
+        for &(i, j, _) in &edges {
+            neighbend_row[i + 1] += 1;
+            neighbend_row[j + 1] += 1;
+        }
+        for v in 0..nvertex {
+            neighbend_row[v + 1] += neighbend_row[v];
+        }
+        let mut cursor = neighbend_row[..nvertex].to_vec();
+        let mut neighbend = vec![0usize; 2 * nedge];
         for (k, &(i, j, _)) in edges.iter().enumerate() {
-            neighbend[i].push(2 * k + 1);
-            neighbend[j].push(2 * k);
+            neighbend[cursor[i]] = 2 * k + 1;
+            cursor[i] += 1;
+            neighbend[cursor[j]] = 2 * k;
+            cursor[j] += 1;
         }
         let mut dualvar = vec![maxweight; nvertex];
         dualvar.extend(std::iter::repeat(0).take(nvertex));
         Matcher {
             nvertex,
-            nedge,
             edges,
             max_cardinality,
             endpoint,
+            neighbend_row,
             neighbend,
             mate: vec![NONE; nvertex],
             label: vec![0; 2 * nvertex],
@@ -136,6 +154,8 @@ impl Matcher {
             dualvar,
             allowedge: vec![false; nedge],
             queue: Vec::new(),
+            leaf_stack: Vec::new(),
+            scan_path: Vec::new(),
         }
     }
 
@@ -144,22 +164,20 @@ impl Matcher {
         self.dualvar[i] + self.dualvar[j] - 2 * wt
     }
 
+    /// The endpoints whose remote end is adjacent to vertex `v`.
+    fn neighbends(&self, v: usize) -> &[usize] {
+        &self.neighbend[self.neighbend_row[v]..self.neighbend_row[v + 1]]
+    }
+
     fn blossom_leaves(&self, b: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        let mut stack = vec![b];
-        while let Some(t) = stack.pop() {
-            if t < self.nvertex {
-                out.push(t);
-            } else {
-                stack.extend(
-                    self.blossomchilds[t]
-                        .as_ref()
-                        .expect("blossom without children")
-                        .iter()
-                        .copied(),
-                );
-            }
-        }
+        push_leaves(
+            &self.blossomchilds,
+            self.nvertex,
+            b,
+            &mut Vec::new(),
+            &mut out,
+        );
         out
     }
 
@@ -173,8 +191,17 @@ impl Matcher {
         self.bestedge[w] = NONE;
         self.bestedge[b] = NONE;
         if t == 1 {
-            let leaves = self.blossom_leaves(b);
-            self.queue.extend(leaves);
+            if b < self.nvertex {
+                self.queue.push(b);
+            } else {
+                push_leaves(
+                    &self.blossomchilds,
+                    self.nvertex,
+                    b,
+                    &mut self.leaf_stack,
+                    &mut self.queue,
+                );
+            }
         } else if t == 2 {
             let base = self.blossombase[b] as usize;
             let mate_base = self.mate[base];
@@ -187,7 +214,8 @@ impl Matcher {
     /// Traces back from the endpoints of edge `(v, w)` to discover either a
     /// common ancestor (new blossom base) or an augmenting path.
     fn scan_blossom(&mut self, v: usize, w: usize) -> isize {
-        let mut path = Vec::new();
+        let mut path = std::mem::take(&mut self.scan_path);
+        path.clear();
         let mut base = NONE;
         let mut v = v as isize;
         let mut w = w as isize;
@@ -216,9 +244,10 @@ impl Matcher {
                 std::mem::swap(&mut v, &mut w);
             }
         }
-        for b in path {
+        for &b in &path {
             self.label[b] = 1;
         }
+        self.scan_path = path;
         base
     }
 
@@ -278,7 +307,7 @@ impl Matcher {
                 None => self
                     .blossom_leaves(bv)
                     .into_iter()
-                    .map(|leaf| self.neighbend[leaf].iter().map(|&p| p / 2).collect())
+                    .map(|leaf| self.neighbends(leaf).iter().map(|&p| p / 2).collect())
                     .collect(),
             };
             for nblist in nblists {
@@ -522,8 +551,8 @@ impl Matcher {
                     // Index-based scan: `neighbend` is immutable after
                     // construction, and indexing per step avoids cloning
                     // the adjacency list on every queue pop.
-                    for i in 0..self.neighbend[v].len() {
-                        let p = self.neighbend[v][i];
+                    for i in self.neighbend_row[v]..self.neighbend_row[v + 1] {
+                        let p = self.neighbend[i];
                         let k = p / 2;
                         let w = self.endpoint[p];
                         if self.inblossom[v] == self.inblossom[w] {
@@ -687,7 +716,33 @@ impl Matcher {
                 }
             }
         }
-        let _ = self.nedge;
+    }
+}
+
+/// Appends the leaf vertices of blossom `b` to `out` in depth-first order
+/// (children pushed in order, popped last-first), using `stack` as scratch
+/// (empty on entry, drained on exit). Every leaf walk goes through here,
+/// so they all agree on the order.
+fn push_leaves(
+    blossomchilds: &[Option<Vec<usize>>],
+    nvertex: usize,
+    b: usize,
+    stack: &mut Vec<usize>,
+    out: &mut Vec<usize>,
+) {
+    stack.push(b);
+    while let Some(t) = stack.pop() {
+        if t < nvertex {
+            out.push(t);
+        } else {
+            stack.extend(
+                blossomchilds[t]
+                    .as_ref()
+                    .expect("blossom without children")
+                    .iter()
+                    .copied(),
+            );
+        }
     }
 }
 

@@ -159,3 +159,72 @@ fn max_cardinality_never_smaller() {
         assert!(card.pair_count() >= plain.pair_count(), "case {case}");
     }
 }
+
+/// FNV-1a over a stream of words: the digest the identity tests pin.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// A graph built to make the blossom algorithm's tie-breaking visible:
+/// odd cycles (triangles, pentagons, heptagons) of equal-weight edges,
+/// so blossoms form, joined by random chords drawn from three weights,
+/// so many optima tie. Parallel edges are kept; the order of `edges` is
+/// part of the input.
+fn tie_heavy_graph(rng: &mut Rng) -> (usize, Vec<WeightedEdge>) {
+    let n = rng.range(3, 28);
+    let mut edges = Vec::new();
+    let longest_odd = if n % 2 == 1 { n } else { n - 1 };
+    for _ in 0..rng.range(1, 5) {
+        let len = [3, 5, 7][rng.below(3)].min(longest_odd);
+        let w = rng.range(1, 4) as i64;
+        let start = rng.below(n);
+        for i in 0..len {
+            let v = if i + 1 == len {
+                start
+            } else {
+                (start + i + 1) % n
+            };
+            edges.push(((start + i) % n, v, w));
+        }
+    }
+    for _ in 0..rng.below(2 * n) {
+        let (u, v) = (rng.below(n), rng.below(n));
+        edges.push((u, v, rng.range(1, 4) as i64));
+    }
+    (n, edges)
+}
+
+/// Pins every mate the exact matcher picks, not just the optimum weight:
+/// any change to its tie-breaking or traversal order (edge scan order,
+/// leaf order, queue order) moves the digest, and with it the optimum
+/// that coarsening picks among equal-weight ones. A faster matcher must
+/// keep the digest.
+#[test]
+fn blossom_mates_digest_is_pinned() {
+    let mut rng = Rng(0x5eed_0005);
+    let mut digest = Fnv::new();
+    let mut pairs = 0usize;
+    for _ in 0..2000 {
+        let (n, edges) = tie_heavy_graph(&mut rng);
+        for max_cardinality in [false, true] {
+            let m = maximum_weight_matching(n, &edges, max_cardinality);
+            for v in 0..n {
+                digest.word(m.mate(v).map_or(u64::MAX, |u| u as u64));
+            }
+            pairs += m.pair_count();
+        }
+    }
+    assert!(pairs > 10_000, "graphs too sparse to exercise blossoms");
+    assert_eq!(digest.0, 981_944_056_323_103_613, "blossom mates changed");
+}

@@ -209,12 +209,13 @@ pub fn coarsen_to(finest: Level, target: usize, strategy: MatchStrategy) -> Vec<
 mod tests {
     use super::*;
     use crate::weights::edge_weights;
+    use gpsched_ddg::timing::TimingWorkspace;
     use gpsched_machine::MachineConfig;
     use gpsched_workloads::kernels;
 
     fn level_for(ddg: &Ddg) -> Level {
         let m = MachineConfig::two_cluster(32, 1, 1);
-        let w = edge_weights(ddg, &m, 1);
+        let w = edge_weights(ddg, &m, 1, &mut TimingWorkspace::new());
         initial_level(ddg, &w)
     }
 

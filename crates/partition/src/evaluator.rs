@@ -137,18 +137,21 @@ pub struct CostEvaluator<'a> {
     /// Scratch per-cluster counts for the trial resource bound.
     counts_scratch: Vec<[i64; 3]>,
     /// Epoch-stamped per-dep overlay for [`Self::trial_moves`]: dep `e`
-    /// has overlay cut/extra values iff `dep_mark[e] == dep_epoch`; every
+    /// has an overlay cut status iff `dep_mark[e] == dep_epoch`; every
     /// other dep keeps its resident `cut[e]`/`extra[e]`. Only deps
     /// incident to a moved op can differ, so the stamping pass is
     /// O(moved degree).
     dep_mark: Vec<u64>,
-    dep_extra: Vec<i64>,
     dep_cut: Vec<bool>,
     dep_epoch: u64,
     /// The deps stamped in the current trial (deduplicated via
-    /// `dep_mark`), for the cut-slack/cut-size fixup in
-    /// [`Self::assemble_overlay`].
-    deps_touched: Vec<u32>,
+    /// `dep_mark`) with their overlay transfer delay: the patch the trial
+    /// probe hands the timing workspace, and the list the cut-slack/
+    /// cut-size fixup in [`Self::assemble_overlay`] walks.
+    deps_touched: Vec<(u32, i64)>,
+    /// Timing workspace whose patched analyses read `extra` as the
+    /// resident extras; every change to `extra` outside a trial is
+    /// reported through [`TimingWorkspace::resident_changed`].
     ws: TimingWorkspace,
     /// Per-channel interconnect load of those pairs (the generalized
     /// `IIbus` is its [`ChannelLoad::bound`]).
@@ -265,7 +268,7 @@ impl<'a> CostEvaluator<'a> {
         // contribute), so probe at the always-feasible total latency.
         let (base_max_path, p0) = {
             let t = ws
-                .analyze(ddg, ddg.total_latency(), |_| 0)
+                .analyze_exec(ddg, ddg.total_latency(), |_| 0)
                 .expect("total latency is always recurrence-feasible");
             let p0: Vec<i64> = ddg
                 .dep_ids()
@@ -343,7 +346,6 @@ impl<'a> CostEvaluator<'a> {
             move_epoch: 0,
             counts_scratch: Vec::new(),
             dep_mark: vec![0; ddg.dep_count()],
-            dep_extra: vec![0; ddg.dep_count()],
             dep_cut: vec![false; ddg.dep_count()],
             dep_epoch: 0,
             deps_touched: Vec::new(),
@@ -409,6 +411,7 @@ impl<'a> CostEvaluator<'a> {
             }
         }
         self.comm_count = (0..self.ddg.op_count()).map(|p| self.comm_contrib(p)).sum();
+        self.ws.resident_changed();
     }
 
     /// The partitioning input interval of the current load.
@@ -426,6 +429,15 @@ impl<'a> CostEvaluator<'a> {
     /// The current per-op assignment.
     pub fn assignment(&self) -> &[usize] {
         &self.assign
+    }
+
+    /// Lends out the evaluator's timing workspace, already prepared for
+    /// its DDG (the coarsening weights analyze the same graph). The
+    /// borrower may leave any extras applied, so the evaluator's next
+    /// analysis resyncs every dep.
+    pub fn timing_workspace(&mut self) -> &mut TimingWorkspace {
+        self.ws.resident_changed();
+        &mut self.ws
     }
 
     /// Clusters the producer `p` must send its value to (everything except
@@ -598,6 +610,7 @@ impl<'a> CostEvaluator<'a> {
                 }
             }
         }
+        self.ws.resident_changed();
     }
 
     #[inline]
@@ -643,18 +656,21 @@ impl<'a> CostEvaluator<'a> {
     pub fn cost(&mut self) -> PartitionCost {
         let ii_bus = self.interconnect_bound();
         let lower = self.ii_input.max(self.res_bound()).max(ii_bus);
-        let ii = self.probe_ii(lower);
+        let ii = self.probe_ii(lower, &[]);
         self.assemble(ii_bus, ii)
     }
 
-    /// First feasible II at or above `lower` for the resident cut, probing
-    /// with the forward-only analysis (the slack half stays pending until
-    /// [`Self::assemble`] needs it).
-    fn probe_ii(&mut self, lower: i64) -> i64 {
+    /// First feasible II at or above `lower` with the resident extras
+    /// overridden by `patch`, probing with the forward-only analysis (the
+    /// slack half stays pending until [`Self::assemble`] needs it).
+    fn probe_ii(&mut self, lower: i64, patch: &[(u32, i64)]) -> i64 {
         let mut ii = lower;
-        let (ws, extra, ddg) = (&mut self.ws, &self.extra, self.ddg);
         loop {
-            if ws.analyze_exec(ddg, ii, |e| extra[e.index()]).is_some() {
+            if self
+                .ws
+                .analyze_patched(self.ddg, ii, &self.extra, patch)
+                .is_some()
+            {
                 return ii;
             }
             ii += 1;
@@ -662,15 +678,12 @@ impl<'a> CostEvaluator<'a> {
     }
 
     /// Builds the [`PartitionCost`] for the analysis [`Self::probe_ii`]
-    /// left resident, completing its slack half on demand.
+    /// left resident, running its reverse solve on demand.
     fn assemble(&mut self, ii_bus: i64, ii: i64) -> PartitionCost {
-        self.ws.complete_slack();
-        let t = self.ws.last();
-        let cut_slack: i64 = self
-            .cut_list
-            .iter()
-            .map(|&e| t.edge_slack[e as usize])
-            .sum();
+        self.ws.solve_reverse();
+        let ws = &self.ws;
+        let cut_slack: i64 = self.cut_list.iter().map(|&e| ws.slack_of(e as usize)).sum();
+        let t = ws.last();
         PartitionCost {
             comm_count: self.comm_count,
             ii_bus,
@@ -713,7 +726,7 @@ impl<'a> CostEvaluator<'a> {
         // Forward-only probe: when the exact execution time already loses,
         // the lexicographic comparison is decided and the reverse solve
         // behind the slack tiebreak never runs.
-        let ii = self.probe_ii(lower);
+        let ii = self.probe_ii(lower, &[]);
         if self.ddg.execution_time(ii, self.ws.last().max_path) > than.exec_time {
             self.stats.exec_rejected.add(1);
             return None;
@@ -880,25 +893,10 @@ impl<'a> CostEvaluator<'a> {
             }
         }
 
-        let ii = {
-            let (ws, extra, ddg) = (&mut self.ws, &self.extra, self.ddg);
-            let (dep_mark, dep_extra) = (&self.dep_mark, &self.dep_extra);
-            let mut ii = lower;
-            loop {
-                let overlaid = |e: gpsched_graph::EdgeId| {
-                    let i = e.index();
-                    if dep_mark[i] == dep_ep {
-                        dep_extra[i]
-                    } else {
-                        extra[i]
-                    }
-                };
-                if ws.analyze_exec(ddg, ii, overlaid).is_some() {
-                    break ii;
-                }
-                ii += 1;
-            }
-        };
+        // The stamped deps are the probe's patch over the resident extras.
+        let patch = std::mem::take(&mut self.deps_touched);
+        let ii = self.probe_ii(lower, &patch);
+        self.deps_touched = patch;
         if self.ddg.execution_time(ii, self.ws.last().max_path) > than.exec_time {
             self.stats.exec_rejected.add(1);
             return None;
@@ -918,7 +916,7 @@ impl<'a> CostEvaluator<'a> {
         let (cs, cd) = (self.overlay_cluster(s, ep), self.overlay_cluster(d, ep));
         let now = cs != cd;
         self.dep_cut[e] = now;
-        self.dep_extra[e] = if now && self.is_flow[e] {
+        let extra = if now && self.is_flow[e] {
             if self.uniform_lat >= 0 {
                 self.uniform_lat
             } else {
@@ -927,7 +925,7 @@ impl<'a> CostEvaluator<'a> {
         } else {
             0
         };
-        self.deps_touched.push(e as u32);
+        self.deps_touched.push((e as u32, extra));
     }
 
     /// [`Self::channel_bound_general`] under the trial overlay: producers
@@ -971,7 +969,7 @@ impl<'a> CostEvaluator<'a> {
         self.chan.bound()
     }
 
-    /// [`Self::assemble`] for a trial: the resident cut flags drive the
+    /// [`Self::assemble`] for a trial: the resident cut list drives the
     /// slack sum, then the stamped deps whose overlay cut status differs
     /// fix up the slack and the cut size.
     fn assemble_overlay(
@@ -981,28 +979,25 @@ impl<'a> CostEvaluator<'a> {
         comm: usize,
         dep_ep: u64,
     ) -> PartitionCost {
-        self.ws.complete_slack();
-        let t = self.ws.last();
-        let mut cut_slack: i64 = self
-            .cut_list
-            .iter()
-            .map(|&e| t.edge_slack[e as usize])
-            .sum();
+        self.ws.solve_reverse();
+        let ws = &self.ws;
+        let mut cut_slack: i64 = self.cut_list.iter().map(|&e| ws.slack_of(e as usize)).sum();
         let mut cut_size = self.cut_list.len();
-        for &e in &self.deps_touched {
+        for &(e, _) in &self.deps_touched {
             let e = e as usize;
             debug_assert_eq!(self.dep_mark[e], dep_ep);
             let (was, now) = (self.cut[e], self.dep_cut[e]);
             if was != now {
                 if now {
-                    cut_slack += t.edge_slack[e];
+                    cut_slack += ws.slack_of(e);
                     cut_size += 1;
                 } else {
-                    cut_slack -= t.edge_slack[e];
+                    cut_slack -= ws.slack_of(e);
                     cut_size -= 1;
                 }
             }
         }
+        let t = ws.last();
         PartitionCost {
             comm_count: comm,
             ii_bus,

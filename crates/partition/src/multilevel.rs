@@ -87,7 +87,7 @@ pub fn partition_ddg_with(
     // 1. Weighted graph + coarsening hierarchy.
     let levels: Vec<Level> = {
         let _span = gpsched_trace::span!("partition.coarsen");
-        let weights = edge_weights(ddg, machine, ii_input);
+        let weights = edge_weights(ddg, machine, ii_input, ev.timing_workspace());
         let finest = initial_level(ddg, &weights);
         coarsen_to(finest, nclusters, options.strategy)
     };

@@ -444,11 +444,12 @@ mod tests {
     use crate::estimate::estimate;
     use crate::partition::Partition;
     use crate::weights::edge_weights;
+    use gpsched_ddg::timing::TimingWorkspace;
     use gpsched_ddg::DdgBuilder;
     use gpsched_machine::OpClass;
 
     fn level_of(ddg: &Ddg, machine: &MachineConfig) -> Level {
-        let w = edge_weights(ddg, machine, 1);
+        let w = edge_weights(ddg, machine, 1, &mut TimingWorkspace::new());
         initial_level(ddg, &w)
     }
 

@@ -17,37 +17,48 @@
 //! and the `+1` keeps every weight strictly positive so that edges are
 //! never invisible to the maximum-weight matching.
 
-use gpsched_ddg::{mii, timing, Ddg};
+use gpsched_ddg::timing::TimingWorkspace;
+use gpsched_ddg::{mii, Ddg};
+use gpsched_graph::feasibility::BfKernel;
 use gpsched_graph::scc::component_index;
 use gpsched_machine::MachineConfig;
 
 /// Per-dependence coarsening weights, indexed by `DepId::index()`.
 ///
 /// `ii_input` is the partitioning input interval (MII on the first round);
-/// `machine` supplies the interconnect topology being modelled.
+/// `machine` supplies the interconnect topology being modelled. The
+/// timing analysis runs in `ws` (the partitioner lends its evaluator's
+/// workspace, already prepared for `ddg`; any workspace gives the same
+/// weights).
 ///
 /// # Panics
 ///
 /// Panics if `ii_input` is smaller than 1.
-pub fn edge_weights(ddg: &Ddg, machine: &MachineConfig, ii_input: i64) -> Vec<i64> {
+pub fn edge_weights(
+    ddg: &Ddg,
+    machine: &MachineConfig,
+    ii_input: i64,
+    ws: &mut TimingWorkspace,
+) -> Vec<i64> {
     assert!(ii_input >= 1, "ii_input must be positive");
     let bus_lat = machine.max_transfer_latency();
     let niter = ddg.trip_count() as i64;
 
-    let rec_base = mii::rec_mii(ddg);
+    // One prepared kernel serves the RecMII search and every per-edge
+    // probe: bump the probed edge's weight base by the bus latency,
+    // search, restore. Successive recurrence edges tend to share an
+    // answer, so each search is seeded with the previous one's result.
+    let deps = ddg.constraint_deps(|_| 0);
+    let mut kernel = BfKernel::build(ddg.op_count(), &deps);
+    let rec_base = mii::rec_mii_on(&mut kernel, &deps);
     let ii_base = ii_input.max(rec_base);
-    let t = timing::analyze(ddg, ii_base, |_| 0).expect("ii at or above RecMII is feasible");
+    let t = ws
+        .analyze(ddg, ii_base, |_| 0)
+        .expect("ii at or above RecMII is feasible");
     let maxsl = t.max_slack;
 
     // Only edges inside a strongly connected component can change RecMII.
     let (_, comp) = component_index(ddg.graph());
-
-    // One prepared kernel serves every per-edge probe: bump the probed
-    // edge's weight base by the bus latency, search, restore. Successive
-    // recurrence edges tend to share an answer, so each search is seeded
-    // with the previous one's result.
-    let mut kernel =
-        gpsched_graph::feasibility::BfKernel::build(ddg.op_count(), &ddg.constraint_deps(|_| 0));
     let mut last_rec_after = None;
 
     ddg.dep_ids()
@@ -99,7 +110,7 @@ mod tests {
             .into_iter()
             .next()
             .unwrap();
-        for w in edge_weights(&ddg, &machine(), 1) {
+        for w in edge_weights(&ddg, &machine(), 1, &mut TimingWorkspace::new()) {
             assert!(w >= 1);
         }
     }
@@ -117,7 +128,7 @@ mod tests {
         let e_side = b.flow(a, side);
         b.trip_count(100);
         let ddg = b.build().unwrap();
-        let w = edge_weights(&ddg, &machine(), 1);
+        let w = edge_weights(&ddg, &machine(), 1, &mut TimingWorkspace::new());
         assert!(w[e_fwd.index()] > w[e_side.index()]);
         assert!(w[e_back.index()] > w[e_side.index()]);
     }
@@ -136,7 +147,7 @@ mod tests {
         b.flow(ad, st);
         b.trip_count(100);
         let ddg = b.build().unwrap();
-        let w = edge_weights(&ddg, &machine(), 1);
+        let w = edge_weights(&ddg, &machine(), 1, &mut TimingWorkspace::new());
         assert!(
             w[e_crit.index()] > w[e_slack.index()],
             "critical {} vs slack {}",
@@ -158,8 +169,9 @@ mod tests {
         };
         let (d_small, e1) = build(10);
         let (d_big, e2) = build(1000);
-        let w_small = edge_weights(&d_small, &machine(), 1)[e1.index()];
-        let w_big = edge_weights(&d_big, &machine(), 1)[e2.index()];
+        let w_small =
+            edge_weights(&d_small, &machine(), 1, &mut TimingWorkspace::new())[e1.index()];
+        let w_big = edge_weights(&d_big, &machine(), 1, &mut TimingWorkspace::new())[e2.index()];
         assert!(w_big > w_small);
     }
 
@@ -180,7 +192,7 @@ mod tests {
         let e_zero = b.flow(x, y);
         b.trip_count(100);
         let ddg = b.build().unwrap();
-        let w = edge_weights(&ddg, &machine(), 1);
+        let w = edge_weights(&ddg, &machine(), 1, &mut TimingWorkspace::new());
         assert!(w[e_delay.index()] > w[e_zero.index()]);
     }
 }
