@@ -525,6 +525,15 @@ const GEN_FLAGS: &[&str] = &[
     "--out",
 ];
 
+/// The `--ops` value of `gen` and `export`: a positive op count (a loop
+/// needs at least one op).
+fn parse_ops(k: &str) -> usize {
+    match k.parse() {
+        Ok(0) | Err(_) => fail("--ops needs a positive count"),
+        Ok(n) => n,
+    }
+}
+
 /// Emits a synthetic corpus from a named preset as `.ddg` text.
 fn cmd_gen(args: &[String]) {
     check_flags(args, GEN_FLAGS);
@@ -532,7 +541,7 @@ fn cmd_gen(args: &[String]) {
         opt_value(args, "--preset").unwrap_or_else(|| fail("gen requires --preset NAME"));
     let mut profile = resolve_preset(preset_name);
     if let Some(k) = opt_value(args, "--ops") {
-        profile.ops = k.parse().unwrap_or_else(|_| fail("--ops needs a count"));
+        profile.ops = parse_ops(k);
     }
     let seed: u64 = opt_value(args, "--seed")
         .map(|s| s.parse().unwrap_or_else(|_| fail("--seed needs a number")))
@@ -577,7 +586,7 @@ fn cmd_export(args: &[String]) {
             .unwrap_or(0);
         let profile = match opt_value(args, "--ops") {
             Some(k) => SynthProfile {
-                ops: k.parse().unwrap_or_else(|_| fail("--ops needs a count")),
+                ops: parse_ops(k),
                 ..SynthProfile::default()
             },
             None => SynthProfile::default(),

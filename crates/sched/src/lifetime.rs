@@ -10,15 +10,48 @@
 
 use crate::mrt::slot;
 
-/// Per-cluster live-value counts per kernel slot.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Per-cluster live-value counts per kernel slot, with `MaxLive` kept
+/// incrementally.
+///
+/// A slot's live count is the cluster's `offset` plus the slot's `rel`
+/// count: `offset` sums the `⌊L/II⌋` every-slot share of each lifetime,
+/// `rel` the `L mod II` partial shares. `levels[c][v]` counts the slots
+/// of cluster `c` whose `rel` is `v`, and `top[c]` is the highest such
+/// `v` with a slot on it, so `MaxLive = offset + top` is read without
+/// scanning the row. Adding or removing a lifetime touches only its
+/// `L mod II` partial slots: each moves one level, and the maximum drops
+/// by one only when the last slot on it moves down.
+#[derive(Clone, Debug)]
 pub struct PressureTable {
     ii: i64,
     caps: Vec<i64>,
-    /// Row-major live counts, `live[cluster · II + slot]`: one flat vector
-    /// instead of per-cluster rows, so a table is one allocation.
-    live: Vec<i64>,
+    /// Per cluster: registers every slot holds through whole-II shares.
+    offset: Vec<i64>,
+    /// Row-major partial counts, `rel[cluster · II + slot]`: one flat
+    /// vector instead of per-cluster rows.
+    rel: Vec<u32>,
+    /// Per cluster: how many slots sit at each `rel` level. Never shrinks,
+    /// so it may carry zero levels above `top`.
+    levels: Vec<Vec<u32>>,
+    /// Per cluster: the highest `rel` level holding a slot.
+    top: Vec<u32>,
 }
+
+/// Equal live counts in every slot and equal `MaxLive`: how the counts
+/// split between `offset` and `rel`, and any zero levels a rollback left
+/// above the maximum, do not matter.
+impl PartialEq for PressureTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.ii == other.ii
+            && self.caps == other.caps
+            && (0..self.caps.len()).all(|c| {
+                self.max_live(c) == other.max_live(c)
+                    && self.live_counts(c).eq(other.live_counts(c))
+            })
+    }
+}
+
+impl Eq for PressureTable {}
 
 impl PressureTable {
     /// Creates an empty table for clusters with the given register
@@ -33,7 +66,10 @@ impl PressureTable {
         PressureTable {
             ii,
             caps,
-            live: vec![0; n * ii as usize],
+            offset: vec![0; n],
+            rel: vec![0; n * ii as usize],
+            levels: vec![vec![ii as u32]; n],
+            top: vec![0; n],
         }
     }
 
@@ -45,13 +81,22 @@ impl PressureTable {
         PressureTable {
             ii: 1,
             caps: Vec::new(),
-            live: Vec::new(),
+            offset: Vec::new(),
+            rel: Vec::new(),
+            levels: Vec::new(),
+            top: Vec::new(),
         }
     }
 
     /// Zeroes every lifetime row, keeping capacities and allocations.
     pub fn reset(&mut self) {
-        self.live.fill(0);
+        self.offset.fill(0);
+        self.rel.fill(0);
+        self.top.fill(0);
+        for l in &mut self.levels {
+            l.clear();
+            l.push(self.ii as u32);
+        }
     }
 
     /// Registers the lifetime `[def, last_use]` in `cluster`.
@@ -62,7 +107,11 @@ impl PressureTable {
         self.apply(cluster, def, last_use, 1);
     }
 
-    /// Removes a previously added lifetime.
+    /// Removes a lifetime previously added with the same bounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot the lifetime covers holds no partial share.
     pub fn remove(&mut self, cluster: usize, def: i64, last_use: i64) {
         self.apply(cluster, def, last_use, -1);
     }
@@ -72,30 +121,53 @@ impl PressureTable {
             return;
         }
         let len = last_use - def + 1;
-        let base = len / self.ii;
+        self.offset[cluster] += sign * (len / self.ii);
         let rem = (len % self.ii) as usize;
         let ii = self.ii as usize;
-        let row = &mut self.live[cluster * ii..(cluster + 1) * ii];
-        if base > 0 {
-            for v in row.iter_mut() {
-                *v += sign * base;
+        let start = slot(def, self.ii);
+        let row = &mut self.rel[cluster * ii..(cluster + 1) * ii];
+        let levels = &mut self.levels[cluster];
+        let top = &mut self.top[cluster];
+        let slots = (0..rem).map(|j| (start + j) % ii);
+        if sign > 0 {
+            for s in slots {
+                let v = row[s];
+                row[s] = v + 1;
+                levels[v as usize] -= 1;
+                if v == *top {
+                    *top = v + 1;
+                    if levels.len() == *top as usize {
+                        levels.push(0);
+                    }
+                }
+                levels[v as usize + 1] += 1;
+            }
+        } else {
+            for s in slots {
+                let v = row[s];
+                assert!(v > 0, "no lifetime at slot {s} of cluster {cluster}");
+                row[s] = v - 1;
+                levels[v as usize] -= 1;
+                levels[v as usize - 1] += 1;
+                if v == *top && levels[v as usize] == 0 {
+                    *top = v - 1;
+                }
             }
         }
-        let start = slot(def, self.ii);
-        for j in 0..rem {
-            let s = (start + j) % self.ii as usize;
-            row[s] += sign;
-        }
+    }
+
+    /// The live count of every slot of `cluster`, in slot order.
+    pub fn live_counts(&self, cluster: usize) -> impl Iterator<Item = i64> + '_ {
+        let ii = self.ii as usize;
+        let offset = self.offset[cluster];
+        self.rel[cluster * ii..(cluster + 1) * ii]
+            .iter()
+            .map(move |&r| offset + r as i64)
     }
 
     /// `MaxLive` of `cluster`: the registers the current lifetimes need.
     pub fn max_live(&self, cluster: usize) -> i64 {
-        let ii = self.ii as usize;
-        self.live[cluster * ii..(cluster + 1) * ii]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
+        self.offset[cluster] + self.top[cluster] as i64
     }
 
     /// Register capacity of `cluster`.
@@ -155,7 +227,7 @@ mod tests {
     fn negative_times_wrap() {
         let mut p = PressureTable::new(vec![4], 4);
         p.add(0, -2, -1); // slots 2,3
-        assert_eq!(p.live, vec![0, 0, 1, 1]);
+        assert_eq!(p.live_counts(0).collect::<Vec<_>>(), vec![0, 0, 1, 1]);
     }
 
     #[test]
@@ -175,6 +247,6 @@ mod tests {
     fn exact_multiple_of_ii() {
         let mut p = PressureTable::new(vec![8], 4);
         p.add(0, 0, 7); // len 8 = 2·II → exactly 2 everywhere
-        assert_eq!(p.live, vec![2, 2, 2, 2]);
+        assert_eq!(p.live_counts(0).collect::<Vec<_>>(), vec![2, 2, 2, 2]);
     }
 }

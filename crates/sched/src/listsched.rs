@@ -79,6 +79,7 @@ fn book_transfer(
 /// honest, overflowing `MaxLive` — such a loop cannot execute on that
 /// machine, and the simulator audit refuses the schedule accordingly.
 pub fn list_schedule(ddg: &Ddg, machine: &MachineConfig) -> Schedule {
+    let _span = gpsched_trace::span!("sched.list");
     let (placements, transfers, core) = place(ddg, machine, false);
     if let Some((ii, spills, max_live, length)) =
         resolve_pressure(ddg, machine, &placements, &transfers, core, true)

@@ -34,13 +34,32 @@ impl Merit {
     /// The comparison always scans components in descending order, so they
     /// are sorted once here instead of on every [`Merit::compare`] (the
     /// placement loop compares each candidate against the running best).
-    pub fn new(mut components: Vec<f64>) -> Self {
-        for c in &mut components {
+    pub fn new(components: Vec<f64>) -> Self {
+        let mut m = Merit {
+            components,
+            sum: 0.0,
+        };
+        m.normalize();
+        m
+    }
+
+    /// Rebuilds `self` from `components` exactly as [`Merit::new`] would,
+    /// reusing its allocation: merit arbitration refills one buffer per
+    /// trial instead of allocating a figure for each.
+    pub fn refill(&mut self, components: impl IntoIterator<Item = f64>) {
+        self.components.clear();
+        self.components.extend(components);
+        self.normalize();
+    }
+
+    /// Clamps at 0, sorts descending, then sums left to right.
+    fn normalize(&mut self) {
+        for c in &mut self.components {
             *c = c.max(0.0);
         }
-        components.sort_by(|x, y| y.partial_cmp(x).unwrap_or(Ordering::Equal));
-        let sum = components.iter().sum();
-        Merit { components, sum }
+        self.components
+            .sort_by(|x, y| y.partial_cmp(x).unwrap_or(Ordering::Equal));
+        self.sum = self.components.iter().sum();
     }
 
     /// Consumed-fraction helper: `consumed / remaining_before`, with the
@@ -139,6 +158,17 @@ mod tests {
     fn negative_components_clamped() {
         let m = Merit::new(vec![-0.5, 0.2]);
         assert_eq!(m.components(), &[0.2, 0.0]); // descending
+    }
+
+    #[test]
+    fn refill_matches_new() {
+        let mut m = Merit::new(vec![0.9, 0.9, 0.9, 0.9]);
+        for parts in [vec![0.1, -0.5, f64::INFINITY, 0.3], vec![0.25, 0.5], vec![]] {
+            m.refill(parts.iter().copied());
+            let fresh = Merit::new(parts);
+            assert_eq!(m, fresh);
+            assert_eq!(m.sum().to_bits(), fresh.sum().to_bits());
+        }
     }
 
     #[test]

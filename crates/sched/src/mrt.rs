@@ -20,6 +20,9 @@ pub struct ClusterMrt {
     /// Row-major usage counts, `used[kind · II + slot]`: one flat row
     /// rather than one vector per resource kind.
     used: Vec<u32>,
+    /// Running sum of each kind's row, kept by `place`/`remove` so the
+    /// slot totals the figure of merit reads cost O(1).
+    totals: [u32; 3],
 }
 
 impl ClusterMrt {
@@ -39,6 +42,7 @@ impl ClusterMrt {
             ii,
             caps,
             used: vec![0; 3 * ii as usize],
+            totals: [0; 3],
         }
     }
 
@@ -64,6 +68,7 @@ impl ClusterMrt {
         let u = &mut self.used[k * self.ii as usize + s];
         assert!(*u < self.caps[k], "slot {s} of {kind} full");
         *u += 1;
+        self.totals[k] += 1;
     }
 
     /// Releases one unit of `kind` at time `t`.
@@ -77,6 +82,7 @@ impl ClusterMrt {
         let u = &mut self.used[k * self.ii as usize + s];
         assert!(*u > 0, "nothing reserved at slot {s} of {kind}");
         *u -= 1;
+        self.totals[k] -= 1;
     }
 
     /// Total slots of `kind` per kernel window (`units × II`).
@@ -86,12 +92,7 @@ impl ClusterMrt {
 
     /// Slots of `kind` currently used.
     pub fn used_slots(&self, kind: ResourceKind) -> i64 {
-        let k = kind.index();
-        let ii = self.ii as usize;
-        self.used[k * ii..(k + 1) * ii]
-            .iter()
-            .map(|&u| u as i64)
-            .sum()
+        self.totals[kind.index()] as i64
     }
 
     /// Free slots of `kind`.
@@ -122,6 +123,8 @@ pub struct ChannelTable {
     nch: u32,
     cap: u32,
     used: Vec<u32>,
+    /// Running sum of `used`, kept by `reserve`/`release`.
+    total: u32,
 }
 
 impl ChannelTable {
@@ -147,6 +150,7 @@ impl ChannelTable {
             nch: nch as u32,
             cap,
             used: vec![0; nch * ii as usize],
+            total: 0,
         }
     }
 
@@ -179,6 +183,7 @@ impl ChannelTable {
         for j in 0..occ {
             self.used[base + slot(t + j, self.ii)] += 1;
         }
+        self.total += occ as u32;
     }
 
     /// Releases a hop previously reserved on `ch` at `t` for `occ` cycles.
@@ -196,6 +201,7 @@ impl ChannelTable {
             );
             self.used[base + s] -= 1;
         }
+        self.total -= occ as u32;
     }
 
     /// Total interconnect slots per kernel window, over all channels.
@@ -205,7 +211,7 @@ impl ChannelTable {
 
     /// Interconnect slots currently occupied, over all channels.
     pub fn used_slots(&self) -> i64 {
-        self.used.iter().map(|&u| u as i64).sum()
+        self.total as i64
     }
 
     /// Free interconnect slots.

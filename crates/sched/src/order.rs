@@ -167,11 +167,18 @@ pub fn sms_precompute(ddg: &Ddg) -> SmsPrecomp {
 /// [`sms_order_from`] with the set formation already done — the
 /// II-dependent sweeps only. `pre` must come from [`sms_precompute`] on
 /// the same DDG.
+///
+/// Each pick maximizes `(ready, primary, −mobility, Reverse(v))`, which
+/// is unique per node, so the work list is a set: it is kept as a vector
+/// plus membership flags and the pick is swap-removed. Readiness is a
+/// per-node count of unordered distance-0 neighbours, lowered once per
+/// ordered node.
 pub fn sms_order_precomputed(ddg: &Ddg, t: &Timing, pre: &SmsPrecomp) -> Vec<OpId> {
     let n = ddg.op_count();
     if n == 0 {
         return Vec::new();
     }
+    let g = ddg.graph();
     // depth = earliest start (longest path in), height = longest path out.
     let depth: &[i64] = &t.asap;
     let span = t.asap.iter().copied().max().unwrap_or(0);
@@ -179,22 +186,29 @@ pub fn sms_order_precomputed(ddg: &Ddg, t: &Timing, pre: &SmsPrecomp) -> Vec<OpI
     let mobility: Vec<i64> = (0..n).map(|v| t.alap[v] - t.asap[v]).collect();
 
     // Neighbour queries on the whole graph (all distances).
-    let preds = |v: usize| -> Vec<usize> {
-        ddg.graph()
-            .predecessors(NodeId::from_index(v))
-            .map(|p| p.index())
-            .collect()
-    };
-    let succs = |v: usize| -> Vec<usize> {
-        ddg.graph()
-            .successors(NodeId::from_index(v))
-            .map(|s| s.index())
-            .collect()
-    };
+    let preds = |v: usize| g.predecessors(NodeId::from_index(v)).map(|p| p.index());
+    let succs = |v: usize| g.successors(NodeId::from_index(v)).map(|s| s.index());
+
+    // Readiness over intra-iteration edges: a node picked before all its
+    // distance-0 predecessors (top-down; successors bottom-up) forces
+    // those neighbours into both-sided windows later, whose squeeze does
+    // not heal with a larger II. Ready nodes come first. `waiting_preds[v]`
+    // counts the unordered distance-0 in-edges of `v` from other nodes,
+    // `waiting_succs[v]` the out-edges.
+    let mut waiting_preds = vec![0u32; n];
+    let mut waiting_succs = vec![0u32; n];
+    for e in ddg.dep_ids() {
+        let (src, dst) = ddg.dep_endpoints(e);
+        if src != dst && ddg.dep(e).distance == 0 {
+            waiting_succs[src.index()] += 1;
+            waiting_preds[dst.index()] += 1;
+        }
+    }
 
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
-
+    let mut work: Vec<usize> = Vec::new();
+    let mut in_work = vec![false; n];
     let mut sset = NodeBitSet::new(n);
     for set in &pre.sets {
         sset.clear();
@@ -202,99 +216,88 @@ pub fn sms_order_precomputed(ddg: &Ddg, t: &Timing, pre: &SmsPrecomp) -> Vec<OpI
             sset.insert(v);
         }
         // Work list seeding: prefer connecting to already-ordered nodes.
-        let pred_connected: Vec<usize> = set
-            .iter()
-            .copied()
-            .filter(|&v| !placed[v] && succs(v).iter().any(|&s| placed[s]))
-            .collect();
-        let succ_connected: Vec<usize> = set
-            .iter()
-            .copied()
-            .filter(|&v| !placed[v] && preds(v).iter().any(|&p| placed[p]))
-            .collect();
-        let (mut work, mut bottom_up) = if !pred_connected.is_empty() {
-            (pred_connected, true)
-        } else if !succ_connected.is_empty() {
-            (succ_connected, false)
-        } else {
+        let unplaced = set.iter().copied().filter(|&v| !placed[v]);
+        let mut bottom_up = true;
+        work.extend(unplaced.clone().filter(|&v| succs(v).any(|s| placed[s])));
+        if work.is_empty() {
+            bottom_up = false;
+            work.extend(unplaced.clone().filter(|&v| preds(v).any(|p| placed[p])));
+        }
+        if work.is_empty() {
             // Fresh component: start from its sources, top-down.
-            let sources: Vec<usize> = set
-                .iter()
-                .copied()
-                .filter(|&v| !placed[v] && preds(v).iter().all(|&p| !sset.contains(p)))
-                .collect();
-            if sources.is_empty() {
-                (set.iter().copied().filter(|&v| !placed[v]).collect(), false)
-            } else {
-                (sources, false)
-            }
-        };
-
-        // Readiness over intra-iteration edges: a node picked before all
-        // its distance-0 predecessors (top-down; successors bottom-up)
-        // forces those neighbours into both-sided windows later, whose
-        // squeeze does not heal with a larger II. Ready nodes come first.
-        let ready = |v: usize, bottom_up: bool, placed: &[bool]| -> bool {
-            let id = NodeId::from_index(v);
-            if bottom_up {
-                ddg.graph()
-                    .out_edges(id)
-                    .all(|(e, s)| s.index() == v || ddg.dep(e).distance > 0 || placed[s.index()])
-            } else {
-                ddg.graph()
-                    .in_edges(id)
-                    .all(|(e, p)| p.index() == v || ddg.dep(e).distance > 0 || placed[p.index()])
-            }
-        };
+            work.extend(
+                unplaced
+                    .clone()
+                    .filter(|&v| preds(v).all(|p| !sset.contains(p))),
+            );
+        }
+        if work.is_empty() {
+            work.extend(unplaced);
+        }
 
         loop {
+            for &v in &work {
+                in_work[v] = true;
+            }
             // Sweep the current work list in the current direction.
             while !work.is_empty() {
-                let pick = *work
+                let key = |&(_, &v): &(usize, &usize)| {
+                    let (primary, waiting) = if bottom_up {
+                        (depth[v], waiting_succs[v])
+                    } else {
+                        (height[v], waiting_preds[v])
+                    };
+                    (waiting == 0, primary, -mobility[v], std::cmp::Reverse(v))
+                };
+                let (i, _) = work
                     .iter()
-                    .max_by_key(|&&v| {
-                        let primary = if bottom_up { depth[v] } else { height[v] };
-                        (
-                            ready(v, bottom_up, &placed),
-                            primary,
-                            -mobility[v],
-                            std::cmp::Reverse(v),
-                        )
-                    })
+                    .enumerate()
+                    .max_by_key(key)
                     .expect("work list non-empty");
-                work.retain(|&v| v != pick);
-                if placed[pick] {
-                    continue;
-                }
+                let pick = work.swap_remove(i);
+                in_work[pick] = false;
                 placed[pick] = true;
                 order.push(pick);
-                let next = if bottom_up { preds(pick) } else { succs(pick) };
-                for v in next {
-                    if !placed[v] && sset.contains(v) && !work.contains(&v) {
+                let id = NodeId::from_index(pick);
+                for (e, s) in g.out_edges(id) {
+                    if s != id && ddg.dep(e).distance == 0 {
+                        waiting_preds[s.index()] -= 1;
+                    }
+                }
+                for (e, p) in g.in_edges(id) {
+                    if p != id && ddg.dep(e).distance == 0 {
+                        waiting_succs[p.index()] -= 1;
+                    }
+                }
+                let mut enqueue = |v: NodeId| {
+                    let v = v.index();
+                    if !placed[v] && sset.contains(v) && !in_work[v] {
+                        in_work[v] = true;
                         work.push(v);
                     }
+                };
+                if bottom_up {
+                    g.predecessors(id).for_each(&mut enqueue);
+                } else {
+                    g.successors(id).for_each(&mut enqueue);
                 }
             }
             // Flip direction: pick up set nodes adjacent to what's ordered.
-            let remaining: Vec<usize> = set.iter().copied().filter(|&v| !placed[v]).collect();
-            if remaining.is_empty() {
+            let mut unplaced = set.iter().copied().filter(|&v| !placed[v]);
+            let Some(first) = unplaced.next() else {
                 break;
-            }
+            };
             bottom_up = !bottom_up;
-            work = remaining
-                .iter()
-                .copied()
-                .filter(|&v| {
-                    if bottom_up {
-                        succs(v).iter().any(|&s| placed[s])
-                    } else {
-                        preds(v).iter().any(|&p| placed[p])
-                    }
-                })
-                .collect();
+            work.extend(std::iter::once(first).chain(unplaced).filter(|&v| {
+                if bottom_up {
+                    succs(v).any(|s| placed[s])
+                } else {
+                    preds(v).any(|p| placed[p])
+                }
+            }));
             if work.is_empty() {
                 // Disconnected leftover inside the set.
-                work = vec![remaining[0]];
+                work.push(first);
             }
         }
     }

@@ -86,17 +86,21 @@ pub(crate) fn try_cluster(
 }
 
 /// The aggregate statistics the figure of merit compares against,
-/// captured once before a round of merit trials (they describe the
-/// schedule *without* the candidate op).
+/// captured once per op before its round of merit trials (they describe
+/// the schedule *without* the candidate op).
 struct MeritBase {
     net_used: i64,
     net_free: i64,
-    /// Per cluster: memory slots used, memory slots free, `MaxLive`,
-    /// register headroom.
-    mem_used: Vec<i64>,
-    mem_free: Vec<i64>,
-    max_live: Vec<i64>,
-    reg_headroom: Vec<i64>,
+    /// One flat entry per cluster.
+    clusters: Vec<ClusterBase>,
+}
+
+/// One cluster's share of a [`MeritBase`].
+struct ClusterBase {
+    mem_used: i64,
+    mem_free: i64,
+    max_live: i64,
+    reg_headroom: i64,
 }
 
 impl MeritBase {
@@ -104,49 +108,42 @@ impl MeritBase {
         MeritBase {
             net_used: ps.net_used(),
             net_free: ps.net_free(),
-            mem_used: (0..nclusters).map(|c| ps.mem_used(c)).collect(),
-            mem_free: (0..nclusters).map(|c| ps.mem_free(c)).collect(),
-            max_live: (0..nclusters).map(|c| ps.max_live(c)).collect(),
-            reg_headroom: (0..nclusters).map(|c| ps.reg_headroom(c)).collect(),
+            clusters: (0..nclusters)
+                .map(|c| ClusterBase {
+                    mem_used: ps.mem_used(c),
+                    mem_free: ps.mem_free(c),
+                    max_live: ps.max_live(c),
+                    reg_headroom: ps.reg_headroom(c),
+                })
+                .collect(),
         }
     }
-}
 
-/// Figure of merit of going from `base` to the trial state `after`
-/// (§3.3.1): consumed fraction of remaining interconnect channel slots,
-/// plus per-cluster memory slots and register lifetimes.
-fn merit_of(base: &MeritBase, after: &PartialSchedule<'_>, nclusters: usize) -> Merit {
-    let mut parts = Vec::with_capacity(2 * nclusters + 1);
-    parts.push(Merit::fraction(
-        after.net_used() - base.net_used,
-        base.net_free,
-    ));
-    for c in 0..nclusters {
-        parts.push(Merit::fraction(
-            after.mem_used(c) - base.mem_used[c],
-            base.mem_free[c],
-        ));
+    /// Refills `out` with the figure of merit of going from this base to
+    /// the trial state `after` (§3.3.1): consumed fraction of remaining
+    /// interconnect channel slots, then per-cluster memory slots, then
+    /// per-cluster register lifetimes.
+    fn merit_into(&self, after: &PartialSchedule<'_>, out: &mut Merit) {
+        let net = Merit::fraction(after.net_used() - self.net_used, self.net_free);
+        let mem = (self.clusters.iter().enumerate())
+            .map(|(c, b)| Merit::fraction(after.mem_used(c) - b.mem_used, b.mem_free));
+        let regs = (self.clusters.iter().enumerate())
+            .map(|(c, b)| Merit::fraction(after.max_live(c) - b.max_live, b.reg_headroom));
+        out.refill(std::iter::once(net).chain(mem).chain(regs));
     }
-    for c in 0..nclusters {
-        parts.push(Merit::fraction(
-            after.max_live(c) - base.max_live[c],
-            base.reg_headroom[c],
-        ));
-    }
-    Merit::new(parts)
 }
 
 /// First feasible placement of `op` in `cluster` along `times`, evaluated
-/// for merit and rolled back — the schedule is left untouched; only the
-/// merit and the winning slot escape.
+/// for merit into `out` and rolled back — the schedule is left untouched;
+/// only the merit and the winning slot escape.
 fn trial_merit(
     ps: &mut PartialSchedule<'_>,
     op: OpId,
     cluster: usize,
     times: &[i64],
     base: &MeritBase,
-    nclusters: usize,
-) -> Option<(Merit, Placement)> {
+    out: &mut Merit,
+) -> Option<Placement> {
     for &t in times {
         if ps.quick_reject(op, cluster, t) {
             continue;
@@ -154,9 +151,9 @@ fn trial_merit(
         ps.stats.place_trials.add(1);
         let g = ps.begin_trial();
         if ps.place(op, cluster, t).is_ok() {
-            let m = merit_of(base, ps, nclusters);
+            base.merit_into(ps, out);
             ps.rollback_trial(g);
-            return Some((m, Placement { cluster, time: t }));
+            return Some(Placement { cluster, time: t });
         }
         ps.rollback_trial(g);
     }
@@ -165,7 +162,8 @@ fn trial_merit(
 
 /// Evaluates the candidate clusters and commits the merit-best feasible
 /// one (trial → rollback per candidate, then a deterministic replay of
-/// the winner).
+/// the winner). Trials fill one reused figure, swapped with the best so
+/// far when it wins.
 pub(crate) fn pick_by_merit(
     ps: &mut PartialSchedule<'_>,
     op: OpId,
@@ -175,19 +173,18 @@ pub(crate) fn pick_by_merit(
     threshold: f64,
 ) -> Option<Placement> {
     let base = MeritBase::capture(ps, nclusters);
-    let mut best: Option<(Merit, Placement)> = None;
+    let mut cur = Merit::new(Vec::with_capacity(2 * nclusters + 1));
+    let mut best = Merit::new(Vec::with_capacity(2 * nclusters + 1));
+    let mut best_pl: Option<Placement> = None;
     for c in clusters {
-        if let Some((m, pl)) = trial_merit(ps, op, c, times, &base, nclusters) {
-            let better = match &best {
-                None => true,
-                Some((bm, _)) => m.better_than(bm, threshold),
-            };
-            if better {
-                best = Some((m, pl));
+        if let Some(pl) = trial_merit(ps, op, c, times, &base, &mut cur) {
+            if best_pl.is_none() || cur.better_than(&best, threshold) {
+                std::mem::swap(&mut cur, &mut best);
+                best_pl = Some(pl);
             }
         }
     }
-    let (_, pl) = best?;
+    let pl = best_pl?;
     // Replay the winning trial: every rollback restored the state
     // bit-identically, so the same (cluster, cycle) must place the same
     // way it did during arbitration.

@@ -132,11 +132,12 @@ enum Undo {
     PressureRemove { cluster: u32, first: i64, last: i64 },
     /// Restore a `reg_last` watermark.
     RegLast { op: u32, old: i64 },
-    /// Pop the transfer pushed last (and its `transfer_last` entry).
+    /// Pop the transfer pushed last (with its `transfer_last` entry and
+    /// its link in the producer's transfer chain).
     Transfer,
     /// Restore a `transfer_last` watermark.
     TransferLast { ti: u32, old: i64 },
-    /// Pop the spill pushed last.
+    /// Pop the spill pushed last and clear its producer's `spill_of`.
     Spill,
     /// Pop the reload pushed last onto spill `si`.
     SpillLoad { si: u32 },
@@ -159,6 +160,10 @@ fn shadow_undo_enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
     *ON.get_or_init(|| std::env::var_os("GPSCHED_SHADOW_UNDO").is_some_and(|v| v != "0"))
 }
+
+/// End of a `transfer_head`/`transfer_next` chain, and "not spilled" in
+/// `spill_of`.
+const NONE: u32 = u32::MAX;
 
 /// A partial modulo schedule at a fixed II.
 #[derive(Debug)]
@@ -184,7 +189,17 @@ pub struct PartialSchedule<'a> {
     /// to `transfers` (always ≥ the transfer's arrival).
     transfer_last: Vec<i64>,
     transfers: Vec<Transfer>,
+    /// Newest transfer of each op (`NONE` when it has none); with
+    /// `transfer_next` it chains each producer's transfers newest first.
+    /// Both lists grow and shrink at their ends only, in step with the
+    /// undo log, so a rollback pops exactly the chain head it pushed.
+    transfer_head: Vec<u32>,
+    /// Parallel to `transfers`: the same producer's next older transfer.
+    transfer_next: Vec<u32>,
     spills: Vec<Spill>,
+    /// Index into `spills` of each op's spill (`NONE` while unspilled; a
+    /// value is spilled at most once).
+    spill_of: Vec<u32>,
     /// Overflow policy: whether/what to spill when a register file fills.
     spill_policy: &'a dyn SpillPolicy,
     /// The trial undo log: one inverse entry per mutation since the last
@@ -240,7 +255,10 @@ impl<'a> Clone for PartialSchedule<'a> {
             reg_last: self.reg_last.clone(),
             transfer_last: self.transfer_last.clone(),
             transfers: self.transfers.clone(),
+            transfer_head: self.transfer_head.clone(),
+            transfer_next: self.transfer_next.clone(),
             spills: self.spills.clone(),
+            spill_of: self.spill_of.clone(),
             spill_policy: self.spill_policy,
             undo: Vec::new(),
             shadow: None,
@@ -288,7 +306,10 @@ impl<'a> PartialSchedule<'a> {
             reg_last: vec![i64::MIN; ddg.op_count()],
             transfer_last: Vec::new(),
             transfers: Vec::new(),
+            transfer_head: vec![NONE; ddg.op_count()],
+            transfer_next: Vec::new(),
             spills: Vec::new(),
+            spill_of: vec![NONE; ddg.op_count()],
             spill_policy,
             undo: Vec::new(),
             shadow: None,
@@ -345,12 +366,15 @@ impl<'a> PartialSchedule<'a> {
                 } => self.pressure.add(cluster as usize, first, last),
                 Undo::RegLast { op, old } => self.reg_last[op as usize] = old,
                 Undo::Transfer => {
-                    self.transfers.pop();
+                    let t = self.transfers.pop().expect("a logged transfer");
                     self.transfer_last.pop();
+                    self.transfer_head[t.producer] =
+                        self.transfer_next.pop().expect("a logged chain link");
                 }
                 Undo::TransferLast { ti, old } => self.transfer_last[ti as usize] = old,
                 Undo::Spill => {
-                    self.spills.pop();
+                    let s = self.spills.pop().expect("a logged spill");
+                    self.spill_of[s.producer] = NONE;
                 }
                 Undo::SpillLoad { si } => {
                     self.spills[si as usize].loads.pop();
@@ -365,10 +389,12 @@ impl<'a> PartialSchedule<'a> {
         }
     }
 
-    /// Full booking-state equality — everything a rollback must restore.
-    /// Backs the `GPSCHED_SHADOW_UNDO` assert and the undo property tests;
-    /// the undo log itself is deliberately excluded (a committed trial and
-    /// a plain mutation leave different logs but identical bookings).
+    /// Full booking-state equality — everything a rollback must restore,
+    /// including the per-producer transfer and spill indexes and each
+    /// cluster's `MaxLive`. Backs the `GPSCHED_SHADOW_UNDO` assert and the
+    /// undo property tests; the undo log itself is deliberately excluded
+    /// (a committed trial and a plain mutation leave different logs but
+    /// identical bookings).
     pub fn state_eq(&self, other: &Self) -> bool {
         self.ii == other.ii
             && self.placements == other.placements
@@ -378,7 +404,10 @@ impl<'a> PartialSchedule<'a> {
             && self.reg_last == other.reg_last
             && self.transfer_last == other.transfer_last
             && self.transfers == other.transfers
+            && self.transfer_head == other.transfer_head
+            && self.transfer_next == other.transfer_next
             && self.spills == other.spills
+            && self.spill_of == other.spill_of
     }
 
     /// The initiation interval of this attempt.
@@ -475,6 +504,33 @@ impl<'a> PartialSchedule<'a> {
         self.reg_last[op] = v;
     }
 
+    /// Index of `producer`'s spill, if its value is spilled.
+    fn spill_index(&self, producer: usize) -> Option<usize> {
+        let si = self.spill_of[producer];
+        (si != NONE).then_some(si as usize)
+    }
+
+    /// Indexes of `producer`'s transfers, newest first.
+    fn transfers_of(&self, producer: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut ti = self.transfer_head[producer];
+        std::iter::from_fn(move || {
+            let cur = (ti != NONE).then_some(ti as usize)?;
+            ti = self.transfer_next[cur];
+            Some(cur)
+        })
+    }
+
+    /// Appends a transfer with its destination interval's last cycle,
+    /// linking it at the head of its producer's chain.
+    fn push_transfer(&mut self, t: Transfer, last: i64) {
+        self.transfer_next.push(self.transfer_head[t.producer]);
+        self.transfer_head[t.producer] = self.transfers.len() as u32;
+        self.transfer_last.push(last);
+        self.undo.push(Undo::Transfer);
+        self.transfers.push(t);
+        self.stats.transfers_booked.add(1);
+    }
+
     fn op_latency(&self, op: usize) -> i64 {
         self.ddg.op(gpsched_graph::NodeId::from_index(op)).latency as i64
     }
@@ -520,25 +576,29 @@ impl<'a> PartialSchedule<'a> {
             .cluster;
         debug_assert_ne!(from, to_cluster);
 
-        if let Some(t) = self
-            .transfers
-            .iter()
-            .find(|t| t.producer == producer && t.to == to_cluster && t.arrival <= deadline)
+        // The oldest transfer that qualifies: the last one on the
+        // newest-first chain.
+        if let Some(arrival) = self
+            .transfers_of(producer)
+            .map(|ti| &self.transfers[ti])
+            .filter(|t| t.to == to_cluster && t.arrival <= deadline)
+            .map(|t| t.arrival)
+            .last()
         {
-            return Ok(t.arrival);
+            return Ok(arrival);
         }
 
         let def = self.placements[producer].expect("placed").time + self.op_latency(producer);
         let net_lat = self.machine.transfer_latency(from, to_cluster);
-        let spill = self.spills.iter().find(|s| s.producer == producer).cloned();
+        let spill_store = self.spill_index(producer).map(|si| self.spills[si].store);
 
         // 1. Direct over the interconnect: depart at x ∈ [def, deadline −
         //    latency], booking every hop of the topology's route (one
         //    shared-bus window, one point-to-point link slot, each ring
         //    link in turn); if the value is spilled the register dies at
         //    the spill store, so the departure must not come later.
-        let net_hi = match &spill {
-            Some(s) => (deadline - net_lat).min(s.store),
+        let net_hi = match spill_store {
+            Some(store) => (deadline - net_lat).min(store),
             None => deadline - net_lat,
         };
         let mut x = def;
@@ -561,17 +621,17 @@ impl<'a> PartialSchedule<'a> {
                 let arrival = x + net_lat;
                 let last = self.transfer_dest_last(producer, to_cluster, arrival);
                 self.pressure_add(to_cluster, arrival, last);
-                self.transfer_last.push(last);
-                self.undo.push(Undo::Transfer);
-                self.transfers.push(Transfer {
-                    producer,
-                    from,
-                    to: to_cluster,
-                    kind: CommKind::Direct { start: x },
-                    read_time: x,
-                    arrival,
-                });
-                self.stats.transfers_booked.add(1);
+                self.push_transfer(
+                    Transfer {
+                        producer,
+                        from,
+                        to: to_cluster,
+                        kind: CommKind::Direct { start: x },
+                        read_time: x,
+                        arrival,
+                    },
+                    last,
+                );
                 return Ok(arrival);
             }
             x += 1;
@@ -579,8 +639,8 @@ impl<'a> PartialSchedule<'a> {
 
         // 2. Through memory (§3.3.2). A spilled value is already in memory:
         //    only the destination load is needed.
-        let (store, store_is_spill) = match &spill {
-            Some(s) => (Some(s.store), true),
+        let (store, store_is_spill) = match spill_store {
+            Some(store) => (Some(store), true),
             None => {
                 let hi = deadline - self.load_latency() - self.store_latency();
                 (self.find_mem_slot(from, def, hi, true), false)
@@ -600,21 +660,21 @@ impl<'a> PartialSchedule<'a> {
                 }
                 let last = self.transfer_dest_last(producer, to_cluster, arrival);
                 self.pressure_add(to_cluster, arrival, last);
-                self.transfer_last.push(last);
-                self.undo.push(Undo::Transfer);
-                self.transfers.push(Transfer {
-                    producer,
-                    from,
-                    to: to_cluster,
-                    kind: CommKind::Memory {
-                        store,
-                        load,
-                        reuses_spill: store_is_spill,
+                self.push_transfer(
+                    Transfer {
+                        producer,
+                        from,
+                        to: to_cluster,
+                        kind: CommKind::Memory {
+                            store,
+                            load,
+                            reuses_spill: store_is_spill,
+                        },
+                        read_time: store,
+                        arrival,
                     },
-                    read_time: store,
-                    arrival,
-                });
-                self.stats.transfers_booked.add(1);
+                    last,
+                );
                 return Ok(arrival);
             }
             // No load slot; roll nothing back (store not yet reserved).
@@ -743,9 +803,8 @@ impl<'a> PartialSchedule<'a> {
                         // Reading a spilled value after its store needs a
                         // reload.
                         let needs_load = self
-                            .spills
-                            .iter()
-                            .position(|s| s.producer == p.index() && read > s.store);
+                            .spill_index(p.index())
+                            .filter(|&si| read > self.spills[si].store);
                         if let Some(si) = needs_load {
                             let covered = self.spills[si].loads.iter().any(|l| {
                                 l.time + self.load_latency() <= read && l.use_time >= read
@@ -857,7 +916,7 @@ impl<'a> PartialSchedule<'a> {
         if read <= cur || cur == i64::MIN {
             return;
         }
-        if self.spills.iter().any(|s| s.producer == producer) {
+        if self.spill_index(producer).is_some() {
             return;
         }
         let pl = self.placements[producer].expect("producer with an interval is placed");
@@ -872,17 +931,19 @@ impl<'a> PartialSchedule<'a> {
     /// (every such transfer keeps the value live until its last reader,
     /// mirroring the authoritative rebuild).
     fn extend_transfer_dest(&mut self, producer: usize, cluster: usize, read: i64) {
-        for ti in 0..self.transfers.len() {
-            let t = &self.transfers[ti];
-            if t.producer != producer || t.to != cluster || self.transfer_last[ti] >= read {
+        let mut ti = self.transfer_head[producer];
+        while ti != NONE {
+            let i = ti as usize;
+            ti = self.transfer_next[i];
+            let (to, arrival) = (self.transfers[i].to, self.transfers[i].arrival);
+            let old = self.transfer_last[i];
+            if to != cluster || old >= read {
                 continue;
             }
-            let (to, arrival) = (t.to, t.arrival);
-            let old = self.transfer_last[ti];
             self.pressure_remove(to, arrival, old);
             self.pressure_add(to, arrival, read);
-            self.transfer_last[ti] = read;
-            self.undo.push(Undo::TransferLast { ti: ti as u32, old });
+            self.transfer_last[i] = read;
+            self.undo.push(Undo::TransferLast { ti: i as u32, old });
         }
     }
 
@@ -910,6 +971,13 @@ impl<'a> PartialSchedule<'a> {
     /// Compiled out of release builds.
     #[cfg(debug_assertions)]
     fn debug_check_pressure(&mut self) {
+        for c in 0..self.machine.cluster_count() {
+            debug_assert_eq!(
+                self.pressure.max_live(c),
+                self.pressure.live_counts(c).max().unwrap_or(0),
+                "incremental MaxLive of cluster {c} diverged from its row"
+            );
+        }
         let incremental = self.pressure.clone();
         self.rebuild_pressure();
         debug_assert_eq!(
@@ -964,8 +1032,9 @@ impl<'a> PartialSchedule<'a> {
     fn debug_check_reg_last(&self, _producer: usize, _cluster: usize, _def: i64) {}
 
     /// Same-cluster register reads of `producer`'s value: consumer issue
-    /// times (+ II·distance) of placed same-cluster consumers, plus
-    /// transfer read times.
+    /// times (+ II·distance) of placed same-cluster consumers, then
+    /// transfer read times in transfer order (reloads are created in this
+    /// order).
     fn register_reads(&self, producer: usize, cluster: usize) -> Vec<i64> {
         let pid = gpsched_graph::NodeId::from_index(producer);
         let mut reads = Vec::new();
@@ -980,11 +1049,12 @@ impl<'a> PartialSchedule<'a> {
                 }
             }
         }
-        for t in &self.transfers {
-            if t.producer == producer {
-                reads.push(t.read_time);
-            }
-        }
+        let graph_reads = reads.len();
+        reads.extend(
+            self.transfers_of(producer)
+                .map(|ti| self.transfers[ti].read_time),
+        );
+        reads[graph_reads..].reverse();
         reads
     }
 
@@ -1002,7 +1072,7 @@ impl<'a> PartialSchedule<'a> {
             let Some(pl) = pl else { continue };
             if pl.cluster != cluster
                 || !self.op_class(opi).defines_value()
-                || self.spills.iter().any(|s| s.producer == opi)
+                || self.spill_index(opi).is_some()
             {
                 continue;
             }
@@ -1022,14 +1092,10 @@ impl<'a> PartialSchedule<'a> {
             let reads = self.register_reads(opi, cluster);
             // Transfers read the register directly; the store must come at
             // or after every transfer read.
-            let min_store: i64 = self
-                .transfers
-                .iter()
-                .filter(|t| t.producer == opi)
-                .map(|t| t.read_time)
-                .max()
-                .unwrap_or(def)
-                .max(def);
+            let min_store = self
+                .transfers_of(opi)
+                .map(|ti| self.transfers[ti].read_time)
+                .fold(def, i64::max);
             let Some(store) = self.find_mem_slot(cluster, min_store, last - 1, true) else {
                 continue;
             };
@@ -1083,6 +1149,7 @@ impl<'a> PartialSchedule<'a> {
             for l in &loads {
                 self.pressure_add(cluster, l.time + self.load_latency(), l.use_time);
             }
+            self.spill_of[opi] = self.spills.len() as u32;
             self.undo.push(Undo::Spill);
             self.spills.push(Spill {
                 producer: opi,
