@@ -42,7 +42,7 @@ fn job() -> JobSpec {
             MachineConfig::two_cluster(32, 1, 1),
             MachineConfig::four_cluster(64, 1, 2),
         ])
-        .algorithms(Algorithm::MODULO)
+        .algorithms(AlgorithmSpec::MODULO)
 }
 
 fn large_job() -> JobSpec {
@@ -62,7 +62,7 @@ fn large_job() -> JobSpec {
         MachineConfig::two_cluster(32, 1, 1),
         MachineConfig::four_cluster(64, 1, 2),
     ])
-    .algorithms(Algorithm::MODULO)
+    .algorithms(AlgorithmSpec::MODULO)
 }
 
 fn main() {

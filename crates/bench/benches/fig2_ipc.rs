@@ -43,7 +43,7 @@ fn main() {
         group.bench(&machine.short_name(), || {
             for ddg in &program.loops {
                 black_box(
-                    schedule_loop(black_box(ddg), &machine, Algorithm::Gp)
+                    schedule_loop(black_box(ddg), &machine, AlgorithmSpec::GP)
                         .expect("schedulable")
                         .ipc(),
                 );

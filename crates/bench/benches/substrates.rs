@@ -53,7 +53,7 @@ fn main() {
 
     let mm = kernels::matmul_inner(500);
     let machine = MachineConfig::two_cluster(32, 1, 1);
-    let r = schedule_loop(&mm, &machine, Algorithm::Gp).expect("schedulable");
+    let r = schedule_loop(&mm, &machine, AlgorithmSpec::GP).expect("schedulable");
     group.bench("simulate_matmul_500trips", || {
         black_box(simulate(&mm, &machine, &r.schedule, 500).unwrap().cycles)
     });

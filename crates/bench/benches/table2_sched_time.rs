@@ -26,7 +26,7 @@ fn main() {
 
     let group = Group::new("table2_sched_time").sample_size(10);
     for machine in &machines {
-        for algo in Algorithm::ALL {
+        for algo in AlgorithmSpec::PAPER {
             let id = format!("{}/{}", machine.short_name(), algo.name());
             group.bench(&id, || {
                 for ddg in &program.loops {

@@ -25,7 +25,7 @@ fn main() {
             MachineConfig::two_cluster(32, 1, 1),
             MachineConfig::four_cluster(64, 1, 2),
         ])
-        .algorithms(Algorithm::MODULO);
+        .algorithms(AlgorithmSpec::MODULO);
     let opts = SweepOptions {
         workers: 1,
         use_cache: false,

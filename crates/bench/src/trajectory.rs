@@ -3,8 +3,8 @@
 //! The engine-throughput bench appends one entry per run (labelled via
 //! `GPSCHED_BENCH_LABEL`) to a JSON file, so the repository accumulates a
 //! baseline-vs-optimized history that CI can upload as an artifact and
-//! future PRs can extend. The workspace builds without external crates, so
-//! this module carries its own minimal JSON reader/writer for the schema:
+//! future PRs can extend. The file is written by [`render`] in a fixed
+//! layout and read back through [`gpsched_trace::json`]:
 //!
 //! ```json
 //! {
@@ -16,6 +16,7 @@
 //! }
 //! ```
 
+use gpsched_trace::json::{self, escape, Json};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -73,12 +74,12 @@ pub fn render(entries: &[BenchEntry]) -> String {
     for (i, e) in entries.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{ \"label\": {}, \"units\": {}, \"loops_per_sec\": {{ ",
-            quote(&e.label),
+            "    {{ \"label\": \"{}\", \"units\": {}, \"loops_per_sec\": {{ ",
+            escape(&e.label),
             e.units
         );
         for (j, (name, v)) in e.loops_per_sec.iter().enumerate() {
-            let _ = write!(out, "{}: {:.1}", quote(name), v);
+            let _ = write!(out, "\"{}\": {:.1}", escape(name), v);
             if j + 1 < e.loops_per_sec.len() {
                 out.push_str(", ");
             }
@@ -97,216 +98,55 @@ pub fn render(entries: &[BenchEntry]) -> String {
     out
 }
 
-fn quote(s: &str) -> String {
-    let mut q = String::with_capacity(s.len() + 2);
-    q.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => q.push_str("\\\""),
-            '\\' => q.push_str("\\\\"),
-            '\n' => q.push_str("\\n"),
-            // Remaining control characters must not appear raw in JSON.
-            c if (c as u32) < 0x20 => {
-                let _ = write!(q, "\\u{:04x}", c as u32);
-            }
-            c => q.push(c),
-        }
-    }
-    q.push('"');
-    q
-}
-
-// --- minimal JSON reader (only what the schema needs) -------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-type PResult<T> = Result<T, String>;
-
-fn parse_entries(text: &str) -> PResult<Vec<BenchEntry>> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+/// Reads a trajectory document. Unknown keys are errors, not ignored:
+/// [`append_entry`] rewrites the whole file, so a silently dropped key
+/// would lose history.
+fn parse_entries(text: &str) -> Result<Vec<BenchEntry>, String> {
     let mut entries = Vec::new();
-    p.expect(b'{')?;
-    loop {
-        let key = p.string()?;
-        p.expect(b':')?;
-        match key.as_str() {
-            "bench" => {
-                p.string()?;
-            }
-            "entries" => {
-                p.expect(b'[')?;
-                if !p.peek_is(b']') {
-                    loop {
-                        entries.push(p.entry()?);
-                        if !p.comma_or_end(b']')? {
-                            break;
-                        }
-                    }
-                } else {
-                    p.expect(b']')?;
+    for (key, value) in members(&json::parse(text)?)? {
+        match (key.as_str(), value) {
+            ("bench", Json::Str(_)) => {}
+            ("entries", Json::Arr(items)) => {
+                for item in items {
+                    entries.push(entry(item)?);
                 }
             }
-            other => return Err(format!("unexpected key {other:?}")),
+            (other, _) => return Err(format!("unexpected key or value type {other:?}")),
         }
-        if !p.comma_or_end(b'}')? {
-            break;
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing data".into());
     }
     Ok(entries)
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek_is(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.pos) == Some(&b)
-    }
-
-    fn expect(&mut self, b: u8) -> PResult<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    /// Consumes `,` and returns `true`, or consumes `close` and returns
-    /// `false`.
-    fn comma_or_end(&mut self, close: u8) -> PResult<bool> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b',') => {
-                self.pos += 1;
-                Ok(true)
-            }
-            Some(&b) if b == close => {
-                self.pos += 1;
-                Ok(false)
-            }
-            _ => Err(format!(
-                "expected ',' or {:?} at byte {}",
-                close as char, self.pos
-            )),
-        }
-    }
-
-    fn string(&mut self) -> PResult<String> {
-        self.expect(b'"')?;
-        // Collected as bytes and validated once at the end, so multi-byte
-        // UTF-8 passes through intact.
-        let mut raw: Vec<u8> = Vec::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return String::from_utf8(raw).map_err(|e| e.to_string());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => raw.push(b'"'),
-                        Some(b'\\') => raw.push(b'\\'),
-                        Some(b'n') => raw.push(b'\n'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or("bad \\u escape")?;
-                            let mut buf = [0u8; 4];
-                            raw.extend_from_slice(hex.encode_utf8(&mut buf).as_bytes());
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unsupported escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    raw.push(b);
-                    self.pos += 1;
+fn entry(value: &Json) -> Result<BenchEntry, String> {
+    let mut entry = BenchEntry {
+        label: String::new(),
+        units: 0,
+        loops_per_sec: Vec::new(),
+        trace_overhead_pct: None,
+    };
+    for (key, value) in members(value)? {
+        match (key.as_str(), value) {
+            ("label", Json::Str(label)) => entry.label = label.clone(),
+            ("units", Json::Num(units)) => entry.units = *units as usize,
+            ("trace_overhead_pct", Json::Num(pct)) => entry.trace_overhead_pct = Some(*pct),
+            ("loops_per_sec", rates) => {
+                for (name, rate) in members(rates)? {
+                    let rate = rate
+                        .as_f64()
+                        .ok_or_else(|| format!("loops_per_sec {name:?} is not a number"))?;
+                    entry.loops_per_sec.push((name.clone(), rate));
                 }
             }
+            (other, _) => return Err(format!("unexpected entry key or value type {other:?}")),
         }
     }
+    Ok(entry)
+}
 
-    fn number(&mut self) -> PResult<f64> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn entry(&mut self) -> PResult<BenchEntry> {
-        let mut entry = BenchEntry {
-            label: String::new(),
-            units: 0,
-            loops_per_sec: Vec::new(),
-            trace_overhead_pct: None,
-        };
-        self.expect(b'{')?;
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "label" => entry.label = self.string()?,
-                "units" => entry.units = self.number()? as usize,
-                "trace_overhead_pct" => entry.trace_overhead_pct = Some(self.number()?),
-                "loops_per_sec" => {
-                    self.expect(b'{')?;
-                    if self.peek_is(b'}') {
-                        self.expect(b'}')?;
-                    } else {
-                        loop {
-                            let name = self.string()?;
-                            self.expect(b':')?;
-                            let v = self.number()?;
-                            entry.loops_per_sec.push((name, v));
-                            if !self.comma_or_end(b'}')? {
-                                break;
-                            }
-                        }
-                    }
-                }
-                other => return Err(format!("unexpected entry key {other:?}")),
-            }
-            if !self.comma_or_end(b'}')? {
-                return Ok(entry);
-            }
-        }
-    }
+fn members(value: &Json) -> Result<&[(String, Json)], String> {
+    value
+        .as_obj()
+        .ok_or_else(|| "expected an object".to_string())
 }
 
 #[cfg(test)]
@@ -370,7 +210,7 @@ mod tests {
         assert!(!text
             .chars()
             .any(|c| (c as u32) < 0x20 && c != '\n' && c != ' '));
-        assert!(text.contains("\\u0009"));
+        assert!(text.contains("\\t"));
         assert_eq!(parse_entries(&text).unwrap(), entries);
     }
 
@@ -408,6 +248,35 @@ mod tests {
         // The malformed file is untouched.
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{ not json");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unknown_keys_wrong_types_and_trailing_data_are_rejected() {
+        let ok = render(&sample());
+        assert!(parse_entries(&ok).is_ok());
+        for (bad, why) in [
+            (ok.replacen("\"bench\"", "\"bnech\"", 1), "unknown key"),
+            (ok.replacen("\"units\"", "\"unit\"", 1), "unknown entry key"),
+            (
+                ok.replacen("\"label\": \"pr2-baseline\"", "\"label\": 2", 1),
+                "wrong type",
+            ),
+            (ok.replacen("154.0", "\"fast\"", 1), "non-numeric rate"),
+            (ok.clone() + "{}", "trailing data"),
+            (ok[..ok.len() - 3].to_string(), "truncated"),
+        ] {
+            assert_ne!(bad, ok, "{why}: fixture edit must apply");
+            assert!(parse_entries(&bad).is_err(), "{why} accepted");
+        }
+    }
+
+    #[test]
+    fn committed_trajectory_round_trips_byte_for_byte() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
+        let entries = read_entries(&path).unwrap();
+        assert!(!entries.is_empty(), "committed history is empty");
+        let committed = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(render(&entries), committed);
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! let machine = MachineConfig::two_cluster(32, 1, 1);
 //!
 //! // Schedule with the proposed GP scheme and with the URACAM baseline.
-//! let gp = schedule_loop(&ddg, &machine, Algorithm::Gp)?;
-//! let uracam = schedule_loop(&ddg, &machine, Algorithm::Uracam)?;
+//! let gp = schedule_loop(&ddg, &machine, AlgorithmSpec::GP)?;
+//! let uracam = schedule_loop(&ddg, &machine, AlgorithmSpec::URACAM)?;
 //! assert!(gp.ipc() > 0.0 && uracam.ipc() > 0.0);
 //!
 //! // Validate the GP schedule cycle by cycle.
@@ -70,9 +70,7 @@ pub use gpsched_ddg::{Ddg, DdgBuilder, DdgError};
 pub use gpsched_engine::{run_sweep, JobSpec, RunRecord, SweepOptions, SweepResult};
 pub use gpsched_machine::{LatencyModel, MachineConfig, OpClass, ResourceKind};
 pub use gpsched_partition::{partition_ddg, CostEvaluator, Partition, PartitionOptions};
-pub use gpsched_sched::{
-    schedule_loop, schedule_loop_spec, Algorithm, AlgorithmSpec, LoopResult, SchedError, Schedule,
-};
+pub use gpsched_sched::{schedule_loop, AlgorithmSpec, LoopResult, SchedError, Schedule};
 pub use gpsched_sim::{simulate, SimError, SimReport};
 
 /// Everything needed for typical use, in one import.
@@ -81,9 +79,7 @@ pub mod prelude {
     pub use gpsched_engine::{run_sweep, JobSpec, SweepOptions};
     pub use gpsched_machine::{table1_configs, MachineConfig, OpClass};
     pub use gpsched_partition::{partition_ddg, CostEvaluator, Partition, PartitionOptions};
-    pub use gpsched_sched::{
-        schedule_loop, schedule_loop_spec, Algorithm, AlgorithmSpec, LoopResult, Schedule,
-    };
+    pub use gpsched_sched::{schedule_loop, AlgorithmSpec, LoopResult, Schedule};
     pub use gpsched_sim::simulate;
     pub use gpsched_workloads::{kernels, spec_suite, synth, SynthProfile};
 }
@@ -96,7 +92,7 @@ mod tests {
         let m: crate::MachineConfig = crate::machine::MachineConfig::unified(32);
         assert!(m.is_unified());
         let ddg = crate::workloads::kernels::daxpy(10);
-        let r = crate::schedule_loop(&ddg, &m, crate::Algorithm::Gp).unwrap();
+        let r = crate::schedule_loop(&ddg, &m, crate::AlgorithmSpec::GP).unwrap();
         assert!(r.ipc() > 0.0);
     }
 }

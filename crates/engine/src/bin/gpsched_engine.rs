@@ -32,7 +32,7 @@ use gpsched_engine::{
     ServeOptions, SweepOptions,
 };
 use gpsched_machine::{table1_configs, topology_presets, MachineConfig};
-use gpsched_sched::{Algorithm, AlgorithmSpec};
+use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::{kernels, spec_suite, synth, SynthProfile, PRESET_NAMES};
 use std::io::Write;
 use std::process::exit;
@@ -220,18 +220,6 @@ fn parse_machines(spec: &str) -> Vec<MachineConfig> {
     }
 }
 
-fn parse_algos(spec: &str) -> Vec<AlgorithmSpec> {
-    match spec {
-        "all" => Algorithm::ALL.iter().map(|&a| a.into()).collect(),
-        "modulo" => Algorithm::MODULO.iter().map(|&a| a.into()).collect(),
-        "extended" => AlgorithmSpec::CATALOG.to_vec(),
-        list => list
-            .split(',')
-            .map(|name| AlgorithmSpec::parse(name.trim()).unwrap_or_else(|e| fail(&e.to_string())))
-            .collect(),
-    }
-}
-
 /// Builds the job selected by the common sweep flags.
 fn job_from_args(args: &[String]) -> JobSpec {
     let mut job = JobSpec::new();
@@ -273,7 +261,8 @@ fn job_from_args(args: &[String]) -> JobSpec {
     job = job.machines(parse_machines(
         opt_value(args, "--machines").unwrap_or("table1"),
     ));
-    job = job.algorithms(parse_algos(opt_value(args, "--algos").unwrap_or("all")));
+    let algos = AlgorithmSpec::parse_list(opt_value(args, "--algos").unwrap_or("all"));
+    job = job.algorithms(algos.unwrap_or_else(|e| fail(&e.to_string())));
     job
 }
 

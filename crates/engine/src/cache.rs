@@ -20,8 +20,7 @@ use crate::diskcache::DiskCache;
 use gpsched_ddg::Ddg;
 use gpsched_machine::MachineConfig;
 use gpsched_partition::{partition_ddg, MatchStrategy, PartitionOptions, PartitionResult};
-use gpsched_sched::drivers::DriverConfig;
-use gpsched_sched::{AlgorithmSpec, SchedSeed};
+use gpsched_sched::{AlgorithmSpec, DriverConfig, SchedSeed};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -109,23 +108,16 @@ pub fn popts_key(popts: &PartitionOptions) -> u64 {
     h
 }
 
-/// FNV-1a hash of every [`DriverConfig`] knob that can change a schedule.
-/// The portfolio winner memo keys on it: a race run under a different
-/// merit threshold or II cap may crown a different winner, so the two
-/// configurations must not share memo entries. `race_width` is excluded —
-/// it never changes results, only how fast they arrive.
+/// FNV-1a hash of the [`DriverConfig`]: its II cap. The in-memory
+/// portfolio winner memo keys on it — a race run under a different II cap
+/// may crown a different winner, so the two configurations must not share
+/// memo entries. The disk cache never sees it.
 pub fn cfg_key(cfg: &DriverConfig) -> u64 {
     let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    mix(cfg.merit_threshold.to_bits());
-    mix(cfg.ii_cap.map_or(u64::MAX, |c| c as u64));
-    mix(cfg.race_cutoff.map_or(u64::MAX, |c| c as u64));
-    mix(cfg.attempt_budget.map_or(u64::MAX, |b| b as u64));
+    for b in cfg.ii_cap.map_or(u64::MAX, |c| c as u64).to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
     h
 }
 

@@ -30,7 +30,7 @@ use crate::gen::generate_corpus;
 use crate::text::serialize_ddg;
 use gpsched_ddg::{mii, Ddg, DdgBuilder};
 use gpsched_machine::MachineConfig;
-use gpsched_sched::{schedule_loop_spec, AlgorithmSpec, ScheduledWith};
+use gpsched_sched::{schedule_loop, AlgorithmSpec, ScheduledWith};
 use gpsched_sim::simulate;
 use gpsched_workloads::{preset, PRESET_NAMES};
 
@@ -117,8 +117,7 @@ pub fn audit_unit(
     machine: &MachineConfig,
     spec: AlgorithmSpec,
 ) -> Result<UnitAudit, String> {
-    let r =
-        schedule_loop_spec(ddg, machine, spec).map_err(|e| format!("scheduling failed: {e}"))?;
+    let r = schedule_loop(ddg, machine, spec).map_err(|e| format!("scheduling failed: {e}"))?;
     let sched = &r.schedule;
     let mii_v = mii::mii(ddg, machine);
     if sched.ii() < 1 {

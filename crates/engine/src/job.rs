@@ -3,7 +3,7 @@
 use gpsched_ddg::Ddg;
 use gpsched_machine::{table1_configs, MachineConfig};
 use gpsched_partition::PartitionOptions;
-use gpsched_sched::{drivers::DriverConfig, Algorithm, AlgorithmSpec};
+use gpsched_sched::{AlgorithmSpec, DriverConfig};
 use gpsched_workloads::Program;
 
 /// One loop in a job, tagged with the group (program / corpus) it belongs
@@ -30,8 +30,8 @@ pub struct JobSpec {
     pub loops: Vec<LoopSpec>,
     /// Machines to schedule on.
     pub machines: Vec<MachineConfig>,
-    /// Algorithm specs to schedule with. Any [`AlgorithmSpec`] variant is
-    /// sweepable; legacy [`Algorithm`] values convert via `Into`.
+    /// Algorithm specs to schedule with; any [`AlgorithmSpec`] variant is
+    /// sweepable.
     pub algorithms: Vec<AlgorithmSpec>,
     /// Partitioner options shared by every unit.
     pub popts: PartitionOptions,
@@ -113,19 +113,15 @@ impl JobSpec {
         self
     }
 
-    /// Adds an algorithm spec (builder-style). Accepts both
-    /// [`AlgorithmSpec`] values and legacy [`Algorithm`] names.
-    pub fn algorithm(mut self, a: impl Into<AlgorithmSpec>) -> Self {
-        self.algorithms.push(a.into());
+    /// Adds an algorithm spec (builder-style).
+    pub fn algorithm(mut self, a: AlgorithmSpec) -> Self {
+        self.algorithms.push(a);
         self
     }
 
     /// Adds several algorithm specs.
-    pub fn algorithms<A: Into<AlgorithmSpec>>(
-        mut self,
-        algos: impl IntoIterator<Item = A>,
-    ) -> Self {
-        self.algorithms.extend(algos.into_iter().map(Into::into));
+    pub fn algorithms(mut self, algos: impl IntoIterator<Item = AlgorithmSpec>) -> Self {
+        self.algorithms.extend(algos);
         self
     }
 
@@ -157,7 +153,7 @@ impl JobSpec {
         JobSpec::new()
             .programs(&gpsched_workloads::spec_suite())
             .machines(table1_configs().into_iter().map(|(_, m)| m))
-            .algorithms(Algorithm::ALL)
+            .algorithms(AlgorithmSpec::PAPER)
     }
 }
 
@@ -252,7 +248,7 @@ mod tests {
             .loop_in("g", kernels::dot_product(10))
             .machine(MachineConfig::unified(32))
             .machine(MachineConfig::two_cluster(32, 1, 1))
-            .algorithms([Algorithm::Gp, Algorithm::Uracam]);
+            .algorithms([AlgorithmSpec::GP, AlgorithmSpec::URACAM]);
         assert_eq!(job.unit_count(), 8);
         assert_eq!(job.unit(0), (0, 0, 0));
         assert_eq!(job.unit(1), (0, 0, 1));

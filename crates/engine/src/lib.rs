@@ -39,13 +39,13 @@
 //! ```
 //! use gpsched_engine::{run_sweep, JobSpec, SweepOptions};
 //! use gpsched_machine::MachineConfig;
-//! use gpsched_sched::Algorithm;
+//! use gpsched_sched::AlgorithmSpec;
 //! use gpsched_workloads::kernels;
 //!
 //! let job = JobSpec::new()
 //!     .loop_in("demo", kernels::daxpy(1000))
 //!     .machine(MachineConfig::two_cluster(32, 1, 1))
-//!     .algorithms([Algorithm::Gp, Algorithm::Uracam]);
+//!     .algorithms([AlgorithmSpec::GP, AlgorithmSpec::URACAM]);
 //! let result = run_sweep(&job, &SweepOptions::serial(), None);
 //! assert_eq!(result.records.len(), 2);
 //! assert!(result.records.iter().all(|r| r.ipc > 0.0));

@@ -1,5 +1,6 @@
 //! Sweep results: per-unit records, JSONL rendering and aggregate stats.
 
+use gpsched_trace::json::escape;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -42,23 +43,6 @@ pub struct RunRecord {
     pub sched_time_us: u64,
 }
 
-/// Escapes a string for a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl RunRecord {
     /// One JSON object (no trailing newline) — the JSONL line of this
     /// record.
@@ -82,10 +66,10 @@ impl RunRecord {
             "\"group\":\"{}\",\"loop\":\"{}\",\"machine\":\"{}\",\"algorithm\":\"{}\",\
              \"ii\":{},\"length\":{},\"ops\":{},\"trips\":{},\"cycles\":{},\
              \"ipc\":{:.6},\"list_fallback\":{},\"repartitions\":{}",
-            esc(&self.group),
-            esc(&self.loop_name),
-            esc(&self.machine),
-            esc(&self.algorithm),
+            escape(&self.group),
+            escape(&self.loop_name),
+            escape(&self.machine),
+            escape(&self.algorithm),
             self.ii,
             self.length,
             self.ops,

@@ -40,9 +40,11 @@
 //! ```
 //!
 //! `machines` takes the CLI's short names; embedded `machine` blocks add
-//! custom configurations. `algos` defaults to the paper's four. Parse
-//! errors carry the *body* line number — embedded blocks are extracted as
-//! shadow texts that preserve line positions.
+//! custom configurations. `algos` takes what the CLI's `--algos` takes
+//! (a spec list or the `all`/`modulo`/`extended` shortcuts) and defaults
+//! to the paper's four. Parse errors carry the *body* line number —
+//! embedded blocks are extracted as shadow texts that preserve line
+//! positions.
 //!
 //! # Robustness
 //!
@@ -61,7 +63,8 @@ use crate::machine_text::parse_machine_corpus;
 use crate::sweep::{run_sweep_cached, SweepOptions};
 use crate::text::parse_corpus;
 use gpsched_machine::MachineConfig;
-use gpsched_sched::{Algorithm, AlgorithmSpec};
+use gpsched_sched::AlgorithmSpec;
+use gpsched_trace::json::escape;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -506,7 +509,7 @@ fn write_response(stream: &mut TcpStream, status: u16, reason: &str, body: &str)
 }
 
 fn json_error(msg: &str) -> String {
-    format!("{{\"error\":\"{}\"}}\n", crate::record::esc(msg))
+    format!("{{\"error\":\"{}\"}}\n", escape(msg))
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared, max_body: usize) {
@@ -572,7 +575,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, max_body: usize) {
                     let error = inner
                         .error
                         .as_ref()
-                        .map(|e| format!(",\"error\":\"{}\"", crate::record::esc(e)))
+                        .map(|e| format!(",\"error\":\"{}\"", escape(e)))
                         .unwrap_or_default();
                     let body = format!(
                         "{{\"job\":{id},\"status\":\"{}\",\"lines\":{}{error}}}\n",
@@ -681,7 +684,7 @@ pub fn parse_job_body(body: &str) -> Result<JobSpec, String> {
     let mut groups: Vec<String> = Vec::new(); // group of each embedded ddg
     let mut current_group = "job".to_string();
     let mut machine_names: Vec<(usize, String)> = Vec::new();
-    let mut algo_names: Vec<(usize, String)> = Vec::new();
+    let mut algo_lists: Vec<(usize, &str)> = Vec::new();
 
     for (i, raw) in body.lines().enumerate() {
         let line_no = i + 1;
@@ -712,12 +715,7 @@ pub fn parse_job_body(body: &str) -> Result<JobSpec, String> {
                     push_shadow(&mut ddg_shadow, &mut machine_shadow, "", "");
                 }
                 "algos" => {
-                    for name in line["algos".len()..].split(',') {
-                        let name = name.trim();
-                        if !name.is_empty() {
-                            algo_names.push((line_no, name.to_string()));
-                        }
-                    }
+                    algo_lists.push((line_no, &line["algos".len()..]));
                     push_shadow(&mut ddg_shadow, &mut machine_shadow, "", "");
                 }
                 "group" => {
@@ -766,11 +764,12 @@ pub fn parse_job_body(body: &str) -> Result<JobSpec, String> {
     machines.extend(embedded_machines.into_iter().map(|(_, m)| m));
 
     let mut algorithms: Vec<AlgorithmSpec> = Vec::new();
-    for (line_no, name) in &algo_names {
-        algorithms.push(AlgorithmSpec::parse(name).map_err(|e| format!("line {line_no}: {e}"))?);
+    for (line_no, list) in algo_lists {
+        algorithms
+            .extend(AlgorithmSpec::parse_list(list).map_err(|e| format!("line {line_no}: {e}"))?);
     }
     if algorithms.is_empty() {
-        algorithms = Algorithm::ALL.iter().map(|&a| a.into()).collect();
+        algorithms = AlgorithmSpec::PAPER.to_vec();
     }
 
     if loops.is_empty() {
@@ -961,7 +960,33 @@ end
     #[test]
     fn algos_default_to_the_paper_four() {
         let job = parse_job_body("machines u-r32\nddg t\ntrips 1\nop int 1\nend\n").expect("parse");
-        assert_eq!(job.algorithms.len(), Algorithm::ALL.len());
+        assert_eq!(job.algorithms, AlgorithmSpec::PAPER);
+    }
+
+    #[test]
+    fn algos_take_the_cli_shortcuts() {
+        let algos = |line: &str| {
+            parse_job_body(&format!(
+                "machines u-r32\n{line}\nddg t\ntrips 1\nop int 1\nend\n"
+            ))
+            .map(|job| job.algorithms)
+        };
+        assert_eq!(algos("algos all").unwrap(), AlgorithmSpec::PAPER);
+        assert_eq!(algos("algos modulo").unwrap(), AlgorithmSpec::MODULO);
+        assert_eq!(algos("algos extended").unwrap(), AlgorithmSpec::CATALOG);
+        assert_eq!(
+            algos("algos gp, list\nalgos portfolio").unwrap(),
+            [
+                AlgorithmSpec::GP,
+                AlgorithmSpec::LIST,
+                AlgorithmSpec::PORTFOLIO
+            ]
+        );
+        let err = algos("algos gp,nonsense").unwrap_err();
+        assert!(
+            err.starts_with("line 2: ") && err.contains("nonsense"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 
 use crate::cache::{compute_seed, ddg_content_hash, SweepCache};
 use crate::job::JobSpec;
-use crate::record::{esc, RunRecord, SweepStats};
+use crate::record::{RunRecord, SweepStats};
 use gpsched_sched::{schedule_loop_spec_seeded, ScheduledWith};
+use gpsched_trace::json::escape;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -49,11 +50,11 @@ impl UnitFailure {
             "{{\"unit\":{},\"group\":\"{}\",\"loop\":\"{}\",\"machine\":\"{}\",\
              \"algorithm\":\"{}\",\"error\":\"{}\"}}",
             self.unit,
-            esc(&self.group),
-            esc(&self.loop_name),
-            esc(&self.machine),
-            esc(&self.algorithm),
-            esc(&self.error)
+            escape(&self.group),
+            escape(&self.loop_name),
+            escape(&self.machine),
+            escape(&self.algorithm),
+            escape(&self.error)
         )
     }
 }
@@ -161,7 +162,7 @@ pub fn run_sweep_cached(
                     if k >= nunits {
                         break;
                     }
-                    let outcome = run_unit(job, k, hashes, cache, opts.use_cache, workers);
+                    let outcome = run_unit(job, k, hashes, cache, opts.use_cache);
                     if tx.send(outcome).is_err() {
                         break;
                     }
@@ -240,47 +241,6 @@ fn progress_line(done: usize, total: usize, t0: Instant) -> String {
     )
 }
 
-/// Ops at or above this count make a unit "large" enough for intra-unit
-/// II-attempt racing: the tail of a sweep is dominated by a few big loops
-/// whose II ladders are climbed one failed attempt at a time, so idle
-/// pool parallelism is spent inside those units.
-const RACE_OP_THRESHOLD: usize = 64;
-
-/// Cap on the raced ladder width. The winner is almost always within a
-/// few rungs of the first failure; wider batches only add speculative
-/// attempts beyond it.
-const RACE_MAX_WIDTH: usize = 4;
-
-/// Floor for queue-drain widening: below this many ops a single II
-/// attempt costs about as much as spawning the threads to race it, so a
-/// drained queue widens only units at least this large.
-const RACE_QUEUE_OP_FLOOR: usize = RACE_OP_THRESHOLD / 4;
-
-/// The II-attempt race width for a unit of `ops` operations in a pool of
-/// `workers` workers with `pending` units (this one included) still
-/// unclaimed. 1 (sequential) unless the pool is parallel and either the
-/// unit is large or the queue has drained below the worker count — at the
-/// tail of a sweep most workers sit parked, so their parallelism is spent
-/// *inside* the remaining units (down to [`RACE_QUEUE_OP_FLOOR`], below
-/// which an attempt is cheaper than the spawn). Results are identical
-/// either way — racing reduces lowest-II-wins, which is exactly the
-/// sequential answer — so the width can depend on anything, including
-/// racy queue-depth observations, without moving a byte of output.
-fn race_width_for(workers: usize, ops: usize, pending: usize) -> usize {
-    let by_size = if workers > 1 && ops >= RACE_OP_THRESHOLD {
-        workers.min(RACE_MAX_WIDTH)
-    } else {
-        1
-    };
-    let by_queue = if workers > 1 && ops >= RACE_QUEUE_OP_FLOOR && pending > 0 && pending < workers
-    {
-        (workers / pending).min(RACE_MAX_WIDTH)
-    } else {
-        1
-    };
-    by_size.max(by_queue)
-}
-
 /// Schedules unit `k` of `job`; unschedulable units come back as
 /// [`UnitFailure`]s rather than panics (boxed: the failure record is an
 /// order of magnitude larger than the worker channel's happy path needs).
@@ -290,7 +250,6 @@ fn run_unit(
     hashes: &[u64],
     cache: &SweepCache,
     use_cache: bool,
-    workers: usize,
 ) -> Result<RunRecord, Box<UnitFailure>> {
     let (li, mi, ai) = job.unit(k);
     let spec = &job.loops[li];
@@ -314,12 +273,6 @@ fn run_unit(
             return Err(fail(format!("machine has no {kind} units")));
         }
     }
-    let mut cfg = job.cfg;
-    let pending = job.unit_count().saturating_sub(k);
-    cfg.race_width = cfg
-        .race_width
-        .max(race_width_for(workers, spec.ddg.op_count(), pending));
-
     let _span = gpsched_trace::span!(
         "engine.unit",
         "{}@{}/{}",
@@ -355,7 +308,7 @@ fn run_unit(
         gpsched_trace::counter!("portfolio.winner_memo_hits");
     }
     let effective = memo_winner.unwrap_or(algorithm);
-    let r = schedule_loop_spec_seeded(&spec.ddg, machine, effective, &job.popts, &cfg, &seed)
+    let r = schedule_loop_spec_seeded(&spec.ddg, machine, effective, &job.popts, &job.cfg, &seed)
         .map_err(|e| fail(e.to_string()))?;
     let sched_time_us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
     if let (Some(key), Some(winner)) = (memo_key, r.selected) {
@@ -389,7 +342,7 @@ fn run_unit(
 mod tests {
     use super::*;
     use gpsched_machine::MachineConfig;
-    use gpsched_sched::Algorithm;
+    use gpsched_sched::AlgorithmSpec;
     use gpsched_workloads::kernels;
 
     fn small_job() -> JobSpec {
@@ -401,53 +354,7 @@ mod tests {
                 MachineConfig::unified(32),
                 MachineConfig::two_cluster(32, 1, 1),
             ])
-            .algorithms(Algorithm::ALL)
-    }
-
-    #[test]
-    fn race_width_only_for_large_units_in_parallel_pools() {
-        // Deep queue: width is governed by op count alone.
-        assert_eq!(race_width_for(1, 1000, 100), 1);
-        assert_eq!(race_width_for(8, RACE_OP_THRESHOLD - 1, 100), 1);
-        assert_eq!(race_width_for(2, RACE_OP_THRESHOLD, 100), 2);
-        assert_eq!(race_width_for(16, RACE_OP_THRESHOLD, 100), RACE_MAX_WIDTH);
-    }
-
-    #[test]
-    fn race_width_widens_when_the_queue_drains() {
-        // Fewer pending units than workers: idle workers race inside the
-        // remaining mid-size units well below RACE_OP_THRESHOLD.
-        assert_eq!(race_width_for(8, RACE_QUEUE_OP_FLOOR, 2), RACE_MAX_WIDTH);
-        assert_eq!(race_width_for(8, RACE_QUEUE_OP_FLOOR, 4), 2);
-        assert_eq!(
-            race_width_for(8, RACE_QUEUE_OP_FLOOR, 8),
-            1,
-            "full queue: no widening"
-        );
-        assert_eq!(
-            race_width_for(1, RACE_QUEUE_OP_FLOOR, 1),
-            1,
-            "serial pool never races"
-        );
-        // Tiny units never race: a thread spawn costs about as much as
-        // the attempt it would speculate on.
-        assert_eq!(race_width_for(8, RACE_QUEUE_OP_FLOOR - 1, 1), 1);
-        // Large unit at the tail: both rules agree on the cap.
-        assert_eq!(race_width_for(16, RACE_OP_THRESHOLD, 1), RACE_MAX_WIDTH);
-    }
-
-    #[test]
-    fn forced_racing_matches_serial_results() {
-        // An explicit race width in the job config races every unit's II
-        // ladder even on a one-worker pool; results must not move.
-        let mut job = small_job();
-        job.cfg.race_width = 4;
-        let forced = run_sweep(&job, &SweepOptions::serial(), None);
-        let plain = run_sweep(&small_job(), &SweepOptions::serial(), None);
-        let canon = |r: &SweepResult| -> Vec<String> {
-            r.records.iter().map(RunRecord::canonical_fields).collect()
-        };
-        assert_eq!(canon(&forced), canon(&plain));
+            .algorithms(AlgorithmSpec::PAPER)
     }
 
     #[test]
@@ -556,7 +463,7 @@ mod tests {
         let job = JobSpec::new()
             .loop_in("k", kernels::daxpy(100))
             .machines([int_only_machine(), MachineConfig::unified(32)])
-            .algorithms(Algorithm::ALL);
+            .algorithms(AlgorithmSpec::PAPER);
         let mut buf: Vec<u8> = Vec::new();
         let r = run_sweep(
             &job,
@@ -566,7 +473,7 @@ mod tests {
             },
             Some(&mut buf),
         );
-        let nalgos = Algorithm::ALL.len();
+        let nalgos = AlgorithmSpec::PAPER.len();
         assert_eq!(r.failures.len(), nalgos, "every algo unit fails");
         assert_eq!(r.records.len(), nalgos, "unified units still succeed");
         assert_eq!(r.stats.failed, nalgos);
@@ -592,7 +499,7 @@ mod tests {
         let bad = JobSpec::new()
             .loop_in("k", kernels::daxpy(64))
             .machine(int_only_machine())
-            .algorithms([Algorithm::Gp]);
+            .algorithm(AlgorithmSpec::GP);
         let r = run_sweep_cached(&bad, &SweepOptions::serial(), None, &cache);
         assert_eq!(r.failures.len(), 1);
         assert_eq!(cache.stats(), (0, 0), "gate fires before the cache");

@@ -9,7 +9,7 @@
 
 use gpsched_engine::{run_sweep, JobSpec, SweepOptions};
 use gpsched_machine::MachineConfig;
-use gpsched_sched::Algorithm;
+use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::{spec_suite, synth::synthesize, SynthProfile};
 use std::collections::BTreeSet;
 
@@ -31,7 +31,7 @@ fn job() -> JobSpec {
             MachineConfig::unified(32),
             MachineConfig::two_cluster(32, 1, 1),
         ])
-        .algorithms(Algorithm::ALL)
+        .algorithms(AlgorithmSpec::PAPER)
         // The variant axis must be exactly as deterministic as the paper
         // algorithms.
         .algorithm(gpsched_sched::AlgorithmSpec::GP_NOREPART)
@@ -95,19 +95,17 @@ fn one_worker_and_many_workers_agree() {
 }
 
 #[test]
-fn racing_is_deterministic_across_worker_counts() {
-    // Intra-unit II-attempt racing engages on large units when the pool
-    // is parallel. Whatever the race width, the reduction is
-    // lowest-II-wins — exactly the sequential answer — so the canonical
-    // sweep JSONL must be byte-identical between one worker (sequential
-    // ladders) and a contended pool (raced ladders).
+fn large_loops_agree_across_worker_counts() {
+    // The SPECfp95 loops of at least 64 ops climb the longest II ladders
+    // and dominate a sweep's tail. Their canonical sweep JSONL must be
+    // byte-identical between one worker and a contended pool.
     let suite = spec_suite();
     let mut job = JobSpec::new()
         .machines([
             MachineConfig::two_cluster(32, 1, 1),
             MachineConfig::four_cluster(64, 1, 2),
         ])
-        .algorithms([Algorithm::Gp, Algorithm::Uracam]);
+        .algorithms([AlgorithmSpec::GP, AlgorithmSpec::URACAM]);
     for p in &suite {
         for l in &p.loops {
             if l.op_count() >= 64 {
@@ -125,7 +123,7 @@ fn racing_is_deterministic_across_worker_counts() {
             .into_bytes()
     };
     let serial = run_sweep(&job, &SweepOptions::serial(), None);
-    let raced = run_sweep(
+    let parallel = run_sweep(
         &job,
         &SweepOptions {
             workers: test_workers(),
@@ -134,7 +132,7 @@ fn racing_is_deterministic_across_worker_counts() {
         },
         None,
     );
-    assert_eq!(canonical_jsonl(&serial), canonical_jsonl(&raced));
+    assert_eq!(canonical_jsonl(&serial), canonical_jsonl(&parallel));
 }
 
 #[test]
@@ -150,7 +148,7 @@ fn portfolio_is_deterministic_across_worker_counts_and_cache_states() {
             MachineConfig::two_cluster(32, 1, 1),
             MachineConfig::four_cluster(64, 1, 2),
         ])
-        .algorithms([Algorithm::Gp])
+        .algorithms([AlgorithmSpec::GP])
         .algorithm(gpsched_sched::AlgorithmSpec::PORTFOLIO)
         .algorithm(gpsched_sched::AlgorithmSpec::parse("portfolio:5:8").expect("parses"));
     let program = suite.iter().find(|p| p.name == "hydro2d").expect("exists");

@@ -10,7 +10,7 @@
 
 use gpsched_engine::{run_sweep, JobSpec, SweepOptions};
 use gpsched_machine::MachineConfig;
-use gpsched_sched::Algorithm;
+use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::{kernels, spec_suite, synth::synthesize, SynthProfile};
 
 /// A deliberately diverse job: every hand-written kernel, one full
@@ -34,7 +34,7 @@ fn pinned_job() -> JobSpec {
         MachineConfig::two_cluster(32, 1, 1),
         MachineConfig::four_cluster(64, 1, 2),
     ])
-    .algorithms(Algorithm::ALL)
+    .algorithms(AlgorithmSpec::PAPER)
 }
 
 #[test]

@@ -11,7 +11,7 @@
 use gpsched_engine::serve::{client, serve, ServeOptions};
 use gpsched_engine::{canonical_json_line, run_sweep, JobSpec, SweepOptions};
 use gpsched_machine::MachineConfig;
-use gpsched_sched::Algorithm;
+use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::{synth::synthesize, SynthProfile};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -56,7 +56,7 @@ fn reference_job_and_body() -> (JobSpec, String) {
             MachineConfig::unified(32),
             MachineConfig::two_cluster(32, 1, 1),
         ])
-        .algorithms(Algorithm::ALL);
+        .algorithms(AlgorithmSpec::PAPER);
     let body = format!("group e2e\nmachines u-r32,c2r32b1l1\n{ddg_text}");
     (job, body)
 }

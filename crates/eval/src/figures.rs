@@ -6,7 +6,7 @@
 
 use gpsched_engine::{aggregate_by_group, run_sweep, JobSpec, SweepOptions};
 use gpsched_machine::MachineConfig;
-use gpsched_sched::Algorithm;
+use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::{spec_suite, Program};
 
 /// One program's bars in a figure.
@@ -61,29 +61,30 @@ pub fn series_for(programs: &[Program], machine: &MachineConfig, title: &str) ->
     let unified_job = JobSpec::new()
         .programs(programs)
         .machine(MachineConfig::unified(machine.total_registers()))
-        .algorithm(Algorithm::Gp);
+        .algorithm(AlgorithmSpec::GP);
     let clustered_job = JobSpec::new()
         .programs(programs)
         .machine(machine.clone())
-        .algorithms(Algorithm::MODULO);
+        .algorithms(AlgorithmSpec::MODULO);
     let unified = aggregate_by_group(&run_sweep(&unified_job, &opts, None).records);
     let clustered = aggregate_by_group(&run_sweep(&clustered_job, &opts, None).records);
 
-    let ipc_of = |agg: &[gpsched_engine::GroupAggregate], group: &str, algo: Algorithm| -> f64 {
-        agg.iter()
-            .find(|a| a.group == group && a.algorithm == algo.name())
-            .map(|a| a.ipc)
-            .expect("sweep covers every (program, algorithm)")
-    };
+    let ipc_of =
+        |agg: &[gpsched_engine::GroupAggregate], group: &str, algo: AlgorithmSpec| -> f64 {
+            agg.iter()
+                .find(|a| a.group == group && a.algorithm == algo.name())
+                .map(|a| a.ipc)
+                .expect("sweep covers every (program, algorithm)")
+        };
 
     let mut rows: Vec<FigureRow> = programs
         .iter()
         .map(|p| FigureRow {
             program: p.name.to_string(),
-            unified: ipc_of(&unified, p.name, Algorithm::Gp),
-            uracam: ipc_of(&clustered, p.name, Algorithm::Uracam),
-            fixed: ipc_of(&clustered, p.name, Algorithm::FixedPartition),
-            gp: ipc_of(&clustered, p.name, Algorithm::Gp),
+            unified: ipc_of(&unified, p.name, AlgorithmSpec::GP),
+            uracam: ipc_of(&clustered, p.name, AlgorithmSpec::URACAM),
+            fixed: ipc_of(&clustered, p.name, AlgorithmSpec::FIXED),
+            gp: ipc_of(&clustered, p.name, AlgorithmSpec::GP),
         })
         .collect();
 
@@ -177,7 +178,7 @@ mod tests {
         let suite = mini_suite();
         let m = MachineConfig::two_cluster(32, 1, 1);
         let s = series_for(&suite, &m, "check");
-        let direct = crate::run::run_program(&suite[0], &m, Algorithm::Gp);
+        let direct = crate::run::run_program(&suite[0], &m, AlgorithmSpec::GP);
         assert!((s.rows[0].gp - direct.ipc).abs() < 1e-12);
     }
 

@@ -8,7 +8,7 @@
 
 use gpsched_engine::{run_sweep, JobSpec, SweepOptions};
 use gpsched_machine::MachineConfig;
-use gpsched_sched::Algorithm;
+use gpsched_sched::AlgorithmSpec;
 use gpsched_trace::TraceSummary;
 use gpsched_workloads::spec_suite;
 
@@ -35,7 +35,7 @@ impl ProfileReport {
     }
 }
 
-/// Profiles `programs` × [`Algorithm::ALL`] on one machine.
+/// Profiles `programs` × [`AlgorithmSpec::PAPER`] on one machine.
 pub fn profile_report_on(
     programs: &[gpsched_workloads::Program],
     machine: &MachineConfig,
@@ -43,7 +43,7 @@ pub fn profile_report_on(
     let job = JobSpec::new()
         .programs(programs)
         .machines([machine.clone()])
-        .algorithms(Algorithm::ALL);
+        .algorithms(AlgorithmSpec::PAPER);
     let opts = SweepOptions {
         workers: 1,
         use_cache: false,
@@ -77,7 +77,7 @@ mod tests {
             loops: vec![kernels::daxpy(100), kernels::fir(80, 6)],
         }];
         let p = profile_report_on(&programs, &MachineConfig::two_cluster(32, 1, 1));
-        assert_eq!(p.units, 2 * Algorithm::ALL.len());
+        assert_eq!(p.units, 2 * AlgorithmSpec::PAPER.len());
         // Spans from every instrumented layer show up.
         for phase in ["engine.unit", "sched.ii_attempt", "partition.run"] {
             assert!(

@@ -1,7 +1,7 @@
 //! Scheduling a whole program and measuring it.
 
 use gpsched_machine::MachineConfig;
-use gpsched_sched::{schedule_loop, Algorithm, ScheduledWith};
+use gpsched_sched::{schedule_loop, AlgorithmSpec, ScheduledWith};
 use gpsched_workloads::Program;
 use std::time::{Duration, Instant};
 
@@ -48,7 +48,11 @@ pub struct ProgramRun {
 ///
 /// Panics if some loop cannot be scheduled at all (cannot happen for the
 /// bundled workloads on the paper's machines).
-pub fn run_program(program: &Program, machine: &MachineConfig, algorithm: Algorithm) -> ProgramRun {
+pub fn run_program(
+    program: &Program,
+    machine: &MachineConfig,
+    algorithm: AlgorithmSpec,
+) -> ProgramRun {
     let start = Instant::now();
     let results: Vec<_> = program
         .loops
@@ -91,7 +95,11 @@ pub fn run_program(program: &Program, machine: &MachineConfig, algorithm: Algori
 /// The unified-machine upper bound for a program (the white bars of
 /// Figures 2 and 3). All algorithms coincide on one cluster; GP is used.
 pub fn run_unified(program: &Program, registers: u32) -> ProgramRun {
-    run_program(program, &MachineConfig::unified(registers), Algorithm::Gp)
+    run_program(
+        program,
+        &MachineConfig::unified(registers),
+        AlgorithmSpec::GP,
+    )
 }
 
 #[cfg(test)]
@@ -110,7 +118,7 @@ mod tests {
     fn aggregates_over_loops() {
         let p = tiny_program();
         let m = MachineConfig::two_cluster(32, 1, 1);
-        let r = run_program(&p, &m, Algorithm::Gp);
+        let r = run_program(&p, &m, AlgorithmSpec::GP);
         assert_eq!(r.loops.len(), 2);
         assert!(r.ipc > 0.0 && r.ipc <= 12.0);
         assert_eq!(r.algorithm, "GP");
@@ -129,7 +137,7 @@ mod tests {
     fn unified_baseline_dominates() {
         let p = tiny_program();
         let u = run_unified(&p, 32);
-        for algo in Algorithm::ALL {
+        for algo in AlgorithmSpec::PAPER {
             let c = run_program(&p, &MachineConfig::four_cluster(32, 1, 2), algo);
             assert!(
                 u.ipc >= c.ipc - 1e-9,
@@ -144,7 +152,11 @@ mod tests {
     #[test]
     fn timing_is_recorded() {
         let p = tiny_program();
-        let r = run_program(&p, &MachineConfig::two_cluster(32, 1, 1), Algorithm::Uracam);
+        let r = run_program(
+            &p,
+            &MachineConfig::two_cluster(32, 1, 1),
+            AlgorithmSpec::URACAM,
+        );
         assert!(r.sched_time > Duration::ZERO);
     }
 }

@@ -7,7 +7,7 @@
 
 use gpsched_engine::{aggregate_by_group, run_sweep, JobSpec, SweepOptions};
 use gpsched_machine::{table1_configs, MachineConfig};
-use gpsched_sched::Algorithm;
+use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::{spec_suite, Program};
 
 /// One row of Table 2: average CPU milliseconds to compute the schedule of
@@ -36,7 +36,7 @@ pub fn table2_for(programs: &[Program], machines: &[MachineConfig]) -> Vec<Table
     let job = JobSpec::new()
         .programs(programs)
         .machines(machines.iter().cloned())
-        .algorithms(Algorithm::MODULO);
+        .algorithms(AlgorithmSpec::MODULO);
     let opts = SweepOptions {
         use_cache: false,
         ..SweepOptions::default()
@@ -45,7 +45,7 @@ pub fn table2_for(programs: &[Program], machines: &[MachineConfig]) -> Vec<Table
     let agg = aggregate_by_group(&result.records);
 
     let nprograms = programs.len() as f64;
-    let avg_ms = |machine: &str, algo: Algorithm| -> f64 {
+    let avg_ms = |machine: &str, algo: AlgorithmSpec| -> f64 {
         let total_us: u64 = agg
             .iter()
             .filter(|a| a.machine == machine && a.algorithm == algo.name())
@@ -58,9 +58,9 @@ pub fn table2_for(programs: &[Program], machines: &[MachineConfig]) -> Vec<Table
         .map(|m| {
             let name = m.short_name();
             Table2Row {
-                uracam_ms: avg_ms(&name, Algorithm::Uracam),
-                fixed_ms: avg_ms(&name, Algorithm::FixedPartition),
-                gp_ms: avg_ms(&name, Algorithm::Gp),
+                uracam_ms: avg_ms(&name, AlgorithmSpec::URACAM),
+                fixed_ms: avg_ms(&name, AlgorithmSpec::FIXED),
+                gp_ms: avg_ms(&name, AlgorithmSpec::GP),
                 machine: name,
             }
         })

@@ -1,66 +1,33 @@
-//! High-level entry point: schedule one loop with a named algorithm or an
-//! [`AlgorithmSpec`] variant.
+//! The scheduling entry points: schedule one loop with an
+//! [`AlgorithmSpec`].
+//!
+//! [`schedule_loop`] runs a spec with default options;
+//! [`schedule_loop_spec_seeded`] takes explicit partitioner and driver
+//! options plus precomputed MII/partition inputs. Both resolve the spec:
+//! `list` runs the list scheduler, a portfolio races its candidates
+//! ([`crate::portfolio`]), and every other spec climbs the II ladder of
+//! [`pipeline::run`] with the spec's policies, falling back to list
+//! scheduling when the II cap is exhausted.
 
-use crate::drivers::DriverConfig;
 use crate::error::SchedError;
 use crate::listsched::list_schedule;
-use crate::pipeline;
+use crate::pipeline::{self, Cutoff};
 use crate::schedule::Schedule;
 use crate::spec::AlgorithmSpec;
 use gpsched_ddg::Ddg;
 use gpsched_machine::MachineConfig;
 use gpsched_partition::{Partition, PartitionOptions};
 
-/// The scheduling algorithms compared in the paper's evaluation, plus the
-/// non-pipelined list-scheduling baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Algorithm {
-    /// The best previously published integrated scheduler (baseline).
-    Uracam,
-    /// GP variant (a): follow the partition exactly.
-    FixedPartition,
-    /// The proposed GP scheme with selective re-partitioning.
-    Gp,
-    /// Plain acyclic list scheduling, iterations back to back — the
-    /// paper's fallback promoted to a first-class comparator (a lower
-    /// bound no software-pipelined schedule should lose to).
-    List,
+/// Driver options shared by every scheduling run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DriverConfig {
+    /// Hard II cap; `None` derives `4·MII + 64` per loop.
+    pub ii_cap: Option<i64>,
 }
 
-impl Algorithm {
-    /// All algorithms: the paper's presentation order, then the
-    /// list-scheduling baseline.
-    pub const ALL: [Algorithm; 4] = [
-        Algorithm::Uracam,
-        Algorithm::FixedPartition,
-        Algorithm::Gp,
-        Algorithm::List,
-    ];
-
-    /// The three modulo-scheduling algorithms of the paper's figures.
-    pub const MODULO: [Algorithm; 3] =
-        [Algorithm::Uracam, Algorithm::FixedPartition, Algorithm::Gp];
-
-    /// Short display name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::Uracam => "URACAM",
-            Algorithm::FixedPartition => "Fixed",
-            Algorithm::Gp => "GP",
-            Algorithm::List => "List",
-        }
-    }
-
-    /// Parses a display or lowercase name (`"GP"`, `"gp"`, `"uracam"`, …).
-    pub fn parse(s: &str) -> Option<Algorithm> {
-        match s.to_ascii_lowercase().as_str() {
-            "uracam" => Some(Algorithm::Uracam),
-            "fixed" | "fixedpartition" | "fixed-partition" => Some(Algorithm::FixedPartition),
-            "gp" => Some(Algorithm::Gp),
-            "list" => Some(Algorithm::List),
-            _ => None,
-        }
-    }
+/// The II cap of a loop whose ladder starts at `mii`.
+pub(crate) fn cap_for(mii: i64, cfg: &DriverConfig) -> i64 {
+    cfg.ii_cap.unwrap_or(4 * mii + 64)
 }
 
 /// How the final schedule was produced.
@@ -68,13 +35,14 @@ impl Algorithm {
 pub enum ScheduledWith {
     /// Modulo-scheduled at the reported II.
     Modulo {
-        /// Times the GP driver recomputed the partition (0 otherwise).
+        /// Times the partition was recomputed on II growth (0 for
+        /// algorithms that never re-partition).
         repartitions: usize,
     },
     /// The II cap was exhausted; the list-scheduling fallback was used
     /// (§4.1: "this happens for just a few loops").
     ListFallback,
-    /// List scheduling was requested outright ([`Algorithm::List`]).
+    /// List scheduling was requested outright ([`AlgorithmSpec::LIST`]).
     List,
 }
 
@@ -115,8 +83,9 @@ impl LoopResult {
     }
 }
 
-/// Schedules `ddg` on `machine` with `algorithm`, falling back to list
-/// scheduling if the modulo scheduler exhausts its II budget.
+/// Schedules `ddg` on `machine` with `spec` under default options,
+/// falling back to list scheduling if the modulo scheduler exhausts its II
+/// budget.
 ///
 /// # Errors
 ///
@@ -127,99 +96,17 @@ impl LoopResult {
 ///
 /// ```
 /// use gpsched_machine::MachineConfig;
-/// use gpsched_sched::{schedule_loop, Algorithm};
+/// use gpsched_sched::{schedule_loop, AlgorithmSpec};
 /// use gpsched_workloads::kernels;
 ///
 /// let ddg = kernels::fir(500, 8);
 /// let machine = MachineConfig::two_cluster(32, 1, 1);
-/// let gp = schedule_loop(&ddg, &machine, Algorithm::Gp)?;
-/// let ur = schedule_loop(&ddg, &machine, Algorithm::Uracam)?;
+/// let gp = schedule_loop(&ddg, &machine, AlgorithmSpec::GP)?;
+/// let ur = schedule_loop(&ddg, &machine, AlgorithmSpec::URACAM)?;
 /// assert!(gp.ipc() > 0.0 && ur.ipc() > 0.0);
-/// # Ok::<(), gpsched_sched::SchedError>(())
-/// ```
-pub fn schedule_loop(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    algorithm: Algorithm,
-) -> Result<LoopResult, SchedError> {
-    schedule_loop_with(
-        ddg,
-        machine,
-        algorithm,
-        &PartitionOptions::default(),
-        &DriverConfig::default(),
-    )
-}
-
-/// [`schedule_loop`] with explicit partitioner and driver configuration
-/// (used by the ablation benches).
-///
-/// # Errors
-///
-/// See [`schedule_loop`].
-pub fn schedule_loop_with(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    algorithm: Algorithm,
-    popts: &PartitionOptions,
-    cfg: &DriverConfig,
-) -> Result<LoopResult, SchedError> {
-    schedule_impl(ddg, machine, algorithm.into(), popts, cfg, None)
-}
-
-/// Precomputed scheduling inputs, typically served from a memo cache keyed
-/// by DDG content (the engine crate's batch executor builds these).
-#[derive(Clone, Debug)]
-pub struct SchedSeed {
-    /// The loop's MII on the target machine (`mii::mii`).
-    pub start_ii: i64,
-    /// Initial partition computed at `start_ii`. Consumed by
-    /// [`Algorithm::FixedPartition`] and [`Algorithm::Gp`]; ignored by the
-    /// partition-free algorithms.
-    pub partition: Option<gpsched_partition::PartitionResult>,
-}
-
-/// [`schedule_loop_with`] taking precomputed MII/partition inputs, so batch
-/// drivers that schedule the same loop on the same machine under several
-/// algorithms (or repeatedly across sweeps) skip the shared preprocessing.
-///
-/// # Errors
-///
-/// See [`schedule_loop`].
-pub fn schedule_loop_seeded(
-    ddg: &Ddg,
-    machine: &MachineConfig,
-    algorithm: Algorithm,
-    popts: &PartitionOptions,
-    cfg: &DriverConfig,
-    seed: &SchedSeed,
-) -> Result<LoopResult, SchedError> {
-    schedule_impl(ddg, machine, algorithm.into(), popts, cfg, Some(seed))
-}
-
-/// [`schedule_loop`] for an arbitrary [`AlgorithmSpec`] variant.
-///
-/// # Errors
-///
-/// See [`schedule_loop`].
-///
-/// # Example
-///
-/// ```
-/// use gpsched_machine::MachineConfig;
-/// use gpsched_sched::{schedule_loop_spec, AlgorithmSpec};
-/// use gpsched_workloads::kernels;
-///
-/// let ddg = kernels::fir(500, 8);
-/// let machine = MachineConfig::two_cluster(32, 1, 1);
-/// let gp = schedule_loop_spec(&ddg, &machine, AlgorithmSpec::parse("gp")?)?;
-/// let ab = schedule_loop_spec(&ddg, &machine, AlgorithmSpec::parse("gp:norepart")?)?;
-/// // The ablation schedules the same loops; how the two variants compare
-/// // is an empirical question (see DESIGN.md §7).
-/// assert!(gp.ipc() > 0.0 && ab.ipc() > 0.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn schedule_loop_spec(
+pub fn schedule_loop(
     ddg: &Ddg,
     machine: &MachineConfig,
     spec: AlgorithmSpec,
@@ -231,15 +118,56 @@ pub fn schedule_loop_spec(
         &PartitionOptions::default(),
         &DriverConfig::default(),
         None,
+        Cutoff::default(),
     )
 }
 
-/// [`schedule_loop_spec`] with explicit options and precomputed seed
-/// inputs — the engine's batch executor entry point for every variant.
+/// Precomputed scheduling inputs, typically served from a memo cache keyed
+/// by DDG content (the engine crate's batch executor builds these).
+#[derive(Clone, Debug)]
+pub struct SchedSeed {
+    /// The loop's MII on the target machine (`mii::mii`).
+    pub start_ii: i64,
+    /// Initial partition computed at `start_ii`, consumed by the
+    /// partition-driven specs (Fixed, GP, portfolio) and ignored by the
+    /// others. `None` makes the scheduler compute it.
+    pub partition: Option<gpsched_partition::PartitionResult>,
+}
+
+/// [`schedule_loop`] with explicit partitioner and driver options and
+/// precomputed MII/partition inputs, so batch drivers that schedule the
+/// same loop on the same machine under several specs (or repeatedly
+/// across sweeps) skip the shared preprocessing.
 ///
 /// # Errors
 ///
 /// See [`schedule_loop`].
+///
+/// # Example
+///
+/// A custom II cap with no precomputed partition (the scheduler computes
+/// it), on a variant parsed from its textual syntax:
+///
+/// ```
+/// use gpsched_ddg::mii::mii;
+/// use gpsched_machine::MachineConfig;
+/// use gpsched_partition::PartitionOptions;
+/// use gpsched_sched::{schedule_loop_spec_seeded, AlgorithmSpec, DriverConfig, SchedSeed};
+/// use gpsched_workloads::kernels;
+///
+/// let ddg = kernels::fir(500, 8);
+/// let machine = MachineConfig::two_cluster(32, 1, 1);
+/// let popts = PartitionOptions::default();
+/// let cfg = DriverConfig { ii_cap: Some(64) };
+/// let seed = SchedSeed { start_ii: mii(&ddg, &machine), partition: None };
+/// let gp = schedule_loop_spec_seeded(&ddg, &machine, AlgorithmSpec::GP, &popts, &cfg, &seed)?;
+/// let ab = AlgorithmSpec::parse("gp:norepart")?;
+/// let ab = schedule_loop_spec_seeded(&ddg, &machine, ab, &popts, &cfg, &seed)?;
+/// // The ablation schedules the same loops; how the two variants compare
+/// // is an empirical question (see DESIGN.md §7).
+/// assert!(gp.ipc() > 0.0 && ab.ipc() > 0.0);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub fn schedule_loop_spec_seeded(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -248,9 +176,19 @@ pub fn schedule_loop_spec_seeded(
     cfg: &DriverConfig,
     seed: &SchedSeed,
 ) -> Result<LoopResult, SchedError> {
-    schedule_impl(ddg, machine, spec, popts, cfg, Some(seed))
+    schedule_impl(
+        ddg,
+        machine,
+        spec,
+        popts,
+        cfg,
+        Some(seed),
+        Cutoff::default(),
+    )
 }
 
+/// Both entry points, plus the early `cutoff` only the portfolio race
+/// imposes on its challengers.
 pub(crate) fn schedule_impl(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -258,6 +196,7 @@ pub(crate) fn schedule_impl(
     popts: &PartitionOptions,
     cfg: &DriverConfig,
     seed: Option<&SchedSeed>,
+    cutoff: Cutoff,
 ) -> Result<LoopResult, SchedError> {
     for kind in gpsched_machine::ResourceKind::ALL {
         if ddg.ops_using(kind) > 0 && machine.total_units(kind) == 0 {
@@ -297,7 +236,9 @@ pub(crate) fn schedule_impl(
     }
 
     let policies = spec.policies();
-    match pipeline::run(ddg, machine, popts, cfg, start_ii, initial, &policies) {
+    match pipeline::run_until(
+        ddg, machine, popts, cfg, start_ii, initial, &policies, cutoff,
+    ) {
         Ok(out) => Ok(base(
             out.schedule,
             ScheduledWith::Modulo {
@@ -322,7 +263,7 @@ mod tests {
     fn ipc_is_bounded_by_issue_width() {
         for ddg in kernels::all_kernels(1000) {
             let m = MachineConfig::unified(64);
-            let r = schedule_loop(&ddg, &m, Algorithm::Gp).unwrap();
+            let r = schedule_loop(&ddg, &m, AlgorithmSpec::GP).unwrap();
             assert!(r.ipc() <= 12.0, "{}: ipc {}", ddg.name(), r.ipc());
             assert!(r.ipc() > 0.0);
         }
@@ -334,9 +275,13 @@ mod tests {
         let mut better = 0usize;
         let mut total = 0usize;
         for ddg in kernels::all_kernels(1000) {
-            let u = schedule_loop(&ddg, &MachineConfig::unified(32), Algorithm::Gp).unwrap();
-            let c =
-                schedule_loop(&ddg, &MachineConfig::four_cluster(32, 1, 2), Algorithm::Gp).unwrap();
+            let u = schedule_loop(&ddg, &MachineConfig::unified(32), AlgorithmSpec::GP).unwrap();
+            let c = schedule_loop(
+                &ddg,
+                &MachineConfig::four_cluster(32, 1, 2),
+                AlgorithmSpec::GP,
+            )
+            .unwrap();
             total += 1;
             if u.ipc() >= c.ipc() - 1e-9 {
                 better += 1;
@@ -347,28 +292,25 @@ mod tests {
 
     #[test]
     fn algorithm_names() {
-        assert_eq!(Algorithm::Gp.name(), "GP");
-        assert_eq!(Algorithm::Uracam.name(), "URACAM");
-        assert_eq!(Algorithm::FixedPartition.name(), "Fixed");
-        assert_eq!(Algorithm::List.name(), "List");
-        assert_eq!(Algorithm::ALL.len(), 4);
-        assert_eq!(Algorithm::MODULO.len(), 3);
-        for a in Algorithm::ALL {
-            assert_eq!(Algorithm::parse(a.name()), Some(a), "{a:?} round-trips");
+        let names = AlgorithmSpec::PAPER.map(|a| a.name());
+        assert_eq!(names, ["URACAM", "Fixed", "GP", "List"]);
+        assert_eq!(AlgorithmSpec::MODULO.len(), 3);
+        for a in AlgorithmSpec::PAPER {
+            assert_eq!(AlgorithmSpec::parse(&a.name()), Ok(a), "{a} round-trips");
         }
-        assert_eq!(Algorithm::parse("nope"), None);
+        assert!(AlgorithmSpec::parse("nope").is_err());
     }
 
     #[test]
     fn list_algorithm_runs_iterations_back_to_back() {
         let ddg = kernels::daxpy(100);
         let m = MachineConfig::two_cluster(32, 1, 1);
-        let r = schedule_loop(&ddg, &m, Algorithm::List).unwrap();
+        let r = schedule_loop(&ddg, &m, AlgorithmSpec::LIST).unwrap();
         assert_eq!(r.method, ScheduledWith::List);
         // No pipelining: the II equals the schedule length.
         assert_eq!(r.schedule.ii(), r.schedule.length().max(1));
         // And modulo scheduling should beat it on a parallel kernel.
-        let gp = schedule_loop(&ddg, &m, Algorithm::Gp).unwrap();
+        let gp = schedule_loop(&ddg, &m, AlgorithmSpec::GP).unwrap();
         assert!(gp.ipc() >= r.ipc());
     }
 
@@ -381,35 +323,42 @@ mod tests {
         let cfg = DriverConfig::default();
         let mii = gpsched_ddg::mii::mii(&ddg, &m);
         let part = partition_ddg(&ddg, &m, mii, &popts);
-        for algo in Algorithm::ALL {
-            let seed = SchedSeed {
-                start_ii: mii,
-                partition: Some(part.clone()),
-            };
-            let a = schedule_loop_with(&ddg, &m, algo, &popts, &cfg).unwrap();
-            let b = schedule_loop_seeded(&ddg, &m, algo, &popts, &cfg, &seed).unwrap();
-            assert_eq!(a.schedule.ii(), b.schedule.ii(), "{algo:?}");
-            assert_eq!(a.schedule.length(), b.schedule.length(), "{algo:?}");
-            assert_eq!(a.cycles(), b.cycles(), "{algo:?}");
+        for algo in AlgorithmSpec::PAPER {
+            let a = schedule_loop(&ddg, &m, algo).unwrap();
+            for partition in [Some(part.clone()), None] {
+                let seed = SchedSeed {
+                    start_ii: mii,
+                    partition,
+                };
+                let b = schedule_loop_spec_seeded(&ddg, &m, algo, &popts, &cfg, &seed).unwrap();
+                assert_eq!(a.schedule.ii(), b.schedule.ii(), "{algo}");
+                assert_eq!(a.schedule.length(), b.schedule.length(), "{algo}");
+                assert_eq!(a.cycles(), b.cycles(), "{algo}");
+            }
         }
+    }
+
+    /// `spec` under a custom driver config, MII and partition left to the
+    /// scheduler.
+    fn with_cfg(
+        ddg: &Ddg,
+        m: &MachineConfig,
+        spec: AlgorithmSpec,
+        cfg: &DriverConfig,
+    ) -> LoopResult {
+        let seed = SchedSeed {
+            start_ii: gpsched_ddg::mii::mii(ddg, m),
+            partition: None,
+        };
+        schedule_loop_spec_seeded(ddg, m, spec, &PartitionOptions::default(), cfg, &seed).unwrap()
     }
 
     #[test]
     fn fallback_fires_with_tiny_cap() {
         let ddg = kernels::dot_product(50);
         let m = MachineConfig::two_cluster(32, 1, 1);
-        let cfg = DriverConfig {
-            ii_cap: Some(1),
-            ..DriverConfig::default()
-        };
-        let r = schedule_loop_with(
-            &ddg,
-            &m,
-            Algorithm::Uracam,
-            &PartitionOptions::default(),
-            &cfg,
-        )
-        .unwrap();
+        let cfg = DriverConfig { ii_cap: Some(1) };
+        let r = with_cfg(&ddg, &m, AlgorithmSpec::URACAM, &cfg);
         assert_eq!(r.method, ScheduledWith::ListFallback);
         assert!(r.ipc() > 0.0);
     }
@@ -418,17 +367,110 @@ mod tests {
     fn result_carries_partition_for_gp_and_fixed() {
         let ddg = kernels::daxpy(100);
         let m = MachineConfig::two_cluster(32, 1, 1);
-        assert!(schedule_loop(&ddg, &m, Algorithm::Gp)
-            .unwrap()
-            .partition
-            .is_some());
-        assert!(schedule_loop(&ddg, &m, Algorithm::FixedPartition)
-            .unwrap()
-            .partition
-            .is_some());
-        assert!(schedule_loop(&ddg, &m, Algorithm::Uracam)
-            .unwrap()
-            .partition
-            .is_none());
+        let partition = |spec| schedule_loop(&ddg, &m, spec).unwrap().partition;
+        assert!(partition(AlgorithmSpec::GP).is_some());
+        assert!(partition(AlgorithmSpec::FIXED).is_some());
+        assert!(partition(AlgorithmSpec::URACAM).is_none());
+    }
+
+    fn machines() -> Vec<MachineConfig> {
+        vec![
+            MachineConfig::unified(32),
+            MachineConfig::two_cluster(32, 1, 1),
+            MachineConfig::four_cluster(64, 1, 2),
+        ]
+    }
+
+    /// The modulo schedule of `spec`; panics if the list fallback fired.
+    fn modulo(ddg: &Ddg, m: &MachineConfig, spec: AlgorithmSpec) -> LoopResult {
+        let r = schedule_loop(ddg, m, spec).unwrap();
+        assert!(
+            matches!(r.method, ScheduledWith::Modulo { .. }),
+            "{spec} fell back on {}",
+            ddg.name()
+        );
+        r
+    }
+
+    #[test]
+    fn all_drivers_schedule_all_kernels() {
+        for ddg in kernels::all_kernels(100) {
+            for m in machines() {
+                for spec in AlgorithmSpec::MODULO {
+                    let s = modulo(&ddg, &m, spec).schedule;
+                    assert!(s.ii() >= gpsched_ddg::mii::mii(&ddg, &m), "{}", ddg.name());
+                    assert_eq!(s.placements().len(), ddg.op_count());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unified_machine_needs_no_transfers() {
+        let m = MachineConfig::unified(32);
+        for ddg in kernels::all_kernels(100) {
+            let s = modulo(&ddg, &m, AlgorithmSpec::URACAM).schedule;
+            assert!(s.transfers().is_empty(), "{}", ddg.name());
+        }
+    }
+
+    #[test]
+    fn dot_product_achieves_recurrence_bound() {
+        // On the unified machine the reduction's RecMII (3) is achievable.
+        let ddg = kernels::dot_product(1000);
+        let m = MachineConfig::unified(32);
+        assert_eq!(modulo(&ddg, &m, AlgorithmSpec::URACAM).schedule.ii(), 3);
+    }
+
+    #[test]
+    fn gp_matches_or_beats_fixed_on_kernels() {
+        // GP's escape hatch can only help (same partition otherwise).
+        let mut gp_wins = 0i32;
+        let mut fixed_wins = 0i32;
+        for ddg in kernels::all_kernels(500) {
+            let m = MachineConfig::four_cluster(32, 1, 1);
+            let fc = modulo(&ddg, &m, AlgorithmSpec::FIXED).schedule.cycles(500);
+            let gc = modulo(&ddg, &m, AlgorithmSpec::GP).schedule.cycles(500);
+            if gc < fc {
+                gp_wins += 1;
+            }
+            if fc < gc {
+                fixed_wins += 1;
+            }
+        }
+        assert!(gp_wins >= fixed_wins, "gp {gp_wins} vs fixed {fixed_wins}");
+    }
+
+    #[test]
+    fn schedules_respect_register_files() {
+        for ddg in kernels::all_kernels(200) {
+            let m = MachineConfig::four_cluster(32, 1, 1); // 8 regs/cluster
+            let g = modulo(&ddg, &m, AlgorithmSpec::GP);
+            for (c, &live) in g.schedule.max_live().iter().enumerate() {
+                assert!(
+                    live <= m.cluster(c).registers as i64,
+                    "{}: cluster {c} uses {live} regs",
+                    ddg.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ii_cap_error_reported() {
+        // An impossible cap forces the error path of the II ladder, which
+        // the entry points turn into the list fallback.
+        let ddg = kernels::dot_product(10);
+        let m = MachineConfig::two_cluster(32, 1, 1);
+        let cfg = DriverConfig {
+            ii_cap: Some(1), // below RecMII=3
+        };
+        let start = gpsched_ddg::mii::mii(&ddg, &m);
+        let policies = AlgorithmSpec::URACAM.policies();
+        let popts = PartitionOptions::default();
+        assert_eq!(
+            pipeline::run(&ddg, &m, &popts, &cfg, start, None, &policies).unwrap_err(),
+            SchedError::IiLimitExceeded { limit: 1 }
+        );
     }
 }

@@ -3,13 +3,13 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors surfaced by the scheduling drivers.
+/// Errors surfaced by the scheduler.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchedError {
     /// No valid modulo schedule was found at or below the II cap. The
     /// paper's framework falls back to list scheduling in this case
     /// (§4.1); [`crate::schedule_loop`] does so automatically, so callers
-    /// only see this from the low-level driver entry points.
+    /// only see this from [`crate::pipeline::run`].
     IiLimitExceeded {
         /// The II cap that was reached.
         limit: i64,
@@ -17,9 +17,9 @@ pub enum SchedError {
     /// The machine cannot execute the loop at all (e.g. a cluster mix with
     /// zero units of a required kind).
     Unschedulable(String),
-    /// A raced pipeline run was cut off early: the II ladder crossed the
-    /// caller-imposed cutoff ([`crate::drivers::DriverConfig::race_cutoff`]) or
-    /// exhausted its attempt budget before finding a schedule. Unlike
+    /// A raced portfolio candidate was cut off early: its II ladder crossed
+    /// the II at which it could still beat the incumbent, or exhausted its
+    /// attempt budget, before finding a schedule. Unlike
     /// [`Self::IiLimitExceeded`] this is *not* a scheduling failure — the
     /// caller (the portfolio race) asked to stop once the candidate could
     /// no longer win — so it must not trigger the list fallback.

@@ -16,12 +16,15 @@
 //!   engine loop plus the [`pipeline::cluster::ClusterPolicy`],
 //!   [`pipeline::order::OrderPolicy`], [`pipeline::growth::IiGrowthPolicy`]
 //!   and [`pipeline::spill::SpillPolicy`] axes the algorithms differ on;
-//! * [`drivers`] — the paper's schedulers (**GP**, **Fixed Partition**,
-//!   **URACAM**) as thin policy compositions, plus the list-scheduling
-//!   fallback for loops whose II explodes;
-//! * [`AlgorithmSpec`] — the open, string-parsable algorithm axis
-//!   (`gp`, `gp:norepart`, `uracam:greedy-merit`, …) that resolves any
-//!   variant to a pipeline [`pipeline::PolicySet`];
+//! * [`AlgorithmSpec`] — the algorithm axis: the paper's schedulers
+//!   ([`AlgorithmSpec::GP`], [`AlgorithmSpec::FIXED`],
+//!   [`AlgorithmSpec::URACAM`]), the [`AlgorithmSpec::LIST`] baseline and
+//!   their string-parsable variants (`gp:norepart`,
+//!   `uracam:greedy-merit`, …), each resolving to a pipeline
+//!   [`pipeline::PolicySet`];
+//! * [`schedule_loop`] and [`schedule_loop_spec_seeded`] — the two entry
+//!   points: run a spec, falling back to list scheduling for loops whose
+//!   II explodes;
 //! * [`portfolio`] — feature-guided spec selection: rank the fixed
 //!   catalog by cheap loop/machine features and race the top `k` with a
 //!   budget (`portfolio[:k][:budget]`), keeping the best schedule;
@@ -32,12 +35,12 @@
 //!
 //! ```
 //! use gpsched_machine::MachineConfig;
-//! use gpsched_sched::{schedule_loop, Algorithm};
+//! use gpsched_sched::{schedule_loop, AlgorithmSpec};
 //! use gpsched_workloads::kernels;
 //!
 //! let ddg = kernels::daxpy(1000);
 //! let machine = MachineConfig::two_cluster(32, 1, 1);
-//! let result = schedule_loop(&ddg, &machine, Algorithm::Gp).unwrap();
+//! let result = schedule_loop(&ddg, &machine, AlgorithmSpec::GP).unwrap();
 //! assert!(result.schedule.ii() >= 1);
 //! assert!(result.ipc() > 0.0);
 //! ```
@@ -46,7 +49,6 @@
 #![warn(missing_docs)]
 
 mod algo;
-pub mod drivers;
 mod error;
 pub mod lifetime;
 pub mod listsched;
@@ -60,9 +62,8 @@ mod spec;
 pub mod state;
 
 pub use algo::{
-    schedule_loop, schedule_loop_seeded, schedule_loop_spec, schedule_loop_spec_seeded,
-    schedule_loop_with, Algorithm, LoopResult, SchedSeed, ScheduledWith,
+    schedule_loop, schedule_loop_spec_seeded, DriverConfig, LoopResult, SchedSeed, ScheduledWith,
 };
 pub use error::SchedError;
 pub use schedule::Schedule;
-pub use spec::{AlgorithmSpec, BaseAlgorithm, SpecError};
+pub use spec::{AlgorithmSpec, SpecError};

@@ -20,7 +20,7 @@
 //! the winner — deterministic replay on bit-identical state reproduces
 //! the winning trial exactly.
 
-use crate::merit::Merit;
+use crate::merit::{Merit, DEFAULT_THRESHOLD};
 use crate::state::{PartialSchedule, Placement};
 use gpsched_ddg::OpId;
 use gpsched_partition::{Partition, PartitionResult};
@@ -36,8 +36,6 @@ pub struct PlaceCtx<'c> {
     pub partition: Option<&'c Partition>,
     /// Number of clusters of the machine.
     pub nclusters: usize,
-    /// Figure-of-merit comparison threshold (§3.3.1).
-    pub merit_threshold: f64,
 }
 
 /// Chooses the cluster of every placement and governs the partition's
@@ -162,15 +160,14 @@ fn trial_merit(
 
 /// Evaluates the candidate clusters and commits the merit-best feasible
 /// one (trial → rollback per candidate, then a deterministic replay of
-/// the winner). Trials fill one reused figure, swapped with the best so
-/// far when it wins.
+/// the winner), comparing figures at the §3.3.1 threshold. Trials fill
+/// one reused figure, swapped with the best so far when it wins.
 pub(crate) fn pick_by_merit(
     ps: &mut PartialSchedule<'_>,
     op: OpId,
     times: &[i64],
     clusters: impl Iterator<Item = usize>,
     nclusters: usize,
-    threshold: f64,
 ) -> Option<Placement> {
     let base = MeritBase::capture(ps, nclusters);
     let mut cur = Merit::new(Vec::with_capacity(2 * nclusters + 1));
@@ -178,7 +175,7 @@ pub(crate) fn pick_by_merit(
     let mut best_pl: Option<Placement> = None;
     for c in clusters {
         if let Some(pl) = trial_merit(ps, op, c, times, &base, &mut cur) {
-            if best_pl.is_none() || cur.better_than(&best, threshold) {
+            if best_pl.is_none() || cur.better_than(&best, DEFAULT_THRESHOLD) {
                 std::mem::swap(&mut cur, &mut best);
                 best_pl = Some(pl);
             }
@@ -205,14 +202,7 @@ impl ClusterPolicy for MeritAllClusters {
     }
 
     fn place(&self, ps: &mut PartialSchedule<'_>, ctx: &PlaceCtx<'_>) -> Option<Placement> {
-        pick_by_merit(
-            ps,
-            ctx.op,
-            ctx.times,
-            0..ctx.nclusters,
-            ctx.nclusters,
-            ctx.merit_threshold,
-        )
+        pick_by_merit(ps, ctx.op, ctx.times, 0..ctx.nclusters, ctx.nclusters)
     }
 }
 
@@ -296,7 +286,6 @@ impl ClusterPolicy for PartitionFirst {
                 ctx.times,
                 (0..ctx.nclusters).filter(|&c| c != home),
                 ctx.nclusters,
-                ctx.merit_threshold,
             ),
             None => (0..ctx.nclusters)
                 .filter(|&c| c != home)

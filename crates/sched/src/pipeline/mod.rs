@@ -14,10 +14,9 @@
 //! * [`spill::SpillPolicy`] — whether/what to spill on register overflow.
 //!
 //! [`run`] is the driver loop every algorithm (and every
-//! [`crate::AlgorithmSpec`] variant) executes. The four legacy drivers in
-//! [`crate::drivers`] are thin compositions over this module, pinned
-//! byte-identical to the pre-pipeline monoliths by the engine's golden
-//! record test.
+//! [`crate::AlgorithmSpec`] variant) executes: one attempt per II rung,
+//! climbed in order. The engine's golden record test pins its schedules
+//! byte-identical to the pre-pipeline monolithic drivers.
 //!
 //! Policies are dispatched through `dyn` references. The dispatch sits
 //! outside the hot placement loops (one virtual call per op placement and
@@ -31,7 +30,7 @@ pub mod growth;
 pub mod order;
 pub mod spill;
 
-use crate::drivers::DriverConfig;
+use crate::algo::{cap_for, DriverConfig};
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::state::PartialSchedule;
@@ -184,13 +183,11 @@ fn window_into(
 /// (DESIGN.md §6.6). The second scan therefore starts at that op, on a
 /// replay of the tight scan's committed prefix, and does not run at all
 /// when the tight scan failed before reaching such an op.
-#[allow(clippy::too_many_arguments)]
 fn attempt<'a>(
     ddg: &'a Ddg,
     machine: &'a MachineConfig,
     ii: i64,
     partition: Option<&PartitionResult>,
-    cfg: &DriverConfig,
     policies: &'a PolicySet,
     ws: &mut TimingWorkspace,
     ocache: &mut order::OrderCache,
@@ -204,7 +201,7 @@ fn attempt<'a>(
         policies.order.order(ddg, t, ocache)
     };
     debug_assert_eq!(order.len(), ddg.op_count(), "order must cover the loop");
-    let rung = Rung::new(ddg, machine, ii, partition, cfg, policies, t, &order);
+    let rung = Rung::new(ddg, machine, ii, partition, policies, t, &order);
     let fresh = || PartialSchedule::with_spill_policy(ddg, machine, ii, policies.spill.as_ref());
     let mut tight = fresh();
     let diverged = {
@@ -236,17 +233,14 @@ struct Rung<'r> {
     partition: Option<&'r Partition>,
     cluster: &'r dyn ClusterPolicy,
     nclusters: usize,
-    merit_threshold: f64,
 }
 
 impl<'r> Rung<'r> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         ddg: &'r Ddg,
         machine: &MachineConfig,
         ii: i64,
         partition: Option<&'r PartitionResult>,
-        cfg: &DriverConfig,
         policies: &'r PolicySet,
         t: &'r Timing,
         order: &'r [OpId],
@@ -259,7 +253,6 @@ impl<'r> Rung<'r> {
             partition: partition.map(|p| &p.partition),
             cluster: policies.cluster.as_ref(),
             nclusters: machine.cluster_count(),
-            merit_threshold: cfg.merit_threshold,
         }
     }
 
@@ -289,7 +282,6 @@ impl<'r> Rung<'r> {
                 times: &times,
                 partition: self.partition,
                 nclusters: self.nclusters,
-                merit_threshold: self.merit_threshold,
             };
             if self.cluster.place(ps, &ctx).is_none() {
                 return Err(diverged);
@@ -299,93 +291,20 @@ impl<'r> Rung<'r> {
     }
 }
 
-/// The ladder segment one driver round will probe: starts at `ii` after
-/// `failures` prior failures, grows by the II growth policy, and stops at
-/// `width` rungs, at the II cap, and at the re-partitioning boundary (the
-/// partition in force changes there, so rungs beyond it would not replay
-/// what the sequential loop does).
-fn segment(
-    ii: i64,
-    failures: usize,
-    width: usize,
-    cap: i64,
-    part: Option<&PartitionResult>,
-    policies: &PolicySet,
-) -> Vec<i64> {
-    let mut batch = vec![ii];
-    let (mut rung, mut fails) = (ii, failures);
-    while batch.len() < width {
-        let next = policies.growth.next_ii(rung, fails);
-        if next > cap || part.is_some_and(|p| policies.cluster.wants_repartition(p, next)) {
-            break;
-        }
-        batch.push(next);
-        rung = next;
-        fails += 1;
-    }
-    batch
+/// An early stop the portfolio race imposes on a challenger that can no
+/// longer win. It never changes *which* schedule a run that completes
+/// returns; it only turns runs that could not win into cheap
+/// [`SchedError::RaceCutoff`] errors.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Cutoff {
+    /// Largest II to try, when below the II cap.
+    pub(crate) ii: Option<i64>,
+    /// Maximum number of failed II rungs.
+    pub(crate) attempts: Option<usize>,
 }
 
-/// One attempt per II of `batch`, raced on scoped threads when the batch
-/// has more than one rung, results in ladder order. Attempts are pure
-/// functions of their inputs, so the reduction — first feasible II in
-/// ladder order wins — returns exactly what sequential probing would.
-#[allow(clippy::too_many_arguments)]
-fn attempt_batch<'a>(
-    ddg: &'a Ddg,
-    machine: &'a MachineConfig,
-    batch: &[i64],
-    partition: Option<&PartitionResult>,
-    cfg: &DriverConfig,
-    policies: &'a PolicySet,
-    ws: &mut TimingWorkspace,
-    ocache: &mut order::OrderCache,
-) -> Vec<Option<PartialSchedule<'a>>> {
-    if batch.len() == 1 {
-        return vec![attempt(
-            ddg, machine, batch[0], partition, cfg, policies, ws, ocache,
-        )];
-    }
-    let width = batch.len();
-    let _span = gpsched_trace::span!("sched.ii_race", "width={width}");
-    gpsched_trace::counter!("sched.ii_race_batches");
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = batch[1..]
-            .iter()
-            .map(|&ii| {
-                scope.spawn(move || {
-                    let mut ws = TimingWorkspace::new();
-                    let mut ocache = order::OrderCache::default();
-                    attempt(
-                        ddg,
-                        machine,
-                        ii,
-                        partition,
-                        cfg,
-                        policies,
-                        &mut ws,
-                        &mut ocache,
-                    )
-                })
-            })
-            .collect();
-        // The lowest rung runs on this thread with the caller's warm
-        // workspace.
-        let mut out = Vec::with_capacity(width);
-        out.push(attempt(
-            ddg, machine, batch[0], partition, cfg, policies, ws, ocache,
-        ));
-        out.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("raced attempt panicked")),
-        );
-        out
-    })
-}
-
-/// Runs one loop through the pipeline: repeated attempts with rising II,
-/// partition lifecycle per the cluster policy.
+/// Runs one loop through the pipeline: one attempt per II, rising by the
+/// growth policy, partition lifecycle per the cluster policy.
 ///
 /// `start_ii` is the first II to try (the loop's MII, or a memo-cached
 /// value); `initial` seeds the partition for partition-driven policies
@@ -394,10 +313,7 @@ fn attempt_batch<'a>(
 ///
 /// # Errors
 ///
-/// [`SchedError::IiLimitExceeded`] when the II cap is reached;
-/// [`SchedError::RaceCutoff`] when a caller-imposed early cutoff
-/// ([`DriverConfig::race_cutoff`] / [`DriverConfig::attempt_budget`])
-/// stops the ladder first.
+/// [`SchedError::IiLimitExceeded`] when the II cap is reached.
 pub fn run(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -407,12 +323,29 @@ pub fn run(
     initial: Option<PartitionResult>,
     policies: &PolicySet,
 ) -> Result<PipelineOutcome, SchedError> {
-    let cap = crate::drivers::cap_for(start_ii, cfg);
-    // The effective ladder top: the II cap, tightened by the portfolio
-    // race's early cutoff when one is set. Crossing `limit` before `cap`
-    // is a cutoff, not a scheduling failure — the distinction keeps the
-    // list fallback reserved for genuine failures.
-    let limit = cfg.race_cutoff.map_or(cap, |c| c.min(cap));
+    let none = Cutoff::default();
+    run_until(ddg, machine, popts, cfg, start_ii, initial, policies, none)
+}
+
+/// [`run`], stopped early with [`SchedError::RaceCutoff`] once `cutoff`
+/// says the run cannot win.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_until(
+    ddg: &Ddg,
+    machine: &MachineConfig,
+    popts: &PartitionOptions,
+    cfg: &DriverConfig,
+    start_ii: i64,
+    initial: Option<PartitionResult>,
+    policies: &PolicySet,
+    cutoff: Cutoff,
+) -> Result<PipelineOutcome, SchedError> {
+    let cap = cap_for(start_ii, cfg);
+    // The effective ladder top: the II cap, tightened by the cutoff.
+    // Crossing `limit` before `cap` is a cutoff, not a scheduling failure
+    // — the distinction keeps the list fallback reserved for genuine
+    // failures.
+    let limit = cutoff.ii.map_or(cap, |c| c.min(cap));
     let mut ws = TimingWorkspace::new();
     let mut ocache = order::OrderCache::default();
     // One incremental evaluator serves every re-partitioning call of this
@@ -431,46 +364,30 @@ pub fn run(
     let mut ii = start_ii;
     let mut failures = 0usize;
     while ii <= limit {
-        if cfg.attempt_budget.is_some_and(|b| failures >= b) {
+        if cutoff.attempts.is_some_and(|b| failures >= b) {
             return Err(SchedError::RaceCutoff { limit: ii });
         }
-        // The first probe runs alone — it usually succeeds at the MII and
-        // racing it would only burn speculative work. Once a failure
-        // proves the ladder will be climbed, later rounds race
-        // `race_width` rungs of the current segment at once.
-        let width = if failures == 0 {
-            1
-        } else {
-            cfg.race_width.max(1)
-        };
-        let batch = segment(ii, failures, width, limit, part.as_ref(), policies);
-        let results = attempt_batch(
+        let found = attempt(
             ddg,
             machine,
-            &batch,
+            ii,
             part.as_ref(),
-            cfg,
             policies,
             &mut ws,
             &mut ocache,
         );
-        for (k, r) in results.into_iter().enumerate() {
-            if let Some(ps) = r {
-                return Ok(PipelineOutcome {
-                    schedule: Schedule::from_partial(ddg, machine, &ps),
-                    partition: part,
-                    repartitions,
-                });
-            }
-            // Bookkeeping identical to the sequential loop: one growth
-            // step per failed rung. Speculative rungs above a winner are
-            // never reached — the loop returned first.
-            let next = policies.growth.next_ii(batch[k], failures);
-            debug_assert!(next > batch[k], "II growth must make progress");
-            gpsched_trace::counter!("sched.ii_growth");
-            ii = next;
-            failures += 1;
+        if let Some(ps) = found {
+            return Ok(PipelineOutcome {
+                schedule: Schedule::from_partial(ddg, machine, &ps),
+                partition: part,
+                repartitions,
+            });
         }
+        let next = policies.growth.next_ii(ii, failures);
+        debug_assert!(next > ii, "II growth must make progress");
+        gpsched_trace::counter!("sched.ii_growth");
+        ii = next;
+        failures += 1;
         if let Some(p) = &part {
             if policies.cluster.wants_repartition(p, ii) {
                 let _span = gpsched_trace::span!("sched.cluster.repartition", "ii={ii}");
@@ -508,7 +425,7 @@ mod tests {
         let popts = PartitionOptions::default();
         for ddg in kernels::all_kernels(200) {
             let m = MachineConfig::two_cluster(32, 1, 1);
-            let direct = crate::drivers::uracam(&ddg, &m, &cfg).unwrap();
+            let direct = crate::schedule_loop(&ddg, &m, crate::AlgorithmSpec::URACAM).unwrap();
             let start = gpsched_ddg::mii::mii(&ddg, &m);
             let piped = run(
                 &ddg,
@@ -520,63 +437,11 @@ mod tests {
                 &policies(Box::new(MeritAllClusters)),
             )
             .unwrap();
-            assert_eq!(direct.ii(), piped.schedule.ii(), "{}", ddg.name());
-            assert_eq!(direct.length(), piped.schedule.length(), "{}", ddg.name());
-            assert!(piped.partition.is_none());
+            assert_eq!(direct.schedule.ii(), piped.schedule.ii(), "{}", ddg.name());
+            let (a, b) = (direct.schedule.length(), piped.schedule.length());
+            assert_eq!(a, b, "{}", ddg.name());
+            assert!(direct.partition.is_none() && piped.partition.is_none());
         }
-    }
-
-    #[test]
-    fn raced_attempts_match_sequential() {
-        // Racing is pure speculation: for every kernel × machine the raced
-        // ladder must return the sequential loop's schedule exactly —
-        // same II, same placements, same repartition count.
-        let popts = PartitionOptions::default();
-        let mut grew = false;
-        for ddg in kernels::all_kernels(200) {
-            for m in [
-                MachineConfig::two_cluster(32, 1, 1),
-                MachineConfig::four_cluster(32, 1, 2),
-            ] {
-                let start = gpsched_ddg::mii::mii(&ddg, &m);
-                let outcome = |width: usize| {
-                    let cfg = DriverConfig {
-                        race_width: width,
-                        ..DriverConfig::default()
-                    };
-                    run(
-                        &ddg,
-                        &m,
-                        &popts,
-                        &cfg,
-                        start,
-                        None,
-                        &policies(Box::new(PartitionFirst::default())),
-                    )
-                    .unwrap()
-                };
-                let seq = outcome(1);
-                let raced = outcome(4);
-                grew |= seq.schedule.ii() > start;
-                assert_eq!(seq.schedule.ii(), raced.schedule.ii(), "{}", ddg.name());
-                assert_eq!(
-                    seq.schedule.length(),
-                    raced.schedule.length(),
-                    "{}",
-                    ddg.name()
-                );
-                assert_eq!(
-                    seq.schedule.placements(),
-                    raced.schedule.placements(),
-                    "{}",
-                    ddg.name()
-                );
-                assert_eq!(seq.repartitions, raced.repartitions, "{}", ddg.name());
-            }
-        }
-        // At least one pair must actually climb the ladder, or the racing
-        // path was never exercised.
-        assert!(grew, "no kernel grew its II — racing untested");
     }
 
     #[test]
@@ -671,21 +536,11 @@ mod tests {
                     let mut ws = TimingWorkspace::new();
                     let mut ocache = order::OrderCache::default();
                     let (mut ii, mut failures) = (start, 0);
-                    while ii <= crate::drivers::cap_for(start, &cfg) {
-                        let got = attempt(
-                            ddg,
-                            m,
-                            ii,
-                            Some(&part),
-                            &cfg,
-                            &policies,
-                            &mut ws,
-                            &mut ocache,
-                        );
+                    while ii <= cap_for(start, &cfg) {
+                        let got = attempt(ddg, m, ii, Some(&part), &policies, &mut ws, &mut ocache);
                         let want = ws.analyze(ddg, ii, |_| 0).and_then(|t| {
                             let order = policies.order.order(ddg, t, &mut ocache);
-                            let rung =
-                                Rung::new(ddg, m, ii, Some(&part), &cfg, &policies, t, &order);
+                            let rung = Rung::new(ddg, m, ii, Some(&part), &policies, t, &order);
                             let full = |mode| {
                                 let spill = policies.spill.as_ref();
                                 let mut ps = PartialSchedule::with_spill_policy(ddg, m, ii, spill);
@@ -736,7 +591,7 @@ mod tests {
         let popts = PartitionOptions::default();
         for ddg in kernels::all_kernels(200) {
             let m = MachineConfig::four_cluster(32, 1, 2);
-            let direct = crate::drivers::gp(&ddg, &m, &popts, &cfg).unwrap();
+            let direct = crate::schedule_loop(&ddg, &m, crate::AlgorithmSpec::GP).unwrap();
             let start = gpsched_ddg::mii::mii(&ddg, &m);
             let piped = run(
                 &ddg,
@@ -749,8 +604,17 @@ mod tests {
             )
             .unwrap();
             assert_eq!(direct.schedule.ii(), piped.schedule.ii(), "{}", ddg.name());
-            assert_eq!(direct.repartitions, piped.repartitions, "{}", ddg.name());
-            assert!(piped.partition.is_some());
+            let repartitions = match direct.method {
+                crate::ScheduledWith::Modulo { repartitions } => repartitions,
+                other => panic!("{}: GP fell back ({other:?})", ddg.name()),
+            };
+            assert_eq!(repartitions, piped.repartitions, "{}", ddg.name());
+            assert_eq!(
+                direct.partition.as_ref(),
+                piped.partition.as_ref().map(|p| &p.partition),
+                "{}",
+                ddg.name()
+            );
         }
     }
 }

@@ -21,10 +21,9 @@
 //!    becomes the incumbent; every later challenger is first screened by
 //!    the closed-form lower bound `(niter−1)·MII + max_path₀` (the same
 //!    bound `CostEvaluator` prunes partitions with) and, if it survives,
-//!    runs with [`DriverConfig::race_cutoff`] set to the largest II at
-//!    which it could still beat the incumbent plus an attempt budget —
-//!    doomed II ladders abort with [`SchedError::RaceCutoff`] instead of
-//!    climbing to the cap. A plain list schedule is compared last, so the
+//!    runs under a cutoff — the largest II at which it could still beat
+//!    the incumbent, plus an attempt budget — so doomed II ladders abort
+//!    with [`SchedError::RaceCutoff`] instead of climbing to the cap. A plain list schedule is compared last, so the
 //!    portfolio never loses to the non-pipelined baseline.
 //!
 //! Racing sequentially makes determinism trivial: the outcome is a pure
@@ -34,11 +33,11 @@
 //! it never alters a run that succeeds). The engine's winner memo and the
 //! sequential-equivalence argument in DESIGN.md §12 both lean on that.
 
-use crate::algo::{schedule_impl, LoopResult};
-use crate::drivers::DriverConfig;
+use crate::algo::{schedule_impl, DriverConfig, LoopResult};
 use crate::error::SchedError;
 use crate::lifetime::PressureTable;
-use crate::spec::{AlgorithmSpec, BaseAlgorithm};
+use crate::pipeline::Cutoff;
+use crate::spec::AlgorithmSpec;
 use crate::SchedSeed;
 use gpsched_ddg::timing::TimingWorkspace;
 use gpsched_ddg::{Ddg, DepKind};
@@ -312,8 +311,8 @@ pub(crate) fn race(
 
     let mut best: Option<(AlgorithmSpec, LoopResult)> = None;
     for cand in ranked.into_iter().take(k.max(1)) {
-        let cand_cfg = match &best {
-            None => *cfg, // the leader runs unconstrained, fallback included
+        let cutoff = match &best {
+            None => Cutoff::default(), // the leader runs unconstrained, fallback included
             Some((_, inc)) => {
                 let inc_cycles = inc.cycles();
                 // Closed-form screen: even at the MII the challenger's
@@ -333,16 +332,15 @@ pub(crate) fn race(
                 } else {
                     None // single-trip cycles don't scale with II
                 };
-                DriverConfig {
-                    race_cutoff: cutoff,
-                    attempt_budget: Some(budget),
-                    ..*cfg
+                Cutoff {
+                    ii: cutoff,
+                    attempts: Some(budget),
                 }
             }
         };
         let result = {
             let _span = gpsched_trace::span!("portfolio.race", "cand={cand}");
-            schedule_impl(ddg, machine, cand, popts, &cand_cfg, Some(&seed))
+            schedule_impl(ddg, machine, cand, popts, cfg, Some(&seed), cutoff)
         };
         match result {
             Ok(r) => match &best {
@@ -359,8 +357,9 @@ pub(crate) fn race(
     // The non-pipelined floor: a portfolio answer never loses to plain
     // list scheduling (the fixed specs guarantee this per spec via their
     // fallback; the portfolio guarantees it across the pool).
-    let list = AlgorithmSpec::bare(BaseAlgorithm::List);
-    let list_result = schedule_impl(ddg, machine, list, popts, cfg, Some(&seed))?;
+    let list = AlgorithmSpec::LIST;
+    let none = Cutoff::default();
+    let list_result = schedule_impl(ddg, machine, list, popts, cfg, Some(&seed), none)?;
     let (selected, mut winner) = match best {
         Some((s, r)) if key(&r) <= key(&list_result) => (s, r),
         _ => (list, list_result),
@@ -372,7 +371,7 @@ pub(crate) fn race(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule_loop_spec;
+    use crate::schedule_loop;
     use gpsched_workloads::kernels;
 
     fn machines() -> Vec<MachineConfig> {
@@ -458,10 +457,10 @@ mod tests {
     fn portfolio_winner_is_reproducible_from_the_selected_spec() {
         for ddg in kernels::all_kernels(300) {
             for m in machines() {
-                let p = schedule_loop_spec(&ddg, &m, AlgorithmSpec::PORTFOLIO).unwrap();
+                let p = schedule_loop(&ddg, &m, AlgorithmSpec::PORTFOLIO).unwrap();
                 let sel = p.selected.expect("portfolio must record its winner");
                 assert!(!sel.is_portfolio());
-                let direct = schedule_loop_spec(&ddg, &m, sel).unwrap();
+                let direct = schedule_loop(&ddg, &m, sel).unwrap();
                 assert_eq!(p.cycles(), direct.cycles(), "{}: {sel}", ddg.name());
                 assert_eq!(p.schedule.ii(), direct.schedule.ii(), "{}", ddg.name());
                 assert_eq!(
@@ -478,9 +477,8 @@ mod tests {
     fn portfolio_never_loses_to_any_raced_candidate_or_list() {
         for ddg in kernels::all_kernels(300) {
             let m = MachineConfig::four_cluster(32, 1, 1);
-            let p = schedule_loop_spec(&ddg, &m, AlgorithmSpec::PORTFOLIO).unwrap();
-            let list =
-                schedule_loop_spec(&ddg, &m, AlgorithmSpec::bare(BaseAlgorithm::List)).unwrap();
+            let p = schedule_loop(&ddg, &m, AlgorithmSpec::PORTFOLIO).unwrap();
+            let list = schedule_loop(&ddg, &m, AlgorithmSpec::LIST).unwrap();
             assert!(
                 p.cycles() <= list.cycles(),
                 "{}: portfolio {} vs list {}",
@@ -494,7 +492,7 @@ mod tests {
                 gpsched_partition::partition_ddg(&ddg, &m, start, &PartitionOptions::default());
             let f = extract_features(&ddg, &m, Some(&part), start);
             for cand in rank(&f).into_iter().take(3) {
-                let c = schedule_loop_spec(&ddg, &m, cand).unwrap();
+                let c = schedule_loop(&ddg, &m, cand).unwrap();
                 assert!(
                     p.cycles() <= c.cycles(),
                     "{}: portfolio {} lost to raced {cand} {}",

@@ -13,9 +13,10 @@
 //! portfolio := "portfolio" (":" k (":" budget)?)?
 //! ```
 //!
-//! Bare bases are exactly the paper's algorithms and keep their legacy
-//! display names (`URACAM`, `Fixed`, `GP`, `List`), so existing records
-//! and figures are unchanged. Modifiers compose where they make sense:
+//! Bare bases are exactly the paper's algorithms ([`AlgorithmSpec::URACAM`],
+//! [`AlgorithmSpec::FIXED`], [`AlgorithmSpec::GP`], [`AlgorithmSpec::LIST`])
+//! and display under the paper's names (`URACAM`, `Fixed`, `GP`, `List`).
+//! Modifiers compose where they make sense:
 //!
 //! * `gp:norepart` — GP without selective re-partitioning; isolates the
 //!   paper's §3.1 re-partitioning contribution.
@@ -35,7 +36,6 @@
 //! attempts per raced challenger (default 16), keep the best schedule.
 //! See [`crate::portfolio`].
 
-use crate::algo::Algorithm;
 use crate::pipeline::cluster::{
     GreedyFirstFit, MeritAllClusters, PartitionFirst, PartitionOnly, RepartitionRule,
 };
@@ -49,7 +49,7 @@ use std::str::FromStr;
 
 /// The base algorithm family of a spec.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BaseAlgorithm {
+pub(crate) enum BaseAlgorithm {
     /// Integrated scheduling, every node tries every cluster.
     Uracam,
     /// Follow the partition exactly.
@@ -105,9 +105,10 @@ impl Error for SpecError {}
 
 /// One algorithm variant: a base family plus policy modifiers.
 ///
-/// Construct by [parsing](Self::parse) the textual syntax or converting a
-/// legacy [`Algorithm`]. The value is `Copy` and hashable, so job specs
-/// and memo keys can carry it directly.
+/// Construct by [parsing](Self::parse) the textual syntax or naming one of
+/// the consts ([`Self::GP`], [`Self::PAPER`], [`Self::CATALOG`], …). The
+/// value is `Copy` and hashable, so job specs and memo keys can carry it
+/// directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct AlgorithmSpec {
     base: BaseAlgorithm,
@@ -130,7 +131,7 @@ impl AlgorithmSpec {
     pub const PORTFOLIO_DEFAULT_BUDGET: u8 = 16;
 
     /// The bare spec of a base family (no modifiers).
-    pub const fn bare(base: BaseAlgorithm) -> Self {
+    pub(crate) const fn bare(base: BaseAlgorithm) -> Self {
         AlgorithmSpec {
             base,
             greedy_merit: false,
@@ -142,17 +143,50 @@ impl AlgorithmSpec {
         }
     }
 
+    /// The URACAM baseline: every node tries every cluster and the figure
+    /// of merit picks (`uracam`).
+    pub const URACAM: AlgorithmSpec = AlgorithmSpec::bare(BaseAlgorithm::Uracam);
+
+    /// GP variant (a), Fixed Partition: follow the partition exactly
+    /// (`fixed`).
+    pub const FIXED: AlgorithmSpec = AlgorithmSpec::bare(BaseAlgorithm::FixedPartition);
+
+    /// The proposed GP scheme: partition first, merit escape, selective
+    /// re-partitioning (`gp`).
+    pub const GP: AlgorithmSpec = AlgorithmSpec::bare(BaseAlgorithm::Gp);
+
+    /// Plain acyclic list scheduling, iterations back to back (`list`) —
+    /// the paper's fallback promoted to a comparator.
+    pub const LIST: AlgorithmSpec = AlgorithmSpec::bare(BaseAlgorithm::List);
+
+    /// The paper's algorithms in presentation order, then the list
+    /// baseline (`--algos all`).
+    pub const PAPER: [AlgorithmSpec; 4] = [
+        AlgorithmSpec::URACAM,
+        AlgorithmSpec::FIXED,
+        AlgorithmSpec::GP,
+        AlgorithmSpec::LIST,
+    ];
+
+    /// The three modulo schedulers of the paper's figures (`--algos
+    /// modulo`).
+    pub const MODULO: [AlgorithmSpec; 3] = [
+        AlgorithmSpec::URACAM,
+        AlgorithmSpec::FIXED,
+        AlgorithmSpec::GP,
+    ];
+
     /// GP without selective re-partitioning (`gp:norepart`).
     pub const GP_NOREPART: AlgorithmSpec = AlgorithmSpec {
         norepart: true,
-        ..AlgorithmSpec::bare(BaseAlgorithm::Gp)
+        ..AlgorithmSpec::GP
     };
 
     /// URACAM with greedy first-feasible cluster selection
     /// (`uracam:greedy-merit`).
     pub const URACAM_GREEDY: AlgorithmSpec = AlgorithmSpec {
         greedy_merit: true,
-        ..AlgorithmSpec::bare(BaseAlgorithm::Uracam)
+        ..AlgorithmSpec::URACAM
     };
 
     /// The portfolio meta-spec with default width and budget
@@ -163,26 +197,21 @@ impl AlgorithmSpec {
     /// bundled variant, in presentation order. Sweep shortcuts (`--algos
     /// extended`) and the variant property tests iterate this.
     pub const CATALOG: [AlgorithmSpec; 8] = [
-        AlgorithmSpec::bare(BaseAlgorithm::Uracam),
-        AlgorithmSpec::bare(BaseAlgorithm::FixedPartition),
-        AlgorithmSpec::bare(BaseAlgorithm::Gp),
-        AlgorithmSpec::bare(BaseAlgorithm::List),
+        AlgorithmSpec::URACAM,
+        AlgorithmSpec::FIXED,
+        AlgorithmSpec::GP,
+        AlgorithmSpec::LIST,
         AlgorithmSpec::GP_NOREPART,
         AlgorithmSpec::URACAM_GREEDY,
         AlgorithmSpec {
             linear_ii: true,
-            ..AlgorithmSpec::bare(BaseAlgorithm::Gp)
+            ..AlgorithmSpec::GP
         },
         AlgorithmSpec {
             nospill: true,
-            ..AlgorithmSpec::bare(BaseAlgorithm::Gp)
+            ..AlgorithmSpec::GP
         },
     ];
-
-    /// The base family.
-    pub fn base(&self) -> BaseAlgorithm {
-        self.base
-    }
 
     /// Whether this is the non-pipelined list baseline.
     pub fn is_list(&self) -> bool {
@@ -202,12 +231,6 @@ impl AlgorithmSpec {
             self.base,
             BaseAlgorithm::FixedPartition | BaseAlgorithm::Gp | BaseAlgorithm::Portfolio
         )
-    }
-
-    /// Whether this spec is exactly a paper algorithm (no modifiers).
-    pub fn is_legacy(&self) -> bool {
-        self.base != BaseAlgorithm::Portfolio
-            && !(self.greedy_merit || self.norepart || self.linear_ii || self.nospill)
     }
 
     /// Portfolio race width: how many ranked candidates race per unit.
@@ -329,24 +352,39 @@ impl AlgorithmSpec {
         Ok(spec)
     }
 
-    /// Portfolio parameter suffix (`:k[:budget]`), empty when both are
-    /// default. Positional, so a non-default budget forces `k` out too.
-    fn portfolio_suffix(&self) -> String {
-        if self.budget != 0 {
-            format!(":{}:{}", self.portfolio_k(), self.budget)
-        } else if self.k != 0 {
-            format!(":{}", self.k)
-        } else {
-            String::new()
+    /// Parses an algorithm selection: one of the shortcuts `all`
+    /// ([`Self::PAPER`]), `modulo` ([`Self::MODULO`]) and `extended`
+    /// ([`Self::CATALOG`]), or a comma-separated list of specs (empty
+    /// items are skipped).
+    ///
+    /// # Errors
+    ///
+    /// The [`SpecError`] of the first spec that does not [parse](Self::parse).
+    pub fn parse_list(s: &str) -> Result<Vec<AlgorithmSpec>, SpecError> {
+        match s.trim() {
+            "all" => Ok(Self::PAPER.to_vec()),
+            "modulo" => Ok(Self::MODULO.to_vec()),
+            "extended" => Ok(Self::CATALOG.to_vec()),
+            list => list
+                .split(',')
+                .map(str::trim)
+                .filter(|name| !name.is_empty())
+                .map(Self::parse)
+                .collect(),
         }
     }
 
-    /// The canonical spec string (`gp:norepart`, …). Parsing it yields
-    /// `self` back.
-    pub fn spec_string(&self) -> String {
-        let mut out = String::from(self.base.spec_token());
+    /// `head` followed by the portfolio parameters (`:k[:budget]`,
+    /// positional, so a non-default budget forces `k` out too) or the set
+    /// modifiers in canonical order.
+    fn with_suffix(&self, head: &str) -> String {
+        let mut out = String::from(head);
         if self.is_portfolio() {
-            out.push_str(&self.portfolio_suffix());
+            if self.budget != 0 {
+                out.push_str(&format!(":{}:{}", self.portfolio_k(), self.budget));
+            } else if self.k != 0 {
+                out.push_str(&format!(":{}", self.k));
+            }
             return out;
         }
         for (on, tok) in [
@@ -361,29 +399,19 @@ impl AlgorithmSpec {
             }
         }
         out
+    }
+
+    /// The canonical spec string (`gp:norepart`, …). Parsing it yields
+    /// `self` back.
+    pub fn spec_string(&self) -> String {
+        self.with_suffix(self.base.spec_token())
     }
 
     /// Display name used in records, tables and figures. Bare specs keep
     /// the paper names (`GP`, `URACAM`, …); variants append their
     /// modifiers (`GP:norepart`).
     pub fn name(&self) -> String {
-        let mut out = String::from(self.base.display());
-        if self.is_portfolio() {
-            out.push_str(&self.portfolio_suffix());
-            return out;
-        }
-        for (on, tok) in [
-            (self.greedy_merit, "greedy-merit"),
-            (self.norepart, "norepart"),
-            (self.linear_ii, "linear-ii"),
-            (self.nospill, "nospill"),
-        ] {
-            if on {
-                out.push(':');
-                out.push_str(tok);
-            }
-        }
-        out
+        self.with_suffix(self.base.display())
     }
 
     /// Resolves the spec into the pipeline policies it composes.
@@ -442,17 +470,6 @@ impl fmt::Display for AlgorithmSpec {
     }
 }
 
-impl From<Algorithm> for AlgorithmSpec {
-    fn from(a: Algorithm) -> Self {
-        AlgorithmSpec::bare(match a {
-            Algorithm::Uracam => BaseAlgorithm::Uracam,
-            Algorithm::FixedPartition => BaseAlgorithm::FixedPartition,
-            Algorithm::Gp => BaseAlgorithm::Gp,
-            Algorithm::List => BaseAlgorithm::List,
-        })
-    }
-}
-
 impl FromStr for AlgorithmSpec {
     type Err = SpecError;
 
@@ -467,16 +484,36 @@ mod tests {
 
     #[test]
     fn bare_specs_keep_paper_names() {
-        for (a, name) in [
-            (Algorithm::Uracam, "URACAM"),
-            (Algorithm::FixedPartition, "Fixed"),
-            (Algorithm::Gp, "GP"),
-            (Algorithm::List, "List"),
-        ] {
-            let spec = AlgorithmSpec::from(a);
-            assert_eq!(spec.name(), name);
-            assert!(spec.is_legacy());
+        let names = AlgorithmSpec::PAPER.map(|s| s.name());
+        assert_eq!(names, ["URACAM", "Fixed", "GP", "List"]);
+        assert_eq!(AlgorithmSpec::MODULO, AlgorithmSpec::PAPER[..3]);
+        assert_eq!(AlgorithmSpec::PAPER, AlgorithmSpec::CATALOG[..4]);
+        for spec in AlgorithmSpec::PAPER {
+            assert_eq!(AlgorithmSpec::parse(&spec.name()).unwrap(), spec);
         }
+        assert_eq!(
+            AlgorithmSpec::parse("fixed-partition").unwrap(),
+            AlgorithmSpec::FIXED
+        );
+    }
+
+    #[test]
+    fn parse_list_expands_shortcuts_and_reports_bad_specs() {
+        let list = |s| AlgorithmSpec::parse_list(s).unwrap();
+        assert_eq!(list("all"), AlgorithmSpec::PAPER);
+        assert_eq!(list(" modulo "), AlgorithmSpec::MODULO);
+        assert_eq!(list("extended"), AlgorithmSpec::CATALOG);
+        assert_eq!(
+            list("gp, gp:norepart,,list"),
+            [
+                AlgorithmSpec::GP,
+                AlgorithmSpec::GP_NOREPART,
+                AlgorithmSpec::LIST
+            ]
+        );
+        assert!(list("").is_empty());
+        let e = AlgorithmSpec::parse_list("gp,nonsense").unwrap_err();
+        assert_eq!(e.spec, "nonsense");
     }
 
     #[test]
@@ -525,9 +562,9 @@ mod tests {
 
     #[test]
     fn list_has_no_policies() {
-        assert!(AlgorithmSpec::bare(BaseAlgorithm::List).is_list());
+        assert!(AlgorithmSpec::LIST.is_list());
         let r = std::panic::catch_unwind(|| {
-            AlgorithmSpec::bare(BaseAlgorithm::List).policies();
+            AlgorithmSpec::LIST.policies();
         });
         assert!(r.is_err());
     }
@@ -536,7 +573,7 @@ mod tests {
     fn portfolio_spec_syntax() {
         let p = AlgorithmSpec::parse("portfolio").unwrap();
         assert_eq!(p, AlgorithmSpec::PORTFOLIO);
-        assert!(p.is_portfolio() && !p.is_list() && !p.is_legacy());
+        assert!(p.is_portfolio() && !p.is_list());
         assert!(p.needs_partition());
         assert_eq!(p.portfolio_k(), 3);
         assert_eq!(p.portfolio_budget(), 16);

@@ -13,10 +13,7 @@
 //!    the trial ended in a *failed* `place` that left partial bookings;
 //! 2. **commit**: after `commit_trial`, the schedule equals a clone that
 //!    applied the same successful placements with no trial bracketing at
-//!    all (the old clone-and-mutate path);
-//! 3. **racing**: the full pipeline returns the same schedule with II
-//!    racing off (`race_width = 1`) and on (`race_width = 4`), so the
-//!    undo-log path is deterministic under the raced ladder too.
+//!    all (the old clone-and-mutate path).
 //!
 //! Everything is seeded — no flaky coverage. Run under
 //! `GPSCHED_SHADOW_UNDO=1` (the conformance lane does) to additionally
@@ -24,9 +21,6 @@
 
 use gpsched_ddg::Ddg;
 use gpsched_machine::{topology_presets, MachineConfig};
-use gpsched_partition::PartitionOptions;
-use gpsched_sched::drivers::DriverConfig;
-use gpsched_sched::pipeline::{self, cluster, growth, order, spill, PolicySet};
 use gpsched_sched::state::PartialSchedule;
 use gpsched_workloads::kernels;
 
@@ -178,38 +172,4 @@ fn random_trials_roll_back_and_commit_bit_identically() {
     assert!(placed > 0, "no op was ever placed");
     assert!(transfers > 0, "no transfer was ever booked");
     assert!(spills > 0, "no spill was ever booked");
-}
-
-#[test]
-fn raced_and_sequential_pipelines_agree_on_every_topology() {
-    let popts = PartitionOptions::default();
-    for machine in topology_presets() {
-        for ddg in [kernels::fir(100, 8), kernels::livermore1(100)] {
-            let outcome = |race_width: usize| {
-                let cfg = DriverConfig {
-                    race_width,
-                    ..DriverConfig::default()
-                };
-                let start = gpsched_ddg::mii::mii(&ddg, &machine);
-                let policies = PolicySet {
-                    cluster: Box::new(cluster::MeritAllClusters),
-                    order: Box::new(order::SmsOrder),
-                    growth: Box::new(growth::AcceleratingGrowth),
-                    spill: Box::new(spill::LongestLiveFirst),
-                };
-                pipeline::run(&ddg, &machine, &popts, &cfg, start, None, &policies)
-                    .expect("pipeline feasible")
-            };
-            let seq = outcome(1);
-            let raced = outcome(4);
-            assert_eq!(seq.schedule.ii(), raced.schedule.ii(), "{}", ddg.name());
-            assert_eq!(
-                seq.schedule.placements(),
-                raced.schedule.placements(),
-                "{} on {}",
-                ddg.name(),
-                machine.short_name(),
-            );
-        }
-    }
 }

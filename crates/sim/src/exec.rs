@@ -361,7 +361,7 @@ fn gpsched_graph_node(i: usize) -> gpsched_graph::NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpsched_sched::{schedule_loop, Algorithm};
+    use gpsched_sched::{schedule_loop, AlgorithmSpec};
     use gpsched_workloads::kernels;
 
     fn machines() -> Vec<MachineConfig> {
@@ -378,7 +378,7 @@ mod tests {
     fn every_kernel_schedule_validates() {
         for ddg in kernels::all_kernels(50) {
             for m in machines() {
-                for algo in Algorithm::ALL {
+                for algo in AlgorithmSpec::PAPER {
                     let r = schedule_loop(&ddg, &m, algo).unwrap();
                     let rep = simulate(&ddg, &m, &r.schedule, 50).unwrap_or_else(|e| {
                         panic!("{} on {} via {:?}: {e}", ddg.name(), m.short_name(), algo)
@@ -395,7 +395,7 @@ mod tests {
         // scheduler accounted for.
         for ddg in kernels::all_kernels(30) {
             let m = MachineConfig::four_cluster(32, 1, 1);
-            let r = schedule_loop(&ddg, &m, Algorithm::Gp).unwrap();
+            let r = schedule_loop(&ddg, &m, AlgorithmSpec::GP).unwrap();
             let rep = simulate(&ddg, &m, &r.schedule, 30).unwrap();
             for (c, &emp) in rep.max_live.iter().enumerate() {
                 assert!(
@@ -413,7 +413,7 @@ mod tests {
     fn channel_peak_respects_capacity() {
         for ddg in kernels::all_kernels(40) {
             let m = MachineConfig::four_cluster(64, 1, 2);
-            let r = schedule_loop(&ddg, &m, Algorithm::Uracam).unwrap();
+            let r = schedule_loop(&ddg, &m, AlgorithmSpec::URACAM).unwrap();
             let rep = simulate(&ddg, &m, &r.schedule, 40).unwrap();
             assert!(rep.channel_peak <= m.channel_capacity(0));
         }
@@ -451,7 +451,7 @@ mod tests {
         ];
         for ddg in kernels::all_kernels(40) {
             for m in &machines {
-                for algo in Algorithm::ALL {
+                for algo in AlgorithmSpec::PAPER {
                     let r = schedule_loop(&ddg, m, algo).unwrap();
                     simulate(&ddg, m, &r.schedule, 40).unwrap_or_else(|e| {
                         panic!("{} on {} via {:?}: {e}", ddg.name(), m.short_name(), algo)
@@ -465,7 +465,7 @@ mod tests {
     fn single_trip_works() {
         let ddg = kernels::daxpy(1);
         let m = MachineConfig::two_cluster(32, 1, 1);
-        let r = schedule_loop(&ddg, &m, Algorithm::Gp).unwrap();
+        let r = schedule_loop(&ddg, &m, AlgorithmSpec::GP).unwrap();
         let rep = simulate(&ddg, &m, &r.schedule, 1).unwrap();
         assert_eq!(rep.cycles, r.schedule.length() as u64);
     }
@@ -474,7 +474,7 @@ mod tests {
     fn instances_counted() {
         let ddg = kernels::dot_product(25);
         let m = MachineConfig::unified(32);
-        let r = schedule_loop(&ddg, &m, Algorithm::Uracam).unwrap();
+        let r = schedule_loop(&ddg, &m, AlgorithmSpec::URACAM).unwrap();
         let rep = simulate(&ddg, &m, &r.schedule, 25).unwrap();
         assert_eq!(rep.instances, 25 * ddg.op_count() as u64);
     }

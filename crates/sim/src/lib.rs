@@ -22,13 +22,13 @@
 //!
 //! ```
 //! use gpsched_machine::MachineConfig;
-//! use gpsched_sched::{schedule_loop, Algorithm};
+//! use gpsched_sched::{schedule_loop, AlgorithmSpec};
 //! use gpsched_sim::simulate;
 //! use gpsched_workloads::kernels;
 //!
 //! let ddg = kernels::daxpy(100);
 //! let machine = MachineConfig::two_cluster(32, 1, 1);
-//! let r = schedule_loop(&ddg, &machine, Algorithm::Gp)?;
+//! let r = schedule_loop(&ddg, &machine, AlgorithmSpec::GP)?;
 //! let report = simulate(&ddg, &machine, &r.schedule, 100).expect("valid schedule");
 //! assert_eq!(report.cycles, r.schedule.cycles(100));
 //! # Ok::<(), gpsched_sched::SchedError>(())

@@ -5,7 +5,7 @@
 
 use gpsched_ddg::DdgBuilder;
 use gpsched_machine::{ClusterConfig, Interconnect, LatencyModel, MachineConfig, OpClass};
-use gpsched_sched::{schedule_loop, Algorithm};
+use gpsched_sched::{schedule_loop, AlgorithmSpec};
 use gpsched_sim::simulate;
 use gpsched_workloads::synth;
 
@@ -46,7 +46,7 @@ fn spilled_list_schedules_replay_cleanly_on_corpus_loops() {
     let profile = synth::preset("long-distance").expect("bundled preset");
     let mut spilled = 0usize;
     for ddg in synth::corpus("ld", &profile, 11, 12) {
-        let r = schedule_loop(&ddg, &machine, Algorithm::List).expect("schedulable");
+        let r = schedule_loop(&ddg, &machine, AlgorithmSpec::LIST).expect("schedulable");
         spilled += usize::from(!r.schedule.spills().is_empty());
         let trips = ddg.trip_count().clamp(1, 40);
         let report = simulate(&ddg, &machine, &r.schedule, trips)
@@ -82,7 +82,7 @@ fn period_growth_fires_when_ports_are_saturated_and_still_replays() {
     let ddg = b.build().expect("valid loop");
 
     let machine = port_starved(5);
-    let r = schedule_loop(&ddg, &machine, Algorithm::List).expect("schedulable");
+    let r = schedule_loop(&ddg, &machine, AlgorithmSpec::LIST).expect("schedulable");
     let s = &r.schedule;
     assert!(!s.spills().is_empty(), "the recurrence must be spilled");
     // The core span holds 14 memory ops on one port; the spill adds a

@@ -4,10 +4,11 @@
 //! `chrome://tracing` and Perfetto: one complete event (`"ph": "X"`) per
 //! span with microsecond timestamps, `"M"` metadata events naming each
 //! thread, and a `"C"` counter sample carrying the session's counter
-//! totals. Also provides a minimal std-only JSON parser so tests (and the
-//! CI trace smoke lane via `gpsched-engine trace-check`) can validate a
-//! round trip without external dependencies.
+//! totals. [`span_names_in_chrome_json`] reads a trace back through
+//! [`crate::json`] — the CI trace smoke lane runs it via `gpsched-engine
+//! trace-check`.
 
+use crate::json::{escape, parse};
 use crate::session::Trace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -43,7 +44,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         let _ = write!(
             out,
             "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":{}}}}}",
+             \"args\":{{\"name\":\"{}\"}}}}",
             escape(label)
         );
     }
@@ -52,14 +53,14 @@ pub fn to_chrome_json(trace: &Trace) -> String {
         sep(&mut out);
         let _ = write!(
             out,
-            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":{},\"ts\":{},\"dur\":{}",
+            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"name\":\"{}\",\"ts\":{},\"dur\":{}",
             ev.tid,
             escape(&ev.name),
             us(ev.ts_ns),
             us(ev.dur_ns),
         );
         if let Some(detail) = &ev.detail {
-            let _ = write!(out, ",\"args\":{{\"detail\":{}}}", escape(detail));
+            let _ = write!(out, ",\"args\":{{\"detail\":\"{}\"}}", escape(detail));
         }
         out.push('}');
     }
@@ -75,7 +76,7 @@ pub fn to_chrome_json(trace: &Trace) -> String {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", escape(name), value);
+            let _ = write!(out, "\"{}\":{}", escape(name), value);
         }
         out.push_str("}}");
     }
@@ -100,236 +101,10 @@ fn us(ns: u64) -> String {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader — just enough to validate a round trip.
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (minimal model: numbers are `f64`).
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number, as `f64`.
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered as a pair list.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a complete JSON document (rejects trailing garbage).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(b, pos)?;
-                members.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy one UTF-8 scalar; `b` came from a &str so boundaries
-                // are valid.
-                let rest = &b[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
 /// Validates Chrome trace JSON and returns the distinct `"X"` span names
 /// it contains, sorted. This is what the CI smoke lane asserts against.
 pub fn span_names_in_chrome_json(text: &str) -> Result<Vec<String>, String> {
-    let doc = parse_json(text)?;
+    let doc = parse(text)?;
     let events = doc
         .get("traceEvents")
         .and_then(|v| v.as_arr())
@@ -362,6 +137,7 @@ pub fn span_names_in_chrome_json(text: &str) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::span::SpanRecord;
 
     fn sample_trace() -> Trace {
@@ -393,7 +169,7 @@ mod tests {
     #[test]
     fn export_round_trips_through_parser() {
         let json = to_chrome_json(&sample_trace());
-        let doc = parse_json(&json).expect("valid JSON");
+        let doc = parse(&json).expect("valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         // 1 process_name + 2 thread_name + 2 spans + 1 counter sample.
         assert_eq!(events.len(), 6);
@@ -424,16 +200,20 @@ mod tests {
 
     #[test]
     fn parser_handles_escapes_nesting_and_rejects_garbage() {
-        let doc = parse_json(r#"{"a":[1,2.5,-3e2],"b":"x\nyA","c":{"d":null,"e":true}}"#).unwrap();
+        // The reader `span_names_in_chrome_json` validates traces with.
+        let doc = parse(r#"{"a":[1,2.5,-3e2],"b":"x\nyA","c":{"d":null,"e":true}}"#).unwrap();
         assert_eq!(doc.get("b").unwrap().as_str().unwrap(), "x\nyA");
         assert_eq!(
             doc.get("a").unwrap().as_arr().unwrap()[2],
             Json::Num(-300.0)
         );
         assert_eq!(doc.get("c").unwrap().get("d").unwrap(), &Json::Null);
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("[1,]").is_err());
+        assert!(parse("{\"a\":1} trailing").is_err());
+        assert!(parse("{\"a\":}").is_err());
+        assert!(parse("[1,]").is_err());
+        assert!(parse("\"open").is_err());
+        assert!(parse("\"\\u12\"").is_err());
+        assert!(parse("\"\\q\"").is_err());
     }
 
     #[test]

@@ -45,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod json;
 pub mod report;
 mod session;
 mod span;

@@ -7,6 +7,7 @@
 //! by — it answers "where does the wall clock actually go" without a
 //! parent phase double-counting everything beneath it.
 
+use crate::json::escape;
 use crate::session::Trace;
 use crate::span::SpanRecord;
 use std::collections::HashMap;
@@ -99,8 +100,9 @@ impl TraceSummary {
 
     /// Serializes the summary as one JSON object — the `gpsched-serve`
     /// `GET /metrics` body. Hand-rolled like the rest of the workspace's
-    /// JSON: phases in the summary's (self-time) order, counters in name
-    /// order, so the export is byte-deterministic for a given summary.
+    /// JSON ([`crate::json`]): phases in the summary's (self-time) order,
+    /// counters in name order, so the export is byte-deterministic for a
+    /// given summary.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"phases\":[");
         for (i, p) in self.phases.iter().enumerate() {
@@ -109,7 +111,7 @@ impl TraceSummary {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                esc(&p.name),
+                escape(&p.name),
                 p.count,
                 p.total_ns,
                 p.self_ns
@@ -120,7 +122,7 @@ impl TraceSummary {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{}", esc(name), value));
+            out.push_str(&format!("\"{}\":{}", escape(name), value));
         }
         out.push_str(&format!(
             "}},\"wall_ns\":{},\"dropped\":{}}}",
@@ -195,22 +197,6 @@ impl TraceSummary {
         }
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// span and counter names are internal identifiers, but the export must
-/// stay valid JSON whatever a detail string carries.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn record<'a>(agg: &mut HashMap<&'a str, PhaseStat>, ev: &'a SpanRecord, child_ns: u64) {
@@ -321,8 +307,13 @@ mod tests {
         assert!(j.contains("\"counters\":{\"c.x\":7}"));
         assert!(j.contains(&format!("\"wall_ns\":{}", s.wall_ns)));
         assert!(j.contains("\"dropped\":0"));
-        // Escaping: a hostile detail-bearing name must not break the JSON.
-        assert_eq!(esc("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
+        // Escaping: a hostile name must not break the JSON.
+        let hostile = trace(vec![span("a\"b\\c\n", 0, 0, 10)]).summary().to_json();
+        assert!(hostile.contains("\"name\":\"a\\\"b\\\\c\\n\""), "{hostile}");
+        let doc = crate::json::parse(&hostile).expect("valid JSON");
+        let phases = doc.get("phases").and_then(|p| p.as_arr()).unwrap();
+        let name = phases[0].get("name").and_then(|n| n.as_str());
+        assert_eq!(name, Some("a\"b\\c\n"));
     }
 
     #[test]

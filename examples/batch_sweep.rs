@@ -44,7 +44,7 @@ fn main() {
             MachineConfig::two_cluster(32, 1, 1),
             MachineConfig::four_cluster(64, 1, 2),
         ])
-        .algorithms(Algorithm::ALL);
+        .algorithms(AlgorithmSpec::PAPER);
     for ddg in reloaded {
         job = job.loop_in("corpus", ddg);
     }

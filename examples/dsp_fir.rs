@@ -27,11 +27,11 @@ fn main() {
         let mut row = Vec::new();
         let mut gp_ipc = 0.0;
         let mut gp_xfers = 0;
-        for algo in Algorithm::ALL {
+        for algo in AlgorithmSpec::PAPER {
             let r = schedule_loop(&ddg, &machine, algo).expect("schedulable");
             // The simulator double-checks a slice of the execution.
             simulate(&ddg, &machine, &r.schedule, 64).expect("valid schedule");
-            if algo == Algorithm::Gp {
+            if algo == AlgorithmSpec::GP {
                 gp_ipc = r.ipc();
                 gp_xfers = r.schedule.transfers().len();
             }
@@ -55,7 +55,7 @@ fn main() {
     println!();
     let iir = kernels::iir1(10_000);
     let rec = gpsched::ddg::mii::rec_mii(&iir);
-    let r = schedule_loop(&iir, &machine, Algorithm::Gp).expect("schedulable");
+    let r = schedule_loop(&iir, &machine, AlgorithmSpec::GP).expect("schedulable");
     println!(
         "iir1: RecMII = {rec} (feedback through fmul+fadd), GP II = {} — \
          recurrence-bound, clustering cannot help",

@@ -75,7 +75,7 @@ fn main() {
                 continue; // the unified machine has no bus
             }
             let mii = gpsched::ddg::mii::mii(&ddg, &m);
-            let r = schedule_loop(&ddg, &m, Algorithm::Gp).expect("schedulable");
+            let r = schedule_loop(&ddg, &m, AlgorithmSpec::GP).expect("schedulable");
             println!(
                 "{:<10} {:>6} {:>6} {:>8.3} {:>8}",
                 m.short_name(),
@@ -96,7 +96,7 @@ fn main() {
     );
     for regs in [64u32, 32, 16, 8] {
         let m = MachineConfig::two_cluster(regs, 1, 1);
-        let r = schedule_loop(&ddg, &m, Algorithm::Gp).expect("schedulable");
+        let r = schedule_loop(&ddg, &m, AlgorithmSpec::GP).expect("schedulable");
         println!(
             "{:<10} {:>6} {:>8.3} {:>8} {:>8}",
             regs,
@@ -126,7 +126,7 @@ fn main() {
         Interconnect::legacy_bus(1, 1),
         LatencyModel::default(),
     );
-    let r = schedule_loop(&ddg, &custom, Algorithm::Gp).expect("schedulable");
+    let r = schedule_loop(&ddg, &custom, AlgorithmSpec::GP).expect("schedulable");
     println!(
         "\nheterogeneous (fp-cluster + mem-cluster): II = {}, IPC = {:.3}",
         r.schedule.ii(),

@@ -28,7 +28,7 @@ fn main() {
     println!("ResMII = {res}, RecMII = {rec} → MII = {}", res.max(rec));
 
     // Schedule with the three algorithms of the paper's evaluation.
-    for algo in Algorithm::ALL {
+    for algo in AlgorithmSpec::PAPER {
         let r = schedule_loop(&ddg, &machine, algo).expect("schedulable");
         println!(
             "{:<7} II = {}, schedule length = {}, transfers = {}, spills = {}, IPC = {:.3}",
@@ -47,7 +47,7 @@ fn main() {
     }
 
     // The GP partition itself is inspectable.
-    let gp = schedule_loop(&ddg, &machine, Algorithm::Gp).expect("schedulable");
+    let gp = schedule_loop(&ddg, &machine, AlgorithmSpec::GP).expect("schedulable");
     if let Some(partition) = &gp.partition {
         for c in 0..partition.cluster_count() {
             let ops: Vec<String> = partition

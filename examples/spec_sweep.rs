@@ -32,9 +32,9 @@ fn main() {
                 continue;
             }
             let unified = run_unified(program, machine.total_registers());
-            let ur = run_program(program, &machine, Algorithm::Uracam);
-            let fx = run_program(program, &machine, Algorithm::FixedPartition);
-            let gp = run_program(program, &machine, Algorithm::Gp);
+            let ur = run_program(program, &machine, AlgorithmSpec::URACAM);
+            let fx = run_program(program, &machine, AlgorithmSpec::FIXED);
+            let gp = run_program(program, &machine, AlgorithmSpec::GP);
             println!(
                 "{:<12} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
                 machine.short_name(),

@@ -24,7 +24,7 @@ fn unified_bounds_all_algorithms() {
     for p in mini_suite() {
         for regs in [32, 64] {
             let u = run_unified(&p, regs);
-            for algo in Algorithm::ALL {
+            for algo in AlgorithmSpec::PAPER {
                 let c = run_program(&p, &MachineConfig::two_cluster(regs, 1, 1), algo);
                 // 1% tolerance for prolog/epilog noise (see end_to_end).
                 assert!(

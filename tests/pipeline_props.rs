@@ -36,7 +36,7 @@ fn any_synth_loop_schedules_and_validates() {
             MachineConfig::two_cluster(32, 1, 1),
             MachineConfig::four_cluster(64, 1, 2),
         ] {
-            for algo in Algorithm::ALL {
+            for algo in AlgorithmSpec::PAPER {
                 let r = schedule_loop(&ddg, &machine, algo).unwrap();
                 let trips = ddg.trip_count().min(40);
                 let report = simulate(&ddg, &machine, &r.schedule, trips).unwrap_or_else(|e| {
@@ -89,7 +89,7 @@ fn mii_is_a_true_lower_bound() {
         let ddg = synth::synthesize("prop", &profile, seed);
         let machine = MachineConfig::unified(64);
         let mii = gpsched::ddg::mii::mii(&ddg, &machine);
-        let r = schedule_loop(&ddg, &machine, Algorithm::Uracam).unwrap();
+        let r = schedule_loop(&ddg, &machine, AlgorithmSpec::URACAM).unwrap();
         assert!(r.schedule.ii() >= mii, "case {case}");
     }
 }

@@ -7,7 +7,8 @@
 //!   RAII guards cannot produce partially overlapping (orphan) spans;
 //! * counter totals are deterministic: 1 worker and N workers count the
 //!   same events when the memo cache is off (with it on, *which* unit
-//!   pays the miss races, but hit/miss totals still agree);
+//!   pays the miss races, but hit/miss totals still agree), down to the
+//!   work counters of the large loops that climb long II ladders;
 //! * the Chrome Trace Event JSON export round-trips through the bundled
 //!   std-only parser with every span accounted for;
 //! * tracing is observationally neutral: a traced sweep emits
@@ -22,7 +23,7 @@
 use gpsched::machine::MachineConfig;
 use gpsched_engine::{run_sweep, JobSpec, RunRecord, SweepOptions};
 use gpsched_trace::TraceSession;
-use gpsched_workloads::kernels;
+use gpsched_workloads::{kernels, spec_suite};
 use std::sync::Mutex;
 
 /// Serializes the tests of this binary (tracing is process-global).
@@ -42,7 +43,7 @@ fn job() -> JobSpec {
             MachineConfig::two_cluster(32, 1, 1),
             MachineConfig::four_cluster(64, 1, 2),
         ])
-        .algorithms(gpsched::sched::Algorithm::ALL)
+        .algorithms(gpsched::sched::AlgorithmSpec::PAPER)
 }
 
 fn opts(workers: usize, use_cache: bool) -> SweepOptions {
@@ -127,6 +128,54 @@ fn trace_counter_totals_are_deterministic_across_worker_counts() {
 }
 
 #[test]
+fn work_counters_of_large_loops_do_not_depend_on_the_worker_count() {
+    let _guard = lock();
+    // The SPECfp95 loops of at least 64 ops: the longest II ladders, and
+    // the units a parallel pool finishes last.
+    let mut job = JobSpec::new()
+        .machines([
+            MachineConfig::two_cluster(32, 1, 1),
+            MachineConfig::four_cluster(64, 1, 2),
+        ])
+        .algorithms([
+            gpsched::sched::AlgorithmSpec::GP,
+            gpsched::sched::AlgorithmSpec::URACAM,
+        ]);
+    for p in spec_suite() {
+        for l in p.loops.iter().filter(|l| l.op_count() >= 64) {
+            job = job.loop_in(p.name, l.clone());
+        }
+    }
+    assert!(!job.loops.is_empty(), "suite must contain large loops");
+    // The work counters gpbench treats as deterministic, plus the number
+    // of II attempts made.
+    let work = |workers: usize| {
+        let session = TraceSession::start();
+        let _ = run_sweep(&job, &opts(workers, false), None);
+        let trace = session.finish();
+        assert_eq!(trace.dropped, 0);
+        let counters = [
+            "graph.bf.edges_scanned",
+            "sched.place_trials",
+            "sched.trial_rollbacks",
+            "sched.spills_inserted",
+            "partition.moves_evaluated",
+        ]
+        .map(|name| (name, trace.counter(name)));
+        let attempts = trace
+            .spans
+            .iter()
+            .filter(|s| s.name == "sched.ii_attempt")
+            .count();
+        (counters, attempts)
+    };
+    let serial = work(1);
+    assert!(serial.0.iter().all(|&(_, n)| n > 0), "{serial:?}");
+    assert!(serial.1 > job.unit_count(), "no II ladder was climbed");
+    assert_eq!(serial, work(4), "1 worker vs 4 workers");
+}
+
+#[test]
 fn trace_chrome_export_round_trips_through_the_parser() {
     let _guard = lock();
     let session = TraceSession::start();
@@ -141,7 +190,7 @@ fn trace_chrome_export_round_trips_through_the_parser() {
     }
 
     // Every collected span surfaces as exactly one complete ("X") event.
-    let doc = gpsched_trace::chrome::parse_json(&text).expect("valid JSON");
+    let doc = gpsched_trace::json::parse(&text).expect("valid JSON");
     let events = doc
         .get("traceEvents")
         .and_then(|e| e.as_arr())

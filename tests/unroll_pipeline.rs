@@ -15,7 +15,7 @@ fn unrolled_loops_schedule_and_validate_everywhere() {
                 MachineConfig::two_cluster(64, 1, 1),
                 MachineConfig::four_cluster(64, 1, 2),
             ] {
-                for algo in Algorithm::ALL {
+                for algo in AlgorithmSpec::PAPER {
                     let r = schedule_loop(&u, &machine, algo).expect("schedulable");
                     let trips = u.trip_count();
                     let report = simulate(&u, &machine, &r.schedule, trips).unwrap_or_else(|e| {
@@ -41,9 +41,9 @@ fn unrolling_a_distance_two_reduction_helps_throughput() {
     let ddg = b.build().unwrap();
 
     let machine = MachineConfig::two_cluster(64, 1, 1);
-    let base = schedule_loop(&ddg, &machine, Algorithm::Gp).unwrap();
+    let base = schedule_loop(&ddg, &machine, AlgorithmSpec::GP).unwrap();
     let unrolled = unroll(&ddg, 2).unwrap();
-    let better = schedule_loop(&unrolled, &machine, Algorithm::Gp).unwrap();
+    let better = schedule_loop(&unrolled, &machine, AlgorithmSpec::GP).unwrap();
 
     // Cycles per original element.
     let base_cpe = base.cycles() as f64 / 1024.0;
@@ -61,7 +61,7 @@ fn deep_unrolling_eventually_hits_resource_bound() {
     let mut last_ii_per_copy = f64::INFINITY;
     for k in [1u32, 2, 4, 8] {
         let u = unroll(&ddg, k).unwrap();
-        let r = schedule_loop(&u, &machine, Algorithm::Gp).unwrap();
+        let r = schedule_loop(&u, &machine, AlgorithmSpec::GP).unwrap();
         let ii_per_copy = r.schedule.ii() as f64 / k as f64;
         // II per original iteration must never blow up with unrolling
         // (mild noise from prolog effects tolerated).

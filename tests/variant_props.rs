@@ -43,7 +43,7 @@ fn every_catalog_spec_schedules_and_validates() {
     for (case, ddg) in corpus(12).iter().enumerate() {
         for machine in &machines {
             for spec in AlgorithmSpec::CATALOG {
-                let r = schedule_loop_spec(ddg, machine, spec).unwrap_or_else(|e| {
+                let r = schedule_loop(ddg, machine, spec).unwrap_or_else(|e| {
                     panic!("case {case}: {spec} on {}: {e}", machine.short_name())
                 });
                 let trips = ddg.trip_count().min(40);
@@ -95,8 +95,8 @@ fn norepart_ablation_is_exact_when_idle_and_neutral_in_aggregate() {
     let mut diverged = 0usize;
     for (case, ddg) in corpus(24).iter().enumerate() {
         for machine in &machines {
-            let full = schedule_loop_spec(ddg, machine, gp).unwrap();
-            let ablated = schedule_loop_spec(ddg, machine, norepart).unwrap();
+            let full = schedule_loop(ddg, machine, gp).unwrap();
+            let ablated = schedule_loop(ddg, machine, norepart).unwrap();
             let repartitions = match full.method {
                 ScheduledWith::Modulo { repartitions } => repartitions,
                 _ => 0,
@@ -135,8 +135,8 @@ fn greedy_merit_never_beats_full_merit_on_average() {
     let mut full_cycles = 0u64;
     let mut greedy_cycles = 0u64;
     for ddg in corpus(12) {
-        full_cycles += schedule_loop_spec(&ddg, &machine, full).unwrap().cycles();
-        greedy_cycles += schedule_loop_spec(&ddg, &machine, greedy).unwrap().cycles();
+        full_cycles += schedule_loop(&ddg, &machine, full).unwrap().cycles();
+        greedy_cycles += schedule_loop(&ddg, &machine, greedy).unwrap().cycles();
     }
     assert!(
         greedy_cycles >= full_cycles,
