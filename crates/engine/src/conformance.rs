@@ -148,14 +148,14 @@ pub fn audit_unit(
             ));
         }
     }
-    // NoSpill binds the modulo pipeline; the list fallback sits outside
+    // `:nospill` binds the modulo pipeline; the list fallback sits outside
     // it and may spill for register feasibility.
-    if spec.spec_string().contains("nospill")
+    if !spec.spills()
         && matches!(r.method, ScheduledWith::Modulo { .. })
         && !sched.spills().is_empty()
     {
         return Err(format!(
-            "`{spec}` spilled {} values despite NoSpill",
+            "`{spec}` spilled {} values despite `:nospill`",
             sched.spills().len()
         ));
     }

@@ -17,8 +17,6 @@
 //! * [`scc`]: Tarjan's strongly-connected-components algorithm (used to find
 //!   recurrences);
 //! * [`topo`]: topological ordering of the acyclic (distance-0) sub-DAG;
-//! * [`longest_path`]: single-source/single-sink longest paths on DAGs,
-//!   the engine behind the paper's `max_path` execution-time estimates;
 //! * [`feasibility`]: detection of positive cycles in the modulo-scheduling
 //!   constraint graph (edge weight `latency − II·distance`), the engine
 //!   behind `RecMII`;
@@ -50,7 +48,6 @@ mod ugraph;
 mod unionfind;
 
 pub mod feasibility;
-pub mod longest_path;
 pub mod matching;
 pub mod scc;
 pub mod topo;

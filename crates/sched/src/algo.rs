@@ -6,8 +6,8 @@
 //! options plus precomputed MII/partition inputs. Both resolve the spec:
 //! `list` runs the list scheduler, a portfolio races its candidates
 //! ([`crate::portfolio`]), and every other spec climbs the II ladder of
-//! [`pipeline::run`] with the spec's policies, falling back to list
-//! scheduling when the II cap is exhausted.
+//! [`pipeline::run`] with the spec, falling back to list scheduling when
+//! the II cap is exhausted.
 
 use crate::error::SchedError;
 use crate::listsched::list_schedule;
@@ -235,10 +235,7 @@ pub(crate) fn schedule_impl(
         return crate::portfolio::race(ddg, machine, spec, popts, cfg, start_ii, initial);
     }
 
-    let policies = spec.policies();
-    match pipeline::run_until(
-        ddg, machine, popts, cfg, start_ii, initial, &policies, cutoff,
-    ) {
+    match pipeline::run_until(ddg, machine, popts, cfg, start_ii, initial, spec, cutoff) {
         Ok(out) => Ok(base(
             out.schedule,
             ScheduledWith::Modulo {
@@ -466,10 +463,10 @@ mod tests {
             ii_cap: Some(1), // below RecMII=3
         };
         let start = gpsched_ddg::mii::mii(&ddg, &m);
-        let policies = AlgorithmSpec::URACAM.policies();
         let popts = PartitionOptions::default();
+        let spec = AlgorithmSpec::URACAM;
         assert_eq!(
-            pipeline::run(&ddg, &m, &popts, &cfg, start, None, &policies).unwrap_err(),
+            pipeline::run(&ddg, &m, &popts, &cfg, start, None, spec).unwrap_err(),
             SchedError::IiLimitExceeded { limit: 1 }
         );
     }

@@ -12,16 +12,14 @@
 //!   compares candidate partial schedules;
 //! * [`state`] — the partial schedule: op placement, inter-cluster
 //!   communication (bus transfer or through-memory), spill-on-overflow;
-//! * [`pipeline`] — the policy-composable scheduling pipeline: the shared
-//!   engine loop plus the [`pipeline::cluster::ClusterPolicy`],
-//!   [`pipeline::order::OrderPolicy`], [`pipeline::growth::IiGrowthPolicy`]
-//!   and [`pipeline::spill::SpillPolicy`] axes the algorithms differ on;
+//! * [`pipeline`] — the scheduling engine every modulo spec runs: SMS
+//!   order, window scan, cluster choice, II growth and re-partitioning,
+//!   each rule read from the spec where it applies;
 //! * [`AlgorithmSpec`] — the algorithm axis: the paper's schedulers
 //!   ([`AlgorithmSpec::GP`], [`AlgorithmSpec::FIXED`],
 //!   [`AlgorithmSpec::URACAM`]), the [`AlgorithmSpec::LIST`] baseline and
 //!   their string-parsable variants (`gp:norepart`,
-//!   `uracam:greedy-merit`, …), each resolving to a pipeline
-//!   [`pipeline::PolicySet`];
+//!   `uracam:greedy-merit`, …), each a base plus modifier flags;
 //! * [`schedule_loop`] and [`schedule_loop_spec_seeded`] — the two entry
 //!   points: run a spec, falling back to list scheduling for loops whose
 //!   II explodes;

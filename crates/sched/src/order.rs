@@ -23,27 +23,11 @@ use gpsched_graph::{NodeBitSet, NodeId};
 ///
 /// Panics if `ii` is below the DDG's recurrence MII.
 pub fn sms_order(ddg: &Ddg, ii: i64) -> Vec<OpId> {
-    sms_order_with(ddg, ii, &mut TimingWorkspace::new())
-}
-
-/// [`sms_order`] with a caller-supplied timing workspace, so the scheduling
-/// drivers' II-raising retry loops reuse the analysis buffers.
-///
-/// # Panics
-///
-/// Panics if `ii` is below the DDG's recurrence MII.
-pub fn sms_order_with(ddg: &Ddg, ii: i64, ws: &mut TimingWorkspace) -> Vec<OpId> {
     if ddg.op_count() == 0 {
         return Vec::new();
     }
+    let mut ws = TimingWorkspace::new();
     let t = ws.analyze(ddg, ii, |_| 0).expect("ii must be >= RecMII");
-    sms_order_from(ddg, t)
-}
-
-/// The ordering itself, from an already-computed timing analysis of `ddg`
-/// (the drivers analyze once per attempt and share the result between the
-/// ordering and the placement windows).
-pub fn sms_order_from(ddg: &Ddg, t: &Timing) -> Vec<OpId> {
     sms_order_precomputed(ddg, t, &sms_precompute(ddg))
 }
 
@@ -164,9 +148,11 @@ pub fn sms_precompute(ddg: &Ddg) -> SmsPrecomp {
     SmsPrecomp { sets }
 }
 
-/// [`sms_order_from`] with the set formation already done — the
-/// II-dependent sweeps only. `pre` must come from [`sms_precompute`] on
-/// the same DDG.
+/// The ordering itself, from a timing analysis of `ddg` and its set
+/// formation already done — the II-dependent sweeps only. `pre` must come
+/// from [`sms_precompute`] on the same DDG. The scheduling pipeline
+/// analyzes once per attempt, sharing the result between the ordering
+/// and the placement windows, and precomputes once per II ladder.
 ///
 /// Each pick maximizes `(ready, primary, −mobility, Reverse(v))`, which
 /// is unique per node, so the work list is a set: it is kept as a vector

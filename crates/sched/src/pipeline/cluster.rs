@@ -1,4 +1,4 @@
-//! Cluster policy: which clusters an op may be placed in, in what order,
+//! Cluster choice: which clusters an op may be placed in, in what order,
 //! who arbitrates between them — and when the partition is recomputed.
 //!
 //! This is the axis the paper's algorithms actually differ on:
@@ -12,7 +12,7 @@
 //! Everything else (SMS order, window scan, transactional placement,
 //! spill-on-overflow) is shared engine.
 //!
-//! Policies mutate the schedule in place through the undo-log trial API
+//! Placement mutates the schedule in place through the undo-log trial API
 //! ([`PartialSchedule::begin_trial`] and friends): a failed candidate is
 //! rolled back in O(its mutations) instead of discarding a clone. Merit
 //! arbitration snapshots the handful of aggregate statistics the figure
@@ -21,43 +21,67 @@
 //! the winning trial exactly.
 
 use crate::merit::{Merit, DEFAULT_THRESHOLD};
+use crate::spec::{AlgorithmSpec, BaseAlgorithm};
 use crate::state::{PartialSchedule, Placement};
 use gpsched_ddg::OpId;
 use gpsched_partition::{Partition, PartitionResult};
 
-/// Everything a cluster policy may consult when placing one op (the
-/// schedule itself is passed separately, mutably).
-pub struct PlaceCtx<'c> {
-    /// The op to place.
-    pub op: OpId,
-    /// Candidate issue cycles, in scan order (the SMS window).
-    pub times: &'c [i64],
-    /// The partition in force, if the algorithm keeps one.
-    pub partition: Option<&'c Partition>,
-    /// Number of clusters of the machine.
-    pub nclusters: usize,
+/// Places `op` at one of `times` in a cluster `spec` admits, committing
+/// the placement into `ps` and returning it, or `None` if no cluster
+/// admits the op (the driver then grows the II; `ps` is left exactly as
+/// it was). `partition` is `Some` for the partition-driven bases.
+///
+/// * URACAM arbitrates every cluster by merit.
+/// * Fixed Partition tries only the cluster the partition assigned.
+/// * GP tries the assigned cluster, then escapes through merit
+///   arbitration over the other clusters.
+///
+/// `:greedy-merit` replaces merit arbitration, for URACAM and for GP's
+/// escape, with the first feasible cluster in index order: cheaper per
+/// node, usually worse schedules, and so a measure of what the figure of
+/// merit itself is worth.
+pub(crate) fn place(
+    spec: AlgorithmSpec,
+    ps: &mut PartialSchedule<'_>,
+    op: OpId,
+    times: &[i64],
+    partition: Option<&Partition>,
+    nclusters: usize,
+) -> Option<Placement> {
+    let home = || {
+        partition
+            .expect("partition-driven spec")
+            .cluster_of(op.index())
+    };
+    // Every cluster but `skip`, by merit or by first fit.
+    let arbitrate = |ps: &mut PartialSchedule<'_>, skip: Option<usize>| {
+        let mut clusters = (0..nclusters).filter(|&c| Some(c) != skip);
+        if spec.greedy_merit() {
+            clusters.find_map(|c| try_cluster(ps, op, c, times))
+        } else {
+            pick_by_merit(ps, op, times, clusters, nclusters)
+        }
+    };
+    match spec.base() {
+        BaseAlgorithm::Uracam => arbitrate(ps, None),
+        BaseAlgorithm::FixedPartition => try_cluster(ps, op, home(), times),
+        BaseAlgorithm::Gp => {
+            let home = home();
+            try_cluster(ps, op, home, times).or_else(|| arbitrate(ps, Some(home)))
+        }
+        BaseAlgorithm::List | BaseAlgorithm::Portfolio => {
+            unreachable!("`{spec}` does not run through the pipeline")
+        }
+    }
 }
 
-/// Chooses the cluster of every placement and governs the partition's
-/// lifecycle across II growth.
-pub trait ClusterPolicy: std::fmt::Debug + Send + Sync {
-    /// Whether this policy schedules against a precomputed partition.
-    /// When `true`, the pipeline guarantees `PlaceCtx::partition` is
-    /// `Some` on clustered machines.
-    fn needs_partition(&self) -> bool;
-
-    /// Places `ctx.op` at one of `ctx.times` in some cluster, committing
-    /// the placement into `ps` and returning it, or `None` if no cluster
-    /// admits the op (the driver then grows the II; `ps` is left exactly
-    /// as it was).
-    fn place(&self, ps: &mut PartialSchedule<'_>, ctx: &PlaceCtx<'_>) -> Option<Placement>;
-
-    /// Whether the partition should be recomputed after the II grew to
-    /// `ii`. Only consulted for partition-carrying policies. The default
-    /// (never) is the Fixed Partition rule.
-    fn wants_repartition(&self, _part: &PartitionResult, _ii: i64) -> bool {
-        false
-    }
+/// Whether the partition should be recomputed after the II grew to `ii`.
+/// GP's selective rule (§3.1) recomputes iff the partition's bus bound
+/// exceeds the new II (`IIbus > II`), since only then can a new partition
+/// pay off. Fixed Partition and `gp:norepart` keep the initial partition
+/// across all II growth.
+pub(crate) fn wants_repartition(spec: AlgorithmSpec, part: &PartitionResult, ii: i64) -> bool {
+    spec.base() == BaseAlgorithm::Gp && !spec.norepart() && part.cost.ii_bus > ii
 }
 
 /// First feasible placement of `op` in `cluster` along `times`, committed
@@ -190,113 +214,4 @@ pub(crate) fn pick_by_merit(
         .expect("winning merit trial must replay");
     ps.commit_trial(g);
     Some(pl)
-}
-
-/// URACAM's rule: try every cluster, the figure of merit decides.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MeritAllClusters;
-
-impl ClusterPolicy for MeritAllClusters {
-    fn needs_partition(&self) -> bool {
-        false
-    }
-
-    fn place(&self, ps: &mut PartialSchedule<'_>, ctx: &PlaceCtx<'_>) -> Option<Placement> {
-        pick_by_merit(ps, ctx.op, ctx.times, 0..ctx.nclusters, ctx.nclusters)
-    }
-}
-
-/// The greedy URACAM variant: clusters are scanned in index order and the
-/// first feasible placement wins — no cross-cluster merit arbitration.
-/// Cheaper per node (no N-way trial placement), usually worse schedules;
-/// isolates what the figure of merit itself is worth.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GreedyFirstFit;
-
-impl ClusterPolicy for GreedyFirstFit {
-    fn needs_partition(&self) -> bool {
-        false
-    }
-
-    fn place(&self, ps: &mut PartialSchedule<'_>, ctx: &PlaceCtx<'_>) -> Option<Placement> {
-        (0..ctx.nclusters).find_map(|c| try_cluster(ps, ctx.op, c, ctx.times))
-    }
-}
-
-/// Fixed Partition's rule: only the cluster the partition assigned.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PartitionOnly;
-
-impl ClusterPolicy for PartitionOnly {
-    fn needs_partition(&self) -> bool {
-        true
-    }
-
-    fn place(&self, ps: &mut PartialSchedule<'_>, ctx: &PlaceCtx<'_>) -> Option<Placement> {
-        let part = ctx.partition.expect("partition-driven policy");
-        try_cluster(ps, ctx.op, part.cluster_of(ctx.op.index()), ctx.times)
-    }
-}
-
-/// When a partition-first policy recomputes the partition on II growth.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RepartitionRule {
-    /// The paper's selective rule (§3.1): recompute iff the partition's
-    /// bus bound exceeds the new II (`IIbus > II`) — only then can a new
-    /// partition pay off.
-    Selective,
-    /// Never recompute: keep the initial partition across all II growth.
-    /// Isolates the contribution of selective re-partitioning.
-    Never,
-}
-
-/// GP's rule: the assigned cluster first, then the merit-best *other*
-/// cluster as escape hatch; re-partitioning on II growth per `rule`.
-#[derive(Clone, Copy, Debug)]
-pub struct PartitionFirst {
-    /// Re-partitioning rule applied when the II grows.
-    pub rule: RepartitionRule,
-    /// Whether the escape hatch uses merit arbitration (`false`: first
-    /// feasible other cluster in index order).
-    pub merit_escape: bool,
-}
-
-impl Default for PartitionFirst {
-    fn default() -> Self {
-        PartitionFirst {
-            rule: RepartitionRule::Selective,
-            merit_escape: true,
-        }
-    }
-}
-
-impl ClusterPolicy for PartitionFirst {
-    fn needs_partition(&self) -> bool {
-        true
-    }
-
-    fn place(&self, ps: &mut PartialSchedule<'_>, ctx: &PlaceCtx<'_>) -> Option<Placement> {
-        let part = ctx.partition.expect("partition-driven policy");
-        let home = part.cluster_of(ctx.op.index());
-        match try_cluster(ps, ctx.op, home, ctx.times) {
-            Some(pl) => Some(pl),
-            None if self.merit_escape => pick_by_merit(
-                ps,
-                ctx.op,
-                ctx.times,
-                (0..ctx.nclusters).filter(|&c| c != home),
-                ctx.nclusters,
-            ),
-            None => (0..ctx.nclusters)
-                .filter(|&c| c != home)
-                .find_map(|c| try_cluster(ps, ctx.op, c, ctx.times)),
-        }
-    }
-
-    fn wants_repartition(&self, part: &PartitionResult, ii: i64) -> bool {
-        match self.rule {
-            RepartitionRule::Selective => part.cost.ii_bus > ii,
-            RepartitionRule::Never => false,
-        }
-    }
 }

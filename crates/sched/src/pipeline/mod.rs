@@ -1,64 +1,43 @@
-//! The policy-composable scheduling pipeline.
+//! The scheduling pipeline: the one engine every modulo spec runs.
 //!
 //! The paper's algorithms (URACAM, Fixed Partition, GP) share one engine —
 //! SMS ordering, window scan, transactional placement, the figure of
-//! merit, spill-on-overflow, II growth — and differ only in *policies*.
-//! This module makes each policy axis a trait and the shared engine one
-//! generic driver loop, so an algorithm is a [`PolicySet`] value rather
-//! than a hand-written driver function:
+//! merit, spill-on-overflow, II growth — and differ only in how an op
+//! picks its cluster and when the partition is recomputed. [`run`] is that
+//! engine, one attempt per II rung climbed in order, and it reads the
+//! [`AlgorithmSpec`] where each rule applies:
 //!
-//! * [`cluster::ClusterPolicy`] — which clusters an op may go to, who
-//!   arbitrates, and when the partition is recomputed;
-//! * [`order::OrderPolicy`] — the node order within one attempt;
-//! * [`growth::IiGrowthPolicy`] — how fast the II rises after failures;
-//! * [`spill::SpillPolicy`] — whether/what to spill on register overflow.
+//! * `cluster::place` — which clusters an op may go to and who arbitrates
+//!   between them (one `match` on the base; `:greedy-merit` swaps merit
+//!   arbitration for first fit);
+//! * `cluster::wants_repartition` — when GP recomputes the partition
+//!   (never under `:norepart`);
+//! * `AlgorithmSpec::next_ii` — how fast the II rises after failures
+//!   (+1 under `:linear-ii`);
+//! * [`AlgorithmSpec::spills`] — whether register overflow spills
+//!   ([`PartialSchedule::with_spill`]; off under `:nospill`).
 //!
-//! [`run`] is the driver loop every algorithm (and every
-//! [`crate::AlgorithmSpec`] variant) executes: one attempt per II rung,
-//! climbed in order. The engine's golden record test pins its schedules
-//! byte-identical to the pre-pipeline monolithic drivers.
-//!
-//! Policies are dispatched through `dyn` references. The dispatch sits
-//! outside the hot placement loops (one virtual call per op placement and
-//! per II retry, not per candidate cycle), so its cost is unmeasurable
-//! against the trial placement work — see DESIGN.md §6.2. Trials mutate
-//! one schedule in place and roll failures back through the undo log
-//! (DESIGN.md §6.5); nothing is cloned per candidate.
+//! Every spec orders nodes by Swing Modulo Scheduling ([`crate::order`]).
+//! The engine's golden record test pins the paper algorithms' schedules
+//! byte-identical to the pre-pipeline monolithic drivers, and the variant
+//! digest test pins every modifier's. Trials mutate one schedule in place
+//! and roll failures back through the undo log (DESIGN.md §6.5); nothing
+//! is cloned per candidate.
 
-pub mod cluster;
-pub mod growth;
-pub mod order;
-pub mod spill;
+mod cluster;
 
 use crate::algo::{cap_for, DriverConfig};
 use crate::error::SchedError;
+use crate::order::{self, SmsPrecomp};
 use crate::schedule::Schedule;
+use crate::spec::AlgorithmSpec;
 use crate::state::PartialSchedule;
-use cluster::{ClusterPolicy, PlaceCtx};
 use gpsched_ddg::timing::{Timing, TimingWorkspace};
 use gpsched_ddg::{Ddg, OpId};
 use gpsched_machine::MachineConfig;
 use gpsched_partition::{
     partition_ddg_with, CostEvaluator, Partition, PartitionOptions, PartitionResult,
 };
-use growth::IiGrowthPolicy;
-use order::OrderPolicy;
-use spill::SpillPolicy;
-
-/// One algorithm, expressed as its policies. Built by
-/// [`crate::AlgorithmSpec::policies`] or assembled directly for
-/// experiments.
-#[derive(Debug)]
-pub struct PolicySet {
-    /// Cluster selection + partition lifecycle.
-    pub cluster: Box<dyn ClusterPolicy>,
-    /// Node ordering within one attempt.
-    pub order: Box<dyn OrderPolicy>,
-    /// II growth after failed attempts.
-    pub growth: Box<dyn IiGrowthPolicy>,
-    /// Register-overflow handling.
-    pub spill: Box<dyn SpillPolicy>,
-}
 
 /// Outcome of a pipeline run.
 #[derive(Clone, Debug)]
@@ -66,8 +45,8 @@ pub struct PipelineOutcome {
     /// The final schedule.
     pub schedule: Schedule,
     /// The partition in force when scheduling succeeded. `None` exactly
-    /// when the cluster policy is partition-free; partition-driven
-    /// policies carry `Some` even on unified machines (the trivial
+    /// for URACAM, which schedules without one; the partition-driven
+    /// specs carry `Some` even on unified machines (the trivial
     /// single-cluster assignment).
     pub partition: Option<PartitionResult>,
     /// How many times the partition was recomputed.
@@ -177,6 +156,8 @@ fn window_into(
 /// II). Tries the tight scan first, the ASAP-first scan as a second
 /// chance at the same II. Timing and node order depend only on the II
 /// (extras are zero here), so both scans share one analysis and one order.
+/// `sms` holds the II-independent half of the SMS ordering: the first
+/// attempt of a ladder fills it, later rungs reuse it.
 ///
 /// The two scans compute the same windows, and so make the same
 /// placements, up to the first op whose window they order differently
@@ -188,9 +169,9 @@ fn attempt<'a>(
     machine: &'a MachineConfig,
     ii: i64,
     partition: Option<&PartitionResult>,
-    policies: &'a PolicySet,
+    spec: AlgorithmSpec,
     ws: &mut TimingWorkspace,
-    ocache: &mut order::OrderCache,
+    sms: &mut Option<SmsPrecomp>,
 ) -> Option<PartialSchedule<'a>> {
     // One workspace-backed analysis per II: an infeasible II yields None
     // here, and the same result feeds both the node ordering and the
@@ -198,11 +179,12 @@ fn attempt<'a>(
     let t = ws.analyze(ddg, ii, |_| 0)?;
     let order = {
         let _span = gpsched_trace::span!("sched.order");
-        policies.order.order(ddg, t, ocache)
+        let pre = sms.get_or_insert_with(|| order::sms_precompute(ddg));
+        order::sms_order_precomputed(ddg, t, pre)
     };
     debug_assert_eq!(order.len(), ddg.op_count(), "order must cover the loop");
-    let rung = Rung::new(ddg, machine, ii, partition, policies, t, &order);
-    let fresh = || PartialSchedule::with_spill_policy(ddg, machine, ii, policies.spill.as_ref());
+    let rung = Rung::new(ddg, machine, ii, partition, spec, t, &order);
+    let fresh = || PartialSchedule::with_spill(ddg, machine, ii, spec.spills());
     let mut tight = fresh();
     let diverged = {
         let _span = gpsched_trace::span!("sched.ii_attempt", "ii={ii}");
@@ -231,7 +213,7 @@ struct Rung<'r> {
     t: &'r Timing,
     order: &'r [OpId],
     partition: Option<&'r Partition>,
-    cluster: &'r dyn ClusterPolicy,
+    spec: AlgorithmSpec,
     nclusters: usize,
 }
 
@@ -241,7 +223,7 @@ impl<'r> Rung<'r> {
         machine: &MachineConfig,
         ii: i64,
         partition: Option<&'r PartitionResult>,
-        policies: &'r PolicySet,
+        spec: AlgorithmSpec,
         t: &'r Timing,
         order: &'r [OpId],
     ) -> Self {
@@ -251,7 +233,7 @@ impl<'r> Rung<'r> {
             t,
             order,
             partition: partition.map(|p| &p.partition),
-            cluster: policies.cluster.as_ref(),
+            spec,
             nclusters: machine.cluster_count(),
         }
     }
@@ -277,13 +259,8 @@ impl<'r> Rung<'r> {
             if times.is_empty() {
                 return Err(diverged);
             }
-            let ctx = PlaceCtx {
-                op,
-                times: &times,
-                partition: self.partition,
-                nclusters: self.nclusters,
-            };
-            if self.cluster.place(ps, &ctx).is_none() {
+            let (part, n) = (self.partition, self.nclusters);
+            if cluster::place(self.spec, ps, op, &times, part, n).is_none() {
                 return Err(diverged);
             }
         }
@@ -303,17 +280,22 @@ pub(crate) struct Cutoff {
     pub(crate) attempts: Option<usize>,
 }
 
-/// Runs one loop through the pipeline: one attempt per II, rising by the
-/// growth policy, partition lifecycle per the cluster policy.
+/// Runs one loop through the pipeline with `spec`: one attempt per II,
+/// the II rising and the partition recomputed as the spec says.
 ///
 /// `start_ii` is the first II to try (the loop's MII, or a memo-cached
-/// value); `initial` seeds the partition for partition-driven policies
-/// (computed at `start_ii` when absent). Partition-free policies ignore
-/// both `popts` and `initial`.
+/// value); `initial` seeds the partition for the partition-driven specs
+/// (computed at `start_ii` when absent). URACAM ignores both `popts` and
+/// `initial`.
 ///
 /// # Errors
 ///
 /// [`SchedError::IiLimitExceeded`] when the II cap is reached.
+///
+/// # Panics
+///
+/// Panics for `list` and `portfolio` specs, which do not run through the
+/// pipeline ([`AlgorithmSpec::is_list`], [`AlgorithmSpec::is_portfolio`]).
 pub fn run(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -321,10 +303,10 @@ pub fn run(
     cfg: &DriverConfig,
     start_ii: i64,
     initial: Option<PartitionResult>,
-    policies: &PolicySet,
+    spec: AlgorithmSpec,
 ) -> Result<PipelineOutcome, SchedError> {
     let none = Cutoff::default();
-    run_until(ddg, machine, popts, cfg, start_ii, initial, policies, none)
+    run_until(ddg, machine, popts, cfg, start_ii, initial, spec, none)
 }
 
 /// [`run`], stopped early with [`SchedError::RaceCutoff`] once `cutoff`
@@ -337,9 +319,13 @@ pub(crate) fn run_until(
     cfg: &DriverConfig,
     start_ii: i64,
     initial: Option<PartitionResult>,
-    policies: &PolicySet,
+    spec: AlgorithmSpec,
     cutoff: Cutoff,
 ) -> Result<PipelineOutcome, SchedError> {
+    assert!(
+        !spec.is_list() && !spec.is_portfolio(),
+        "`{spec}` does not run through the pipeline"
+    );
     let cap = cap_for(start_ii, cfg);
     // The effective ladder top: the II cap, tightened by the cutoff.
     // Crossing `limit` before `cap` is a cutoff, not a scheduling failure
@@ -347,12 +333,12 @@ pub(crate) fn run_until(
     // failures.
     let limit = cutoff.ii.map_or(cap, |c| c.min(cap));
     let mut ws = TimingWorkspace::new();
-    let mut ocache = order::OrderCache::default();
+    let mut sms = None;
     // One incremental evaluator serves every re-partitioning call of this
     // loop: the cut-state buffers and timing workspace persist across the
     // II-raising retries instead of being rebuilt per call.
     let mut ev: Option<CostEvaluator<'_>> = None;
-    let mut part: Option<PartitionResult> = if policies.cluster.needs_partition() {
+    let mut part: Option<PartitionResult> = if spec.needs_partition() {
         Some(
             initial
                 .unwrap_or_else(|| gpsched_partition::partition_ddg(ddg, machine, start_ii, popts)),
@@ -367,15 +353,7 @@ pub(crate) fn run_until(
         if cutoff.attempts.is_some_and(|b| failures >= b) {
             return Err(SchedError::RaceCutoff { limit: ii });
         }
-        let found = attempt(
-            ddg,
-            machine,
-            ii,
-            part.as_ref(),
-            policies,
-            &mut ws,
-            &mut ocache,
-        );
+        let found = attempt(ddg, machine, ii, part.as_ref(), spec, &mut ws, &mut sms);
         if let Some(ps) = found {
             return Ok(PipelineOutcome {
                 schedule: Schedule::from_partial(ddg, machine, &ps),
@@ -383,13 +361,13 @@ pub(crate) fn run_until(
                 repartitions,
             });
         }
-        let next = policies.growth.next_ii(ii, failures);
+        let next = spec.next_ii(ii, failures);
         debug_assert!(next > ii, "II growth must make progress");
         gpsched_trace::counter!("sched.ii_growth");
         ii = next;
         failures += 1;
         if let Some(p) = &part {
-            if policies.cluster.wants_repartition(p, ii) {
+            if cluster::wants_repartition(spec, p, ii) {
                 let _span = gpsched_trace::span!("sched.cluster.repartition", "ii={ii}");
                 let ev = ev.get_or_insert_with(|| CostEvaluator::new(ddg, machine));
                 part = Some(partition_ddg_with(ddg, machine, ii, popts, ev));
@@ -407,17 +385,7 @@ pub(crate) fn run_until(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::{MeritAllClusters, PartitionFirst};
     use gpsched_workloads::kernels;
-
-    fn policies(cluster: Box<dyn ClusterPolicy>) -> PolicySet {
-        PolicySet {
-            cluster,
-            order: Box::new(order::SmsOrder),
-            growth: Box::new(growth::AcceleratingGrowth),
-            spill: Box::new(spill::LongestLiveFirst),
-        }
-    }
 
     #[test]
     fn uracam_policies_match_driver() {
@@ -425,18 +393,9 @@ mod tests {
         let popts = PartitionOptions::default();
         for ddg in kernels::all_kernels(200) {
             let m = MachineConfig::two_cluster(32, 1, 1);
-            let direct = crate::schedule_loop(&ddg, &m, crate::AlgorithmSpec::URACAM).unwrap();
+            let direct = crate::schedule_loop(&ddg, &m, AlgorithmSpec::URACAM).unwrap();
             let start = gpsched_ddg::mii::mii(&ddg, &m);
-            let piped = run(
-                &ddg,
-                &m,
-                &popts,
-                &cfg,
-                start,
-                None,
-                &policies(Box::new(MeritAllClusters)),
-            )
-            .unwrap();
+            let piped = run(&ddg, &m, &popts, &cfg, start, None, AlgorithmSpec::URACAM).unwrap();
             assert_eq!(direct.schedule.ii(), piped.schedule.ii(), "{}", ddg.name());
             let (a, b) = (direct.schedule.length(), piped.schedule.length());
             assert_eq!(a, b, "{}", ddg.name());
@@ -526,24 +485,20 @@ mod tests {
             for m in &machines {
                 let start = gpsched_ddg::mii::mii(ddg, m);
                 let part = gpsched_partition::partition_ddg(ddg, m, start, &popts);
-                // Every pipeline spec: each cluster, order, growth and
-                // spill policy the catalog ships.
-                for spec in crate::AlgorithmSpec::CATALOG
-                    .iter()
-                    .filter(|s| !s.is_list())
-                {
-                    let policies = spec.policies();
+                // Every pipeline spec: each cluster rule, growth rule and
+                // spill switch the catalog ships.
+                for &spec in AlgorithmSpec::CATALOG.iter().filter(|s| !s.is_list()) {
                     let mut ws = TimingWorkspace::new();
-                    let mut ocache = order::OrderCache::default();
+                    let mut sms = None;
                     let (mut ii, mut failures) = (start, 0);
                     while ii <= cap_for(start, &cfg) {
-                        let got = attempt(ddg, m, ii, Some(&part), &policies, &mut ws, &mut ocache);
+                        let got = attempt(ddg, m, ii, Some(&part), spec, &mut ws, &mut sms);
                         let want = ws.analyze(ddg, ii, |_| 0).and_then(|t| {
-                            let order = policies.order.order(ddg, t, &mut ocache);
-                            let rung = Rung::new(ddg, m, ii, Some(&part), &policies, t, &order);
+                            let pre = sms.as_ref().expect("the attempt ordered this II");
+                            let order = order::sms_order_precomputed(ddg, t, pre);
+                            let rung = Rung::new(ddg, m, ii, Some(&part), spec, t, &order);
                             let full = |mode| {
-                                let spill = policies.spill.as_ref();
-                                let mut ps = PartialSchedule::with_spill_policy(ddg, m, ii, spill);
+                                let mut ps = PartialSchedule::with_spill(ddg, m, ii, spec.spills());
                                 rung.scan(&mut ps, mode, 0).map(|()| ps)
                             };
                             full(ScanMode::Tight)
@@ -574,7 +529,7 @@ mod tests {
                         if got.is_some() {
                             break;
                         }
-                        ii = policies.growth.next_ii(ii, failures);
+                        ii = spec.next_ii(ii, failures);
                         failures += 1;
                     }
                 }
@@ -591,18 +546,9 @@ mod tests {
         let popts = PartitionOptions::default();
         for ddg in kernels::all_kernels(200) {
             let m = MachineConfig::four_cluster(32, 1, 2);
-            let direct = crate::schedule_loop(&ddg, &m, crate::AlgorithmSpec::GP).unwrap();
+            let direct = crate::schedule_loop(&ddg, &m, AlgorithmSpec::GP).unwrap();
             let start = gpsched_ddg::mii::mii(&ddg, &m);
-            let piped = run(
-                &ddg,
-                &m,
-                &popts,
-                &cfg,
-                start,
-                None,
-                &policies(Box::new(PartitionFirst::default())),
-            )
-            .unwrap();
+            let piped = run(&ddg, &m, &popts, &cfg, start, None, AlgorithmSpec::GP).unwrap();
             assert_eq!(direct.schedule.ii(), piped.schedule.ii(), "{}", ddg.name());
             let repartitions = match direct.method {
                 crate::ScheduledWith::Modulo { repartitions } => repartitions,
@@ -616,5 +562,25 @@ mod tests {
                 ddg.name()
             );
         }
+    }
+
+    fn run_kernel(spec: AlgorithmSpec) {
+        let ddg = kernels::daxpy(100);
+        let m = MachineConfig::two_cluster(32, 1, 1);
+        let start = gpsched_ddg::mii::mii(&ddg, &m);
+        let (popts, cfg) = (PartitionOptions::default(), DriverConfig::default());
+        let _ = run(&ddg, &m, &popts, &cfg, start, None, spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not run through the pipeline")]
+    fn run_rejects_list() {
+        run_kernel(AlgorithmSpec::LIST);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not run through the pipeline")]
+    fn run_rejects_portfolio() {
+        run_kernel(AlgorithmSpec::PORTFOLIO);
     }
 }

@@ -37,7 +37,7 @@ use crate::algo::{schedule_impl, DriverConfig, LoopResult};
 use crate::error::SchedError;
 use crate::lifetime::PressureTable;
 use crate::pipeline::Cutoff;
-use crate::spec::AlgorithmSpec;
+use crate::spec::{AlgorithmSpec, BaseAlgorithm};
 use crate::SchedSeed;
 use gpsched_ddg::timing::TimingWorkspace;
 use gpsched_ddg::{Ddg, DepKind};
@@ -179,77 +179,70 @@ pub fn candidates() -> impl Iterator<Item = AlgorithmSpec> {
 /// follows, the stressed variants trail) plus integer adjustments for the
 /// regimes where the ablation found the order flips.
 fn score(f: &FeatureVector, spec: &AlgorithmSpec) -> i64 {
-    let s = spec.spec_string();
-    let mut v = match s.as_str() {
-        "gp" => 100,
-        "gp:norepart" => 90,
-        "uracam" => 80,
-        "fixed" => 70,
-        "gp:linear-ii" => 60,
-        "uracam:greedy-merit" => 50,
-        "gp:nospill" => 40,
-        _ => 0,
+    use AlgorithmSpec as S;
+    let s = *spec;
+    let mut v = match s {
+        S::GP => 100,
+        S::GP_NOREPART => 90,
+        S::URACAM => 80,
+        S::FIXED => 70,
+        S::GP_LINEAR_II => 60,
+        S::URACAM_GREEDY => 50,
+        S::GP_NOSPILL => 40,
+        other => unreachable!("`{other}` is not a portfolio candidate"),
     };
     let mii = f.mii();
-    let gp_family = s.starts_with("gp");
     if f.clusters == 1 {
         // No cut to optimize: the integrated scheduler's freedom costs
         // nothing and the partition machinery buys nothing.
-        if s.starts_with("uracam") {
+        if s.base() == BaseAlgorithm::Uracam {
             v += 25;
         }
     }
     if f.ii_bus > mii {
         // The bus bound exceeds the II: exactly the regime selective
         // re-partitioning exists for.
-        if s == "gp" {
+        if s == S::GP {
             v += 20;
         }
-        if s == "gp:norepart" {
+        if s == S::GP_NOREPART {
             v -= 15;
         }
     }
     if f.comm_count * 8 < f.ops {
         // Sparse cut: re-partitioning has nothing to move; skipping its
         // checks is free IPC-neutral speed and occasionally better.
-        if s == "gp:norepart" {
+        if s == S::GP_NOREPART {
             v += 20;
         }
     }
     if f.pressure > f.registers {
         // Estimated MaxLive already exceeds one register file: spilling
         // is how such loops close at all.
-        if s == "gp:nospill" {
+        if s == S::GP_NOSPILL {
             v -= 60;
         }
-        if s == "uracam" {
+        if s == S::URACAM {
             v += 10;
         }
-    } else if f.pressure * 2 > f.registers && s == "gp:nospill" {
+    } else if f.pressure * 2 > f.registers && s == S::GP_NOSPILL {
         // Half the file already live at the estimate: spills are likely.
         v -= 25;
     }
     if f.max_distance >= 4 {
         // Long-distance corpora: the §7 regime where nospill collapses.
-        if s == "gp:nospill" {
+        if s == S::GP_NOSPILL {
             v -= 30;
         }
     }
     if f.rec_mii > f.res_mii {
         // Recurrence-bound loop: placement freedom around the cycle
         // matters more than cut quality.
-        if s == "uracam" {
+        if s == S::URACAM {
             v += 15;
         }
-        if s == "gp:linear-ii" {
+        if s == S::GP_LINEAR_II {
             v += 10;
-        }
-    }
-    if f.max_fanout * 4 > f.ops && gp_family {
-        // High fan-out skew concentrates merit arbitration; the greedy
-        // escape hatch misplaces hubs.
-        if s == "uracam:greedy-merit" {
-            v -= 10;
         }
     }
     v

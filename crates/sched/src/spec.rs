@@ -1,10 +1,10 @@
-//! Algorithm specifications: the open, string-parsable algorithm axis.
+//! Algorithm specifications: the string-parsable algorithm axis.
 //!
-//! The paper compares a closed set of four algorithms; an
-//! [`AlgorithmSpec`] opens that axis into a space of variants, each a
-//! composition of pipeline policies ([`crate::pipeline`]). Specs have a
-//! stable textual syntax so sweeps can select them from the command line
-//! and records can name them:
+//! The paper compares four algorithms; an [`AlgorithmSpec`] names one of
+//! them plus the modifiers that vary one scheduling rule each, and the
+//! pipeline ([`crate::pipeline`]) reads the spec where each rule applies.
+//! Specs have a stable textual syntax so sweeps can select them from the
+//! command line and records can name them:
 //!
 //! ```text
 //! spec      := base (":" modifier)* | portfolio
@@ -26,7 +26,6 @@
 //!   schedule.
 //! * `gp:nospill` — spilling disabled; overflow forces a larger II.
 //!
-//! A spec resolves to a [`PolicySet`] via [`AlgorithmSpec::policies`];
 //! `list` is the non-pipelined baseline and bypasses the pipeline.
 //!
 //! `portfolio[:k][:budget]` is a meta-spec: it does not name a pipeline
@@ -36,13 +35,6 @@
 //! attempts per raced challenger (default 16), keep the best schedule.
 //! See [`crate::portfolio`].
 
-use crate::pipeline::cluster::{
-    GreedyFirstFit, MeritAllClusters, PartitionFirst, PartitionOnly, RepartitionRule,
-};
-use crate::pipeline::growth::{AcceleratingGrowth, LinearGrowth};
-use crate::pipeline::order::SmsOrder;
-use crate::pipeline::spill::{LongestLiveFirst, NoSpill};
-use crate::pipeline::PolicySet;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
@@ -103,7 +95,7 @@ impl fmt::Display for SpecError {
 
 impl Error for SpecError {}
 
-/// One algorithm variant: a base family plus policy modifiers.
+/// One algorithm variant: a base family plus modifier flags.
 ///
 /// Construct by [parsing](Self::parse) the textual syntax or naming one of
 /// the consts ([`Self::GP`], [`Self::PAPER`], [`Self::CATALOG`], …). The
@@ -189,6 +181,18 @@ impl AlgorithmSpec {
         ..AlgorithmSpec::URACAM
     };
 
+    /// GP with strict +1 II growth (`gp:linear-ii`).
+    pub const GP_LINEAR_II: AlgorithmSpec = AlgorithmSpec {
+        linear_ii: true,
+        ..AlgorithmSpec::GP
+    };
+
+    /// GP with spilling disabled (`gp:nospill`).
+    pub const GP_NOSPILL: AlgorithmSpec = AlgorithmSpec {
+        nospill: true,
+        ..AlgorithmSpec::GP
+    };
+
     /// The portfolio meta-spec with default width and budget
     /// (`portfolio` == `portfolio:3:16`).
     pub const PORTFOLIO: AlgorithmSpec = AlgorithmSpec::bare(BaseAlgorithm::Portfolio);
@@ -203,14 +207,8 @@ impl AlgorithmSpec {
         AlgorithmSpec::LIST,
         AlgorithmSpec::GP_NOREPART,
         AlgorithmSpec::URACAM_GREEDY,
-        AlgorithmSpec {
-            linear_ii: true,
-            ..AlgorithmSpec::GP
-        },
-        AlgorithmSpec {
-            nospill: true,
-            ..AlgorithmSpec::GP
-        },
+        AlgorithmSpec::GP_LINEAR_II,
+        AlgorithmSpec::GP_NOSPILL,
     ];
 
     /// Whether this is the non-pipelined list baseline.
@@ -231,6 +229,41 @@ impl AlgorithmSpec {
             self.base,
             BaseAlgorithm::FixedPartition | BaseAlgorithm::Gp | BaseAlgorithm::Portfolio
         )
+    }
+
+    /// The base family.
+    pub(crate) fn base(&self) -> BaseAlgorithm {
+        self.base
+    }
+
+    /// Whether first fit replaces merit arbitration (`:greedy-merit`).
+    pub(crate) fn greedy_merit(&self) -> bool {
+        self.greedy_merit
+    }
+
+    /// Whether GP keeps its initial partition (`:norepart`).
+    pub(crate) fn norepart(&self) -> bool {
+        self.norepart
+    }
+
+    /// Whether register overflow spills (§3.3.2); `false` only under
+    /// `:nospill`, where overflow fails the placement instead.
+    pub fn spills(&self) -> bool {
+        !self.nospill
+    }
+
+    /// The next II to try after an attempt at `ii` failed; `failures`
+    /// counts the attempts that already failed (0 on the first failure).
+    /// `ii + 1` under `:linear-ii`, the textbook iterative modulo
+    /// scheduling rule. Otherwise `ii + 1 + failures / 4`: +1 for the
+    /// first few tries, then gently accelerating, so pathological loops
+    /// reach their feasible II in O(√II) attempts instead of O(II).
+    pub(crate) fn next_ii(&self, ii: i64, failures: usize) -> i64 {
+        if self.linear_ii {
+            ii + 1
+        } else {
+            ii + 1 + failures as i64 / 4
+        }
     }
 
     /// Portfolio race width: how many ranked candidates race per unit.
@@ -413,55 +446,6 @@ impl AlgorithmSpec {
     pub fn name(&self) -> String {
         self.with_suffix(self.base.display())
     }
-
-    /// Resolves the spec into the pipeline policies it composes.
-    ///
-    /// # Panics
-    ///
-    /// Panics for `list` specs — the list baseline is not a pipeline
-    /// algorithm; callers check [`Self::is_list`] first — and for
-    /// `portfolio`, which is a selection strategy over pipeline specs,
-    /// not a pipeline composition itself ([`Self::is_portfolio`]).
-    pub fn policies(&self) -> PolicySet {
-        assert!(
-            !self.is_list(),
-            "list scheduling does not run through the pipeline"
-        );
-        assert!(
-            !self.is_portfolio(),
-            "portfolio is a selection strategy, not a pipeline composition"
-        );
-        let cluster: Box<dyn crate::pipeline::cluster::ClusterPolicy> = match self.base {
-            BaseAlgorithm::Uracam if self.greedy_merit => Box::new(GreedyFirstFit),
-            BaseAlgorithm::Uracam => Box::new(MeritAllClusters),
-            BaseAlgorithm::FixedPartition => Box::new(PartitionOnly),
-            BaseAlgorithm::Gp => Box::new(PartitionFirst {
-                rule: if self.norepart {
-                    RepartitionRule::Never
-                } else {
-                    RepartitionRule::Selective
-                },
-                merit_escape: !self.greedy_merit,
-            }),
-            BaseAlgorithm::List | BaseAlgorithm::Portfolio => unreachable!("checked above"),
-        };
-        let growth: Box<dyn crate::pipeline::growth::IiGrowthPolicy> = if self.linear_ii {
-            Box::new(LinearGrowth)
-        } else {
-            Box::new(AcceleratingGrowth)
-        };
-        let spill: Box<dyn crate::pipeline::spill::SpillPolicy> = if self.nospill {
-            Box::new(NoSpill)
-        } else {
-            Box::new(LongestLiveFirst)
-        };
-        PolicySet {
-            cluster,
-            order: Box::new(SmsOrder),
-            growth,
-            spill,
-        }
-    }
 }
 
 impl fmt::Display for AlgorithmSpec {
@@ -558,15 +542,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.spec_string(), "gp:norepart:nospill");
         assert_eq!(a.name(), "GP:norepart:nospill");
-    }
-
-    #[test]
-    fn list_has_no_policies() {
-        assert!(AlgorithmSpec::LIST.is_list());
-        let r = std::panic::catch_unwind(|| {
-            AlgorithmSpec::LIST.policies();
-        });
-        assert!(r.is_err());
+        assert!(!a.spills() && AlgorithmSpec::GP_NOREPART.spills());
     }
 
     #[test]
@@ -603,21 +579,20 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_has_no_policies() {
-        let r = std::panic::catch_unwind(|| {
-            AlgorithmSpec::PORTFOLIO.policies();
-        });
-        assert!(r.is_err());
+    fn accelerating_matches_legacy_step() {
+        // Legacy: ii += 1 + failures/4.
+        let mut ii = 10;
+        for failures in 0..12 {
+            let next = AlgorithmSpec::GP.next_ii(ii, failures);
+            assert_eq!(next, ii + 1 + failures as i64 / 4);
+            assert!(next > ii);
+            ii = next;
+        }
     }
 
     #[test]
-    fn policies_resolve_for_every_pipeline_spec() {
-        for spec in AlgorithmSpec::CATALOG {
-            if spec.is_list() {
-                continue;
-            }
-            let p = spec.policies();
-            assert_eq!(p.cluster.needs_partition(), spec.needs_partition());
-        }
+    fn linear_is_plus_one() {
+        assert_eq!(AlgorithmSpec::GP_LINEAR_II.next_ii(7, 0), 8);
+        assert_eq!(AlgorithmSpec::GP_LINEAR_II.next_ii(7, 99), 8);
     }
 }

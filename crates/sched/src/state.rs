@@ -20,7 +20,6 @@
 
 use crate::lifetime::PressureTable;
 use crate::mrt::{ChannelTable, ClusterMrt};
-use crate::pipeline::spill::{SpillPolicy, DEFAULT_SPILL};
 use gpsched_ddg::{Ddg, DepKind, OpId};
 use gpsched_machine::{MachineConfig, OpClass, ResourceKind};
 use std::sync::OnceLock;
@@ -165,6 +164,10 @@ fn shadow_undo_enabled() -> bool {
 /// `spill_of`.
 const NONE: u32 = u32::MAX;
 
+/// Spill rounds allowed per placement: a safety valve on the
+/// spill-on-overflow loop.
+const MAX_SPILL_ROUNDS: usize = 8;
+
 /// A partial modulo schedule at a fixed II.
 #[derive(Debug)]
 pub struct PartialSchedule<'a> {
@@ -200,8 +203,9 @@ pub struct PartialSchedule<'a> {
     /// Index into `spills` of each op's spill (`NONE` while unspilled; a
     /// value is spilled at most once).
     spill_of: Vec<u32>,
-    /// Overflow policy: whether/what to spill when a register file fills.
-    spill_policy: &'a dyn SpillPolicy,
+    /// Whether register-file overflow spills (§3.3.2); when `false`, an
+    /// overflow fails the placement.
+    spill: bool,
     /// The trial undo log: one inverse entry per mutation since the last
     /// commit. [`Self::commit_trial`] truncates it, [`Self::rollback_trial`]
     /// drains it. Never cloned — a clone starts with a clean slate.
@@ -259,7 +263,7 @@ impl<'a> Clone for PartialSchedule<'a> {
             transfer_next: self.transfer_next.clone(),
             spills: self.spills.clone(),
             spill_of: self.spill_of.clone(),
-            spill_policy: self.spill_policy,
+            spill: self.spill,
             undo: Vec::new(),
             shadow: None,
             stats: SchedStats::default(),
@@ -268,29 +272,24 @@ impl<'a> Clone for PartialSchedule<'a> {
 }
 
 impl<'a> PartialSchedule<'a> {
-    /// Creates an empty schedule for `ddg` on `machine` at interval `ii`,
-    /// with the default spill policy (longest register interval first).
+    /// Creates an empty schedule for `ddg` on `machine` at interval `ii`
+    /// that spills on register overflow.
     ///
     /// # Panics
     ///
     /// Panics if `ii < 1`.
     pub fn new(ddg: &'a Ddg, machine: &'a MachineConfig, ii: i64) -> Self {
-        Self::with_spill_policy(ddg, machine, ii, &DEFAULT_SPILL)
+        Self::with_spill(ddg, machine, ii, true)
     }
 
-    /// [`PartialSchedule::new`] with an explicit [`SpillPolicy`] (the
-    /// pipeline threads the active [`crate::AlgorithmSpec`]'s policy in
-    /// here).
+    /// [`PartialSchedule::new`] with spilling switched by `spill` (the
+    /// pipeline passes [`crate::AlgorithmSpec::spills`]): when `false`,
+    /// register overflow fails the placement instead.
     ///
     /// # Panics
     ///
     /// Panics if `ii < 1`.
-    pub fn with_spill_policy(
-        ddg: &'a Ddg,
-        machine: &'a MachineConfig,
-        ii: i64,
-        spill_policy: &'a dyn SpillPolicy,
-    ) -> Self {
+    pub fn with_spill(ddg: &'a Ddg, machine: &'a MachineConfig, ii: i64, spill: bool) -> Self {
         assert!(ii >= 1, "ii must be positive");
         let mrts = machine.clusters().map(|c| ClusterMrt::new(c, ii)).collect();
         let caps = machine.clusters().map(|c| c.registers as i64).collect();
@@ -310,7 +309,7 @@ impl<'a> PartialSchedule<'a> {
             transfer_next: Vec::new(),
             spills: Vec::new(),
             spill_of: vec![NONE; ddg.op_count()],
-            spill_policy,
+            spill,
             undo: Vec::new(),
             shadow: None,
             stats: SchedStats::default(),
@@ -879,7 +878,8 @@ impl<'a> PartialSchedule<'a> {
                 return Ok(());
             };
             // Spilling needs at least one free memory slot for the store.
-            if rounds >= self.spill_policy.max_rounds()
+            if !self.spill
+                || rounds >= MAX_SPILL_ROUNDS
                 || self.mem_free(cl) == 0
                 || !self.try_spill(cl)
             {
@@ -1063,8 +1063,8 @@ impl<'a> PartialSchedule<'a> {
     fn try_spill(&mut self, cluster: usize) -> bool {
         let _span = gpsched_trace::span!("sched.spill");
         // Candidates: placed value producers in this cluster, not yet
-        // spilled, ranked by the active spill policy (default: longest
-        // register interval first). An unspilled value's interval ends at
+        // spilled, ranked longest register interval first, ties by the
+        // lower op index (§3.3.2). An unspilled value's interval ends at
         // its `reg_last` mirror (DESIGN.md §6.6), so ranking reads no
         // graph; the read list is built only for candidates actually tried.
         let mut cands: Vec<(i64, usize)> = Vec::new();
@@ -1083,7 +1083,7 @@ impl<'a> PartialSchedule<'a> {
                 cands.push((len, opi));
             }
         }
-        self.spill_policy.rank(&mut cands);
+        cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
         'cand: for (_, opi) in cands {
             let pl = self.placements[opi].expect("candidate is placed");
@@ -1394,6 +1394,55 @@ mod tests {
         assert_eq!(s.loads.len(), 1);
         // The reload feeds the read at cycle 13.
         assert_eq!(s.loads[0].use_time, 13);
+    }
+
+    #[test]
+    fn spill_ranks_longest_interval_first() {
+        // Two values in one cluster overflow its 4 registers at II 4. The
+        // spiller tries candidates longest register interval first, ties
+        // by the lower op index, so the first spill names the longer value
+        // even when it has the higher index, and the lower index on a tie.
+        let first_spill = |short_use: i64| {
+            let mut b = DdgBuilder::new("t");
+            let a = b.op(OpClass::IntAlu, "a");
+            let long = b.op(OpClass::IntAlu, "long");
+            let ca = b.op(OpClass::IntAlu, "ca");
+            let cl = b.op(OpClass::IntAlu, "cl");
+            b.flow(a, ca);
+            b.flow(long, cl);
+            let ddg = b.build().unwrap();
+            let m = MachineConfig::homogeneous(2, (2, 2, 2), 8, 1, 1); // 4 regs each
+            let mut ps = PartialSchedule::new(&ddg, &m, 4);
+            ps.place(a, 0, 0).unwrap();
+            ps.place(long, 0, 1).unwrap();
+            ps.place(ca, 0, short_use).unwrap();
+            assert!(ps.spills().is_empty(), "one value alone fits");
+            ps.place(cl, 0, 13).unwrap();
+            ps.spills()[0].producer
+        };
+        // Intervals [1, 6] and [2, 13]: the longer, op 1, goes first.
+        assert_eq!(first_spill(6), 1);
+        // Intervals [1, 12] and [2, 13]: the tie goes to op 0.
+        assert_eq!(first_spill(12), 0);
+    }
+
+    #[test]
+    fn no_spill_fails_where_spill_rescues() {
+        // `spill_rescues_overflow`'s placement, with spilling switched off:
+        // the overflow fails the placement instead.
+        let mut b = DdgBuilder::new("t");
+        let p = b.op(OpClass::IntAlu, "p");
+        let c = b.op(OpClass::IntAlu, "c");
+        b.flow(p, c);
+        let ddg = b.build().unwrap();
+        let m = MachineConfig::homogeneous(2, (2, 2, 2), 4, 1, 1); // 2 regs each
+        let mut ps = PartialSchedule::with_spill(&ddg, &m, 2, false);
+        ps.place(p, 0, 0).unwrap();
+        assert_eq!(ps.place(c, 0, 13), Err(PlaceError::Registers));
+        let mut spilling = PartialSchedule::new(&ddg, &m, 2);
+        spilling.place(p, 0, 0).unwrap();
+        assert!(spilling.place(c, 0, 13).is_ok());
+        assert_eq!(spilling.spills().len(), 1);
     }
 
     #[test]

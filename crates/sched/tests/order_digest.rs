@@ -3,10 +3,15 @@
 //! the 2-cluster Table 1 machine to MII + 3, folded into one digest.
 //! Performance work on the ordering must leave it unchanged; a different
 //! tie-break, readiness rule or sweep order moves it.
+//!
+//! The scheduling pipeline computes the II-independent half of the order
+//! once per loop and reuses it at every II of the ladder, so each order is
+//! also checked against one `SmsPrecomp` reused across the four IIs.
 
+use gpsched_ddg::timing::TimingWorkspace;
 use gpsched_ddg::{mii, Ddg};
 use gpsched_machine::MachineConfig;
-use gpsched_sched::order::sms_order;
+use gpsched_sched::order::{sms_order, sms_order_precomputed, sms_precompute};
 use gpsched_workloads::{preset, spec_suite, synth, PRESET_NAMES};
 
 /// FNV-1a over a stream of words.
@@ -32,10 +37,15 @@ fn sms_order_digest_is_pinned() {
     }
     let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
     let mut orders = 0usize;
+    let mut ws = TimingWorkspace::new();
     for ddg in &loops {
         let start = mii::mii(ddg, &machine);
+        let pre = sms_precompute(ddg);
         for ii in start..=start + 3 {
             let order = sms_order(ddg, ii);
+            let t = ws.analyze(ddg, ii, |_| 0).expect("ii >= MII");
+            let reused = sms_order_precomputed(ddg, t, &pre);
+            assert_eq!(order, reused, "{} at II {ii}", ddg.name());
             digest.word(ii as u64);
             digest.word(order.len() as u64);
             for op in order {

@@ -92,8 +92,8 @@ fn list_fallback_engages_and_works() {
     let popts = PartitionOptions::default();
     let start_ii = mii::mii(&ddg, &machine);
     // The II ladder reports the failure…
-    let policies = AlgorithmSpec::URACAM.policies();
-    let ladder = pipeline::run(&ddg, &machine, &popts, &cfg, start_ii, None, &policies);
+    let spec = AlgorithmSpec::URACAM;
+    let ladder = pipeline::run(&ddg, &machine, &popts, &cfg, start_ii, None, spec);
     assert_eq!(
         ladder.unwrap_err(),
         SchedError::IiLimitExceeded { limit: 1 }
