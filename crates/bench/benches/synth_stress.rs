@@ -8,8 +8,6 @@
 //! * `audit/<preset>` — conformance units audited per second (schedule
 //!   with GP + full simulator replay), the per-unit price of the
 //!   `tests/synth_conformance.rs` sweep.
-//!
-//! `GPSCHED_BENCH_QUICK` shrinks sample counts for CI smoke runs.
 
 use gpsched::prelude::*;
 use gpsched_bench::Group;
@@ -17,18 +15,13 @@ use gpsched_engine::conformance::audit_unit;
 use gpsched_engine::generate_corpus;
 
 fn main() {
-    let samples = if std::env::var_os("GPSCHED_BENCH_QUICK").is_some() {
-        3
-    } else {
-        10
-    };
     let presets = ["recurrence-heavy", "wide-ilp", "mem-bound"];
     let count = 30usize;
     let machine = MachineConfig::two_cluster(32, 1, 1);
     let gp = AlgorithmSpec::parse("gp").expect("bundled spec");
 
     eprintln!("\n--- synth generation + conformance audit ---");
-    let group = Group::new("synth_stress").sample_size(samples);
+    let group = Group::new("synth_stress");
     for preset_name in presets {
         let profile = gpsched_workloads::preset(preset_name).expect("bundled preset");
         let t = group.bench(&format!("gen/{preset_name}"), || {

@@ -1,7 +1,11 @@
-//! Profiling harness for the large-units bench workload: prints the
-//! minimum untraced wall time over `REPS` runs (default 7 — the minimum
-//! rides out scheduler noise on loaded machines), then, when `TRACE` is
-//! set, one traced run with the top phases and counters.
+//! Profiling harness for big loop bodies: the largest tenth of the
+//! SPECfp95 loops by op count, on `c2r32b1l1` and `c4r64b1l2`, under the
+//! three modulo algorithms, one worker, cache off. Kernel-level costs
+//! concentrate in these bodies and are averaged away in whole-suite runs
+//! (gpbench's `paper-serial`). Prints the minimum untraced wall time over
+//! `REPS` runs (default 7 — the minimum rides out scheduler noise on
+//! loaded machines), then, when `TRACE` is set, one traced run with the
+//! top phases and counters.
 //!
 //! ```text
 //! REPS=15 cargo run --release -p gpsched-bench --example profile_large

@@ -1,13 +1,14 @@
-//! Benchmark support crate: see the `benches/` directory. Each bench
-//! regenerates one table or figure of the paper (plus ablations and the
-//! engine throughput trajectory); run with `cargo bench -p gpsched-bench`.
+//! Benchmark support crate: see the `benches/` directory. The benches
+//! time the substrates (matching, RecMII, SMS ordering, the simulator),
+//! the partitioner's ablations and synthetic corpus generation; run with
+//! `cargo bench -p gpsched-bench`. End-to-end throughput and per-layer
+//! counters come from gpbench (`BENCHMARK.json`); the paper's figures and
+//! tables from `reproduce`.
 //!
 //! The workspace builds without external crates, so this library provides
 //! the tiny timing harness the bench binaries share (`harness = false`):
 //! fixed sample counts, min/mean/max wall times, deterministic output
 //! lines that are easy to diff between commits.
-
-pub mod trajectory;
 
 use std::time::{Duration, Instant};
 

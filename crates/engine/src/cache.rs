@@ -29,53 +29,62 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// ([`ddg_content_hash`], [`machine_key`], [`popts_key`]).
 pub type CacheKey = (u64, u64, u64);
 
+/// FNV-1a, the one hash behind every key and checksum in this module.
+/// Integers are mixed as their 8 little-endian bytes.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn mix(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
 /// FNV-1a content hash of a DDG's structure.
 ///
 /// Covers trip count, every op's `(class, latency)` and every dep's
 /// `(src, dst, kind, latency, distance)` in graph order; excludes the loop
 /// and op names so renamed copies of the same body share cache entries.
 pub fn ddg_content_hash(ddg: &Ddg) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    mix(ddg.trip_count());
-    mix(ddg.op_count() as u64);
+    let mut h = Fnv1a::new();
+    h.mix(ddg.trip_count());
+    h.mix(ddg.op_count() as u64);
     for id in ddg.op_ids() {
         let op = ddg.op(id);
-        mix(op.class as u64);
-        mix(op.latency as u64);
+        h.mix(op.class as u64);
+        h.mix(op.latency as u64);
     }
-    mix(ddg.dep_count() as u64);
+    h.mix(ddg.dep_count() as u64);
     for e in ddg.dep_ids() {
         let (s, d) = ddg.dep_endpoints(e);
         let dep = ddg.dep(e);
-        mix(s.index() as u64);
-        mix(d.index() as u64);
-        mix(match dep.kind {
+        h.mix(s.index() as u64);
+        h.mix(d.index() as u64);
+        h.mix(match dep.kind {
             gpsched_ddg::DepKind::Flow => 0,
             gpsched_ddg::DepKind::Mem => 1,
         });
-        mix(dep.latency as u64);
-        mix(dep.distance as u64);
+        h.mix(dep.latency as u64);
+        h.mix(dep.distance as u64);
     }
-    h
+    h.0
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte slice (the disk cache uses this as its line checksum).
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.bytes(bytes);
+    h.0
 }
 
 /// FNV-1a hash of every [`PartitionOptions`] field that changes the
@@ -84,28 +93,22 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// options must be part of the cache key — keying on (loop, machine) alone
 /// silently serves one configuration's partition to the other.
 pub fn popts_key(popts: &PartitionOptions) -> u64 {
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut h = Fnv1a::new();
     match popts.strategy {
-        MatchStrategy::Exact => mix(0),
-        MatchStrategy::Greedy => mix(1),
+        MatchStrategy::Exact => h.mix(0),
+        MatchStrategy::Greedy => h.mix(1),
         MatchStrategy::Auto(limit) => {
-            mix(2);
-            mix(limit as u64);
+            h.mix(2);
+            h.mix(limit as u64);
         }
     }
     let r = &popts.refine;
-    mix(r.balance as u64);
-    mix(r.cut as u64);
-    mix(r.max_moves as u64);
-    mix(r.swap_candidates as u64);
-    mix(r.eval_candidates as u64);
-    h
+    h.mix(r.balance as u64);
+    h.mix(r.cut as u64);
+    h.mix(r.max_moves as u64);
+    h.mix(r.swap_candidates as u64);
+    h.mix(r.eval_candidates as u64);
+    h.0
 }
 
 /// FNV-1a hash of the [`DriverConfig`]: its II cap. The in-memory
@@ -113,12 +116,9 @@ pub fn popts_key(popts: &PartitionOptions) -> u64 {
 /// may crown a different winner, so the two configurations must not share
 /// memo entries. The disk cache never sees it.
 pub fn cfg_key(cfg: &DriverConfig) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in cfg.ii_cap.map_or(u64::MAX, |c| c as u64).to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.mix(cfg.ii_cap.map_or(u64::MAX, |c| c as u64));
+    h.0
 }
 
 /// FNV-1a hash of everything that distinguishes one machine from another
@@ -128,53 +128,47 @@ pub fn cfg_key(cfg: &DriverConfig) -> u64 {
 /// (or different p2p latency matrices) can share a short name.
 pub fn machine_key(machine: &MachineConfig) -> u64 {
     use gpsched_machine::Interconnect;
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    mix(machine.cluster_count() as u64);
+    let mut h = Fnv1a::new();
+    h.mix(machine.cluster_count() as u64);
     for c in machine.clusters() {
-        mix(c.int_units as u64);
-        mix(c.fp_units as u64);
-        mix(c.mem_units as u64);
-        mix(c.registers as u64);
+        h.mix(c.int_units as u64);
+        h.mix(c.fp_units as u64);
+        h.mix(c.mem_units as u64);
+        h.mix(c.registers as u64);
     }
     match machine.interconnect() {
-        Interconnect::None => mix(0),
+        Interconnect::None => h.mix(0),
         Interconnect::SharedBus {
             count,
             latency,
             pipelined,
         } => {
-            mix(1);
-            mix(*count as u64);
-            mix(*latency as u64);
-            mix(*pipelined as u64);
+            h.mix(1);
+            h.mix(*count as u64);
+            h.mix(*latency as u64);
+            h.mix(*pipelined as u64);
         }
         Interconnect::PointToPoint { channels, latency } => {
-            mix(2);
-            mix(*channels as u64);
+            h.mix(2);
+            h.mix(*channels as u64);
             for &l in latency {
-                mix(l as u64);
+                h.mix(l as u64);
             }
         }
         Interconnect::Ring {
             hop_latency,
             links_per_hop,
         } => {
-            mix(3);
-            mix(*hop_latency as u64);
-            mix(*links_per_hop as u64);
+            h.mix(3);
+            h.mix(*hop_latency as u64);
+            h.mix(*links_per_hop as u64);
         }
     }
     let l = &machine.latencies;
     for lat in [l.int_alu, l.fp_add, l.fp_mul, l.fp_div, l.load, l.store] {
-        mix(lat as u64);
+        h.mix(lat as u64);
     }
-    h
+    h.0
 }
 
 /// A lazily computed cache slot, shared across workers.
@@ -547,5 +541,37 @@ mod tests {
         for v in &variants {
             assert_ne!(popts_key(v), base_key, "{v:?} must change the key");
         }
+    }
+
+    /// Disk-cache lines carry the DDG, machine and options keys plus an
+    /// `fnv1a` checksum, so changing any of them orphans every cache file
+    /// written before. (`cfg_key` keys only the in-memory winner memo.)
+    #[test]
+    fn persisted_keys_are_pinned() {
+        assert_eq!(
+            ddg_content_hash(&kernels::daxpy(100)),
+            0x6fdf_6c17_3d78_bfcc
+        );
+        let presets = gpsched_machine::topology_presets();
+        let machines = [
+            (&presets[0], "c2r32b1l1", 0x0594_eae9_e76b_806c),
+            (&presets[2], "c4r64ring1x1", 0x0b34_4372_a20d_c968),
+            (&presets[3], "c4r64p2p1x1", 0x1809_3fd7_b3a0_7de8),
+            (&MachineConfig::unified(32), "u-r32", 0x2c47_5467_6756_504a),
+        ];
+        for (m, name, key) in machines {
+            assert_eq!(m.short_name(), name);
+            assert_eq!(machine_key(m), key, "{name}");
+        }
+        assert_eq!(
+            popts_key(&PartitionOptions::default()),
+            0x6fac_fc36_325e_522f
+        );
+        assert_eq!(cfg_key(&DriverConfig::default()), 0x8cf5_1a8b_fca3_883d);
+        assert_eq!(
+            cfg_key(&DriverConfig { ii_cap: Some(100) }),
+            0x0c35_bd2f_5a46_5561
+        );
+        assert_eq!(fnv1a(b"gpsched"), 0xd07e_260a_e7bf_7ff9);
     }
 }

@@ -90,7 +90,9 @@ mod tests {
         // cache counters: tracing is process-global, so concurrent tests'
         // sweeps can contribute counts during this session.)
         assert!(p.summary.counter("graph.bf.runs") > 0);
-        let text = p.render(10);
+        // All phases: concurrent tests' spans can push `engine.unit` out
+        // of any fixed top-N by self time.
+        let text = p.render(0);
         assert!(text.contains("c2r32b1l1"));
         assert!(text.contains("engine.unit"));
     }

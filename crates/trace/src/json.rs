@@ -2,10 +2,9 @@
 //! hand-rolled writers and a minimal std-only reader.
 //!
 //! Writers keep their own `format!` layouts — those bytes are the JSONL
-//! record, Chrome trace and `BENCH_engine.json` contracts — and pass every
-//! string through [`escape`]. [`parse`] reads any of them back: the trace
-//! validator (`gpsched-engine trace-check`), the perf trajectory reader
-//! and the tests.
+//! record, daemon and Chrome trace contracts — and pass every string
+//! through [`escape`]. [`parse`] reads any of them back: the trace
+//! validator (`gpsched-engine trace-check`) and the tests.
 
 use std::fmt::Write as _;
 

@@ -9,8 +9,9 @@
 //! * **Disabled is the default and costs one relaxed atomic load** per
 //!   [`span!`]/[`counter!`] site (plus a predictable branch). No
 //!   allocation, no `Instant::now()`, no formatting — macro arguments are
-//!   not even evaluated. The engine-throughput bench pins this at ≤ 1%
-//!   (`BENCH_engine.json`, `pr6-trace-neutrality`).
+//!   not even evaluated. The budget is ≤ 1% of a serial, cache-off sweep;
+//!   gpbench `--trace 1` reports what *enabled* tracing costs as
+//!   `trace.overhead_pct`, from paired traced and untraced replays.
 //! * **Enabled is scoped to a [`TraceSession`]**: sessions serialize
 //!   through a global lock, reset every counter on entry, and drain the
 //!   per-thread span buffers on [`TraceSession::finish`], yielding a
