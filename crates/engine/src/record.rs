@@ -40,6 +40,9 @@ pub struct RunRecord {
     pub cache_hit: bool,
     /// Wall-clock microseconds spent computing this unit's schedule
     /// (including MII/partition preprocessing when it was a cache miss).
+    /// Runs another unit of a cached portfolio job computed for the same
+    /// loop and machine are read, not re-timed: the unit pays only its
+    /// own work plus any wait for a run still in flight.
     pub sched_time_us: u64,
 }
 

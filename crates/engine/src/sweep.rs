@@ -11,11 +11,12 @@
 use crate::cache::{compute_seed, ddg_content_hash, SweepCache};
 use crate::job::JobSpec;
 use crate::record::{RunRecord, SweepStats};
-use gpsched_sched::{schedule_loop_spec_seeded, ScheduledWith};
+use gpsched_sched::{schedule_loop_spec_seeded, ScheduledWith, SharedRuns};
 use gpsched_trace::json::escape;
+use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// A unit that could not be scheduled at all.
@@ -132,6 +133,11 @@ pub fn run_sweep(job: &JobSpec, opts: &SweepOptions, sink: Option<&mut dyn Write
 /// one (optionally disk-backed) [`SweepCache`] for its whole lifetime and
 /// runs every accepted job through it. Reported cache stats are this
 /// call's delta, not the cache's lifetime totals.
+///
+/// With the cache on, a job that races a portfolio also shares each
+/// (loop, machine) pair's unconstrained fixed-spec runs between its units
+/// ([`SharedRuns`]): a memo that lives while the pair's units run and is
+/// dropped with the pair, never outliving the call.
 pub fn run_sweep_cached(
     job: &JobSpec,
     opts: &SweepOptions,
@@ -144,6 +150,10 @@ pub fn run_sweep_cached(
     let (hits0, misses0) = cache.stats();
     // Hash every loop once, up front.
     let hashes: Vec<u64> = job.loops.iter().map(|l| ddg_content_hash(&l.ddg)).collect();
+    // A memo needs a reader: only a portfolio race reads runs it did not
+    // compute itself.
+    let races = job.algorithms.iter().any(|a| a.is_portfolio());
+    let shared = (opts.use_cache && races).then(|| PairRuns::new(job.algorithms.len()));
 
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<Result<RunRecord, Box<UnitFailure>>>();
@@ -155,6 +165,7 @@ pub fn run_sweep_cached(
             let tx = tx.clone();
             let next = &next;
             let hashes = &hashes;
+            let shared = shared.as_ref();
             scope.spawn(move || {
                 gpsched_trace::set_thread_label(format!("worker-{w}"));
                 loop {
@@ -162,7 +173,13 @@ pub fn run_sweep_cached(
                     if k >= nunits {
                         break;
                     }
-                    let outcome = run_unit(job, k, hashes, cache, opts.use_cache);
+                    // A (loop, machine) pair's units are consecutive.
+                    let pair = k / job.algorithms.len();
+                    let runs = shared.map(|s| s.acquire(pair));
+                    let outcome = run_unit(job, k, hashes, cache, opts.use_cache, runs.as_deref());
+                    if let Some(s) = shared {
+                        s.release(pair);
+                    }
                     if tx.send(outcome).is_err() {
                         break;
                     }
@@ -225,6 +242,42 @@ pub fn run_sweep_cached(
     }
 }
 
+/// The [`SharedRuns`] of the (loop, machine) pairs whose units are being
+/// scheduled. A pair's units are consecutive in unit order; its memo is
+/// created when the first of them starts and dropped when the last one
+/// finishes, so at most `workers + 1` memos are alive at once.
+struct PairRuns {
+    units_per_pair: usize,
+    /// Live memos by pair index, with how many of the pair's units have
+    /// finished.
+    live: Mutex<HashMap<usize, (Arc<SharedRuns>, usize)>>,
+}
+
+impl PairRuns {
+    fn new(units_per_pair: usize) -> Self {
+        PairRuns {
+            units_per_pair,
+            live: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The memo of `pair`, for one of its units.
+    fn acquire(&self, pair: usize) -> Arc<SharedRuns> {
+        let mut live = self.live.lock().expect("pair memos poisoned");
+        Arc::clone(&live.entry(pair).or_default().0)
+    }
+
+    /// Marks one unit of `pair` finished; the last one drops the memo.
+    fn release(&self, pair: usize) {
+        let mut live = self.live.lock().expect("pair memos poisoned");
+        let entry = live.get_mut(&pair).expect("released a pair never acquired");
+        entry.1 += 1;
+        if entry.1 == self.units_per_pair {
+            live.remove(&pair);
+        }
+    }
+}
+
 /// Formats one stderr progress line: units done/total, current rate, ETA.
 fn progress_line(done: usize, total: usize, t0: Instant) -> String {
     let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
@@ -250,6 +303,7 @@ fn run_unit(
     hashes: &[u64],
     cache: &SweepCache,
     use_cache: bool,
+    runs: Option<&SharedRuns>,
 ) -> Result<RunRecord, Box<UnitFailure>> {
     let (li, mi, ai) = job.unit(k);
     let spec = &job.loops[li];
@@ -308,8 +362,12 @@ fn run_unit(
         gpsched_trace::counter!("portfolio.winner_memo_hits");
     }
     let effective = memo_winner.unwrap_or(algorithm);
-    let r = schedule_loop_spec_seeded(&spec.ddg, machine, effective, &job.popts, &job.cfg, &seed)
-        .map_err(|e| fail(e.to_string()))?;
+    let (ddg, popts, cfg) = (&spec.ddg, &job.popts, &job.cfg);
+    let r = match runs {
+        Some(runs) => runs.schedule(ddg, machine, effective, popts, cfg, &seed),
+        None => schedule_loop_spec_seeded(ddg, machine, effective, popts, cfg, &seed),
+    }
+    .map_err(|e| fail(e.to_string()))?;
     let sched_time_us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
     if let (Some(key), Some(winner)) = (memo_key, r.selected) {
         cache.record_portfolio_winner(key, &job.cfg, algorithm, winner);

@@ -10,6 +10,7 @@
 use gpsched_engine::{run_sweep, JobSpec, SweepOptions};
 use gpsched_machine::MachineConfig;
 use gpsched_sched::AlgorithmSpec;
+use gpsched_trace::TraceSession;
 use gpsched_workloads::{spec_suite, synth::synthesize, SynthProfile};
 use std::collections::BTreeSet;
 
@@ -139,8 +140,11 @@ fn large_loops_agree_across_worker_counts() {
 fn portfolio_is_deterministic_across_worker_counts_and_cache_states() {
     // The portfolio race ranks candidates from DDG features and runs them
     // strictly in rank order, so its selection must not depend on the
-    // worker count, the winner memo, or cache warmth. Mixed fixed +
-    // portfolio specs in one job also exercise the memo keying.
+    // worker count, the winner memo, the shared runs or cache warmth.
+    // Mixed fixed + portfolio specs in one job also exercise the memo
+    // keying: with GP, URACAM and List in the job, a cached sweep answers
+    // the race's leader, its challengers and its List floor from the
+    // fixed units' runs.
     let suite = spec_suite();
     let mut job = JobSpec::new()
         .machines([
@@ -148,7 +152,11 @@ fn portfolio_is_deterministic_across_worker_counts_and_cache_states() {
             MachineConfig::two_cluster(32, 1, 1),
             MachineConfig::four_cluster(64, 1, 2),
         ])
-        .algorithms([AlgorithmSpec::GP])
+        .algorithms([
+            AlgorithmSpec::GP,
+            AlgorithmSpec::URACAM,
+            AlgorithmSpec::LIST,
+        ])
         .algorithm(gpsched_sched::AlgorithmSpec::PORTFOLIO)
         .algorithm(gpsched_sched::AlgorithmSpec::parse("portfolio:5:8").expect("parses"));
     let program = suite.iter().find(|p| p.name == "hydro2d").expect("exists");
@@ -166,25 +174,27 @@ fn portfolio_is_deterministic_across_worker_counts_and_cache_states() {
             .map(|rec| format!("{{\"unit\":{},{}}}", rec.unit, rec.canonical_fields()))
             .collect()
     };
-    let serial = run_sweep(&job, &SweepOptions::serial(), None);
-    let parallel = run_sweep(
-        &job,
-        &SweepOptions {
-            workers: test_workers(),
-            use_cache: true,
-            progress: false,
-        },
-        None,
-    );
-    let uncached = run_sweep(
-        &job,
-        &SweepOptions {
-            workers: 1,
-            use_cache: false,
-            progress: false,
-        },
-        None,
-    );
+    // Each sweep under its own trace session, returning how many raced
+    // candidates were answered from another unit's run.
+    let traced = |opts: SweepOptions| {
+        let session = TraceSession::start();
+        let r = run_sweep(&job, &opts, None);
+        (r, session.finish().counter("portfolio.shared_runs"))
+    };
+    let (serial, serial_shared) = traced(SweepOptions::serial());
+    let (parallel, parallel_shared) = traced(SweepOptions {
+        workers: test_workers(),
+        use_cache: true,
+        progress: false,
+    });
+    let (uncached, uncached_shared) = traced(SweepOptions {
+        workers: 1,
+        use_cache: false,
+        progress: false,
+    });
+    assert!(serial_shared > 0, "the cached sweep shared no run");
+    assert!(parallel_shared > 0, "the cached pool shared no run");
+    assert_eq!(uncached_shared, 0, "the uncached sweep shared runs");
     let reference = canonical(&serial);
     assert_eq!(
         reference,
@@ -194,7 +204,7 @@ fn portfolio_is_deterministic_across_worker_counts_and_cache_states() {
     assert_eq!(
         reference,
         canonical(&uncached),
-        "winner memo changed portfolio results"
+        "winner memo or shared runs changed portfolio results"
     );
     // Every portfolio unit scheduled (none dropped to a failure record),
     // and the record keeps the portfolio display name — `Portfolio` and

@@ -7,7 +7,9 @@
 //! `list` runs the list scheduler, a portfolio races its candidates
 //! ([`crate::portfolio`]), and every other spec climbs the II ladder of
 //! [`pipeline::run`] with the spec, falling back to list scheduling when
-//! the II cap is exhausted.
+//! the II cap is exhausted. [`SharedRuns::schedule`] does the same
+//! through a memo that lets the units scheduling one loop on one machine
+//! share their runs.
 
 use crate::error::SchedError;
 use crate::listsched::list_schedule;
@@ -17,6 +19,8 @@ use crate::spec::AlgorithmSpec;
 use gpsched_ddg::Ddg;
 use gpsched_machine::MachineConfig;
 use gpsched_partition::{Partition, PartitionOptions};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// Driver options shared by every scheduling run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -119,6 +123,7 @@ pub fn schedule_loop(
         &DriverConfig::default(),
         None,
         Cutoff::default(),
+        None,
     )
 }
 
@@ -137,7 +142,8 @@ pub struct SchedSeed {
 /// [`schedule_loop`] with explicit partitioner and driver options and
 /// precomputed MII/partition inputs, so batch drivers that schedule the
 /// same loop on the same machine under several specs (or repeatedly
-/// across sweeps) skip the shared preprocessing.
+/// across sweeps) skip the shared preprocessing. Every call pays for its
+/// own runs; [`SharedRuns::schedule`] shares them between calls.
 ///
 /// # Errors
 ///
@@ -184,11 +190,15 @@ pub fn schedule_loop_spec_seeded(
         cfg,
         Some(seed),
         Cutoff::default(),
+        None,
     )
 }
 
-/// Both entry points, plus the early `cutoff` only the portfolio race
-/// imposes on its challengers.
+/// Both entry points and [`SharedRuns::schedule`], plus the early `cutoff`
+/// only the portfolio race imposes on its challengers. With `shared`, an
+/// unconstrained run of a catalog spec is read from (or stored in) the
+/// memo, and a portfolio race reads its siblings' runs from it.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn schedule_impl(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -197,6 +207,7 @@ pub(crate) fn schedule_impl(
     cfg: &DriverConfig,
     seed: Option<&SchedSeed>,
     cutoff: Cutoff,
+    shared: Option<&SharedRuns>,
 ) -> Result<LoopResult, SchedError> {
     for kind in gpsched_machine::ResourceKind::ALL {
         if ddg.ops_using(kind) > 0 && machine.total_units(kind) == 0 {
@@ -205,6 +216,16 @@ pub(crate) fn schedule_impl(
             )));
         }
     }
+    // A catalog spec's unconstrained run goes through the memo; running
+    // it reads nothing shared (only a portfolio race does).
+    let slot = shared
+        .filter(|_| cutoff.is_none())
+        .and_then(|s| s.slot(spec));
+    if let Some(slot) = slot {
+        let run = || schedule_impl(ddg, machine, spec, popts, cfg, seed, cutoff, None);
+        return slot.get_or_run(run).clone();
+    }
+
     let base =
         |schedule: Schedule, method: ScheduledWith, partition: Option<Partition>| LoopResult {
             schedule,
@@ -232,7 +253,7 @@ pub(crate) fn schedule_impl(
     };
 
     if spec.is_portfolio() {
-        return crate::portfolio::race(ddg, machine, spec, popts, cfg, start_ii, initial);
+        return crate::portfolio::race(ddg, machine, spec, popts, cfg, start_ii, initial, shared);
     }
 
     match pipeline::run_until(ddg, machine, popts, cfg, start_ii, initial, spec, cutoff) {
@@ -248,6 +269,113 @@ pub(crate) fn schedule_impl(
             Ok(base(s, ScheduledWith::ListFallback, None))
         }
         Err(e) => Err(e),
+    }
+}
+
+/// The result of one scheduling run, as the memo holds it.
+type RunResult = Result<LoopResult, SchedError>;
+
+/// A memo of the unconstrained fixed-spec runs of one loop on one machine:
+/// every unit of a batch that schedules the pair with a catalog spec or a
+/// portfolio reads it, so each spec's II ladder is climbed at most once.
+///
+/// All calls on one memo must pass the same loop, machine, options and
+/// seed; the engine keeps one per (loop, machine) pair of a sweep. A run
+/// is computed by the first unit that asks for it, and a unit asking
+/// while it is in flight waits for it. A portfolio race reads its leader,
+/// its List floor and every challenger whose run has started from here:
+/// a challenger's cut-off outcome is derived from its unconstrained run
+/// (DESIGN.md §12, "Shared runs"), and a cut-off run is never stored.
+/// Results are byte-identical to scheduling each unit alone.
+#[derive(Default)]
+pub struct SharedRuns {
+    /// One slot per [`AlgorithmSpec::CATALOG`] entry, in catalog order.
+    slots: [Slot; AlgorithmSpec::CATALOG.len()],
+}
+
+/// One spec's run in [`SharedRuns`].
+#[derive(Default)]
+struct Slot {
+    /// Set by the unit that computes the run, before it starts. Relaxed:
+    /// it publishes nothing (the run is read through the `OnceLock`), and
+    /// a reader that misses a fresh `true` just runs its candidate itself.
+    started: AtomicBool,
+    run: OnceLock<RunResult>,
+}
+
+impl Slot {
+    /// The run, computed by `run` unless some unit has computed it or is
+    /// computing it (then this waits for that unit).
+    fn get_or_run(&self, run: impl FnOnce() -> RunResult) -> &RunResult {
+        self.run.get_or_init(|| {
+            self.started.store(true, Ordering::Relaxed);
+            run()
+        })
+    }
+}
+
+impl SharedRuns {
+    /// [`schedule_loop_spec_seeded`] through this memo: a catalog spec's
+    /// run is computed once and then read, and a portfolio race reads
+    /// the runs of the candidates it shares with other units.
+    ///
+    /// # Errors
+    ///
+    /// See [`schedule_loop`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use gpsched_ddg::mii::mii;
+    /// use gpsched_machine::MachineConfig;
+    /// use gpsched_partition::{partition_ddg, PartitionOptions};
+    /// use gpsched_sched::{AlgorithmSpec, DriverConfig, SchedSeed, SharedRuns};
+    /// use gpsched_workloads::kernels;
+    ///
+    /// let ddg = kernels::fir(500, 8);
+    /// let machine = MachineConfig::four_cluster(32, 1, 2);
+    /// let (popts, cfg) = (PartitionOptions::default(), DriverConfig::default());
+    /// let start_ii = mii(&ddg, &machine);
+    /// let partition = Some(partition_ddg(&ddg, &machine, start_ii, &popts));
+    /// let seed = SchedSeed { start_ii, partition };
+    /// let runs = SharedRuns::default();
+    /// let gp = runs.schedule(&ddg, &machine, AlgorithmSpec::GP, &popts, &cfg, &seed)?;
+    /// // The race reads GP's ladder instead of climbing it again.
+    /// let best = runs.schedule(&ddg, &machine, AlgorithmSpec::PORTFOLIO, &popts, &cfg, &seed)?;
+    /// assert!(best.cycles() <= gp.cycles());
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    pub fn schedule(
+        &self,
+        ddg: &Ddg,
+        machine: &MachineConfig,
+        spec: AlgorithmSpec,
+        popts: &PartitionOptions,
+        cfg: &DriverConfig,
+        seed: &SchedSeed,
+    ) -> Result<LoopResult, SchedError> {
+        let none = Cutoff::default();
+        schedule_impl(ddg, machine, spec, popts, cfg, Some(seed), none, Some(self))
+    }
+
+    /// `spec`'s slot, if it is a catalog spec.
+    fn slot(&self, spec: AlgorithmSpec) -> Option<&Slot> {
+        let i = AlgorithmSpec::CATALOG.iter().position(|&s| s == spec)?;
+        Some(&self.slots[i])
+    }
+
+    /// `spec`'s unconstrained run if some unit has started it, waiting for
+    /// it while it is in flight; `None` if no unit has. `run` computes it
+    /// only if the unit that started it gave up (panicked).
+    pub(crate) fn started(
+        &self,
+        spec: AlgorithmSpec,
+        run: impl FnOnce() -> RunResult,
+    ) -> Option<&RunResult> {
+        let slot = self.slot(spec)?;
+        slot.started
+            .load(Ordering::Relaxed)
+            .then(|| slot.get_or_run(run))
     }
 }
 
@@ -449,6 +577,54 @@ mod tests {
                     "{}: cluster {c} uses {live} regs",
                     ddg.name()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn shared_runs_reproduce_unshared_runs() {
+        // Whichever unit reaches the memo first — a fixed spec, or a race
+        // that reads the fixed specs' runs — every result must equal
+        // scheduling that unit alone, placements included. The portfolio
+        // specs race catalog members; `gp:norepart:nospill` has no slot.
+        let popts = PartitionOptions::default();
+        let cfg = DriverConfig::default();
+        let mut specs: Vec<AlgorithmSpec> = AlgorithmSpec::CATALOG.to_vec();
+        specs.push(AlgorithmSpec::PORTFOLIO);
+        specs.push(AlgorithmSpec::parse("portfolio:5:8").unwrap());
+        specs.push(AlgorithmSpec::parse("gp:norepart:nospill").unwrap());
+        for ddg in kernels::all_kernels(300) {
+            for m in [
+                MachineConfig::two_cluster(32, 1, 1),
+                MachineConfig::four_cluster(32, 1, 2),
+            ] {
+                let start_ii = gpsched_ddg::mii::mii(&ddg, &m);
+                let partition = Some(gpsched_partition::partition_ddg(&ddg, &m, start_ii, &popts));
+                let seed = SchedSeed {
+                    start_ii,
+                    partition,
+                };
+                let alone: Vec<LoopResult> = specs
+                    .iter()
+                    .map(|&s| schedule_loop_spec_seeded(&ddg, &m, s, &popts, &cfg, &seed).unwrap())
+                    .collect();
+                for portfolio_first in [false, true] {
+                    let runs = SharedRuns::default();
+                    let mut order: Vec<usize> = (0..specs.len()).collect();
+                    if portfolio_first {
+                        order.reverse();
+                    }
+                    for i in order {
+                        let got = runs.schedule(&ddg, &m, specs[i], &popts, &cfg, &seed);
+                        let (got, want) = (got.unwrap(), &alone[i]);
+                        let at = format!("{} on {}: {}", ddg.name(), m.short_name(), specs[i]);
+                        assert_eq!(got.method, want.method, "{at}");
+                        assert_eq!(got.selected, want.selected, "{at}");
+                        assert_eq!(got.cycles(), want.cycles(), "{at}");
+                        let placements = got.schedule.placements();
+                        assert_eq!(placements, want.schedule.placements(), "{at}");
+                    }
+                }
             }
         }
     }

@@ -61,6 +61,7 @@ pub mod state;
 
 pub use algo::{
     schedule_loop, schedule_loop_spec_seeded, DriverConfig, LoopResult, SchedSeed, ScheduledWith,
+    SharedRuns,
 };
 pub use error::SchedError;
 pub use schedule::Schedule;

@@ -26,7 +26,7 @@
 
 mod cluster;
 
-use crate::algo::{cap_for, DriverConfig};
+use crate::algo::{cap_for, DriverConfig, LoopResult, ScheduledWith};
 use crate::error::SchedError;
 use crate::order::{self, SmsPrecomp};
 use crate::schedule::Schedule;
@@ -278,6 +278,57 @@ pub(crate) struct Cutoff {
     pub(crate) ii: Option<i64>,
     /// Maximum number of failed II rungs.
     pub(crate) attempts: Option<usize>,
+}
+
+impl Cutoff {
+    /// Whether this cutoff stops nothing (the default).
+    pub(crate) fn is_none(&self) -> bool {
+        self.ii.is_none() && self.attempts.is_none()
+    }
+
+    /// What scheduling `spec` under this cutoff returns, list fallback
+    /// included, derived without scheduling from `full`: the same spec's
+    /// unconstrained result on the same loop, machine, seed and options.
+    ///
+    /// Exact because a cutoff never changes a rung, only where the ladder
+    /// stops: the cut-off run attempts the rungs of the full run in the
+    /// same order, with the same partitions, and succeeds on the rung
+    /// where the full run did. So this walks [`run_until`]'s ladder from
+    /// `start_ii` without attempting anything, stopping where
+    /// [`run_until`] would.
+    pub(crate) fn outcome(
+        self,
+        spec: AlgorithmSpec,
+        start_ii: i64,
+        cfg: &DriverConfig,
+        full: &Result<LoopResult, SchedError>,
+    ) -> Result<LoopResult, SchedError> {
+        let full = full.as_ref().map_err(Clone::clone)?;
+        let found = match full.method {
+            ScheduledWith::Modulo { .. } => Some(full.schedule.ii()),
+            _ => None,
+        };
+        let cap = cap_for(start_ii, cfg);
+        let limit = self.ii.map_or(cap, |c| c.min(cap));
+        let mut ii = start_ii;
+        let mut failures = 0usize;
+        while ii <= limit {
+            if self.attempts.is_some_and(|b| failures >= b) {
+                return Err(SchedError::RaceCutoff { limit: ii });
+            }
+            if found == Some(ii) {
+                return Ok(full.clone());
+            }
+            ii = spec.next_ii(ii, failures);
+            failures += 1;
+        }
+        if limit < cap {
+            Err(SchedError::RaceCutoff { limit })
+        } else {
+            debug_assert!(found.is_none(), "the full run succeeded off its ladder");
+            Ok(full.clone()) // the full run's list fallback
+        }
+    }
 }
 
 /// Runs one loop through the pipeline with `spec`: one attempt per II,
@@ -562,6 +613,115 @@ mod tests {
                 ddg.name()
             );
         }
+    }
+
+    #[test]
+    fn cutoff_outcome_matches_a_cut_off_run() {
+        // `Cutoff::outcome` derives what a cut-off run returns from the
+        // unconstrained run; the portfolio race trusts it instead of
+        // running. For every pipeline spec, on loops that succeed at the
+        // MII, higher up the ladder or (under a small II cap) only through
+        // the list fallback, every cutoff II around the ladder and every
+        // attempt budget up to past its length must give exactly what
+        // `run_until` under that cutoff gives.
+        let ring = gpsched_machine::topology_presets()
+            .into_iter()
+            .find(|m| m.short_name() == "c4r64ring1x1")
+            .expect("ring reference machine");
+        let machines = [
+            MachineConfig::two_cluster(32, 1, 1),
+            MachineConfig::four_cluster(32, 1, 2),
+            ring,
+        ];
+        let mut loops = kernels::all_kernels(200);
+        for name in gpsched_workloads::PRESET_NAMES {
+            let mut profile = gpsched_workloads::preset(name).expect("bundled preset");
+            // Each preset's shape at kernel size: the grid below runs
+            // every loop dozens of times per spec.
+            profile.ops = profile.ops.min(24);
+            loops.extend(gpsched_workloads::synth::corpus(name, &profile, 5, 2));
+        }
+        let popts = PartitionOptions::default();
+        let specs = AlgorithmSpec::CATALOG.into_iter().filter(|s| !s.is_list());
+        let specs: Vec<AlgorithmSpec> = specs.collect();
+        // Outcomes seen: modulo above the MII, list fallback, cut off by
+        // the budget, cut off by the II limit.
+        let (mut climbed, mut fell_back, mut by_budget, mut by_limit) = (0, 0, 0, 0);
+        for ddg in &loops {
+            for m in &machines {
+                let start = gpsched_ddg::mii::mii(ddg, m);
+                let seed = crate::SchedSeed {
+                    start_ii: start,
+                    partition: Some(gpsched_partition::partition_ddg(ddg, m, start, &popts)),
+                };
+                let cfg = DriverConfig {
+                    ii_cap: Some(start + 3),
+                };
+                for &spec in &specs {
+                    let run = |cutoff| {
+                        let seed = Some(&seed);
+                        crate::algo::schedule_impl(ddg, m, spec, &popts, &cfg, seed, cutoff, None)
+                    };
+                    let full = run(Cutoff::default());
+                    let full_run = full.as_ref().expect("schedulable");
+                    let top = match full_run.method {
+                        ScheduledWith::Modulo { .. } => full_run.schedule.ii(),
+                        _ => cap_for(start, &cfg),
+                    };
+                    // How many rungs of the full run's ladder lie at or
+                    // below `limit`.
+                    let rungs = |limit: i64| {
+                        let (mut n, mut ii) = (0, start);
+                        while ii <= limit.min(top) {
+                            ii = spec.next_ii(ii, n);
+                            n += 1;
+                        }
+                        n
+                    };
+                    let iis = std::iter::once(None).chain((start - 1..=top + 1).map(Some));
+                    for ii in iis {
+                        // Budgets from none to one past every rung the
+                        // run could climb under this limit.
+                        let most = rungs(ii.unwrap_or(top));
+                        let budgets = std::iter::once(None).chain((0..=most + 1).map(Some));
+                        for attempts in budgets {
+                            let cutoff = Cutoff { ii, attempts };
+                            let want = run(cutoff);
+                            let got = cutoff.outcome(spec, start, &cfg, &full);
+                            let at = format!(
+                                "{} on {} with {spec}, cutoff {cutoff:?}",
+                                ddg.name(),
+                                m.short_name()
+                            );
+                            match (&want, &got) {
+                                (Ok(w), Ok(g)) => {
+                                    assert_eq!(w.method, g.method, "{at}");
+                                    assert_eq!(w.schedule.ii(), g.schedule.ii(), "{at}");
+                                    assert_eq!(w.schedule.length(), g.schedule.length(), "{at}");
+                                    assert_eq!(w.cycles(), g.cycles(), "{at}");
+                                    match w.method {
+                                        ScheduledWith::ListFallback => fell_back += 1,
+                                        _ if w.schedule.ii() > start => climbed += 1,
+                                        _ => {}
+                                    }
+                                }
+                                (Err(w), Err(g)) => {
+                                    assert_eq!(w, g, "{at}");
+                                    assert!(matches!(w, SchedError::RaceCutoff { .. }), "{at}");
+                                    by_limit += usize::from(attempts.is_none());
+                                    by_budget += usize::from(ii.is_none());
+                                }
+                                _ => panic!("{at}: run {want:?} vs derived {got:?}"),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(climbed > 0, "no run succeeded above the MII");
+        assert!(fell_back > 0, "no run fell back to list scheduling");
+        assert!(by_budget > 0, "no run exhausted its budget");
+        assert!(by_limit > 0, "no run crossed its II limit");
     }
 
     fn run_kernel(spec: AlgorithmSpec) {

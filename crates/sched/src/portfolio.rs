@@ -31,9 +31,11 @@
 //! count, and re-running the winning spec alone reproduces the winner's
 //! schedule exactly (a cutoff only turns losing runs into early errors;
 //! it never alters a run that succeeds). The engine's winner memo and the
-//! sequential-equivalence argument in DESIGN.md §12 both lean on that.
+//! sequential-equivalence argument in DESIGN.md §12 both lean on that,
+//! and so do [`SharedRuns`]: in a batch that also schedules the raced
+//! specs, a race reads their unconstrained runs instead of repeating them.
 
-use crate::algo::{schedule_impl, DriverConfig, LoopResult};
+use crate::algo::{schedule_impl, DriverConfig, LoopResult, SharedRuns};
 use crate::error::SchedError;
 use crate::lifetime::PressureTable;
 use crate::pipeline::Cutoff;
@@ -273,12 +275,16 @@ fn key(r: &LoopResult) -> (u64, i64, i64) {
 /// Runs the portfolio race for one unit. Called by the scheduling entry
 /// points when the spec [is a portfolio](AlgorithmSpec::is_portfolio);
 /// `start_ii`/`initial` are the unit's resolved MII and seed partition
-/// (every candidate shares them).
+/// (every candidate shares them). With `shared`, the leader and the List
+/// floor are read from (or stored in) the memo, and a candidate whose
+/// unconstrained run another unit has started gets its outcome derived
+/// from that run instead of running ([`Cutoff::outcome`]).
 ///
 /// # Errors
 ///
 /// [`SchedError::Unschedulable`] when the machine lacks units for the
 /// loop — the same condition the fixed specs report.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn race(
     ddg: &Ddg,
     machine: &MachineConfig,
@@ -287,6 +293,7 @@ pub(crate) fn race(
     cfg: &DriverConfig,
     start_ii: i64,
     initial: Option<PartitionResult>,
+    shared: Option<&SharedRuns>,
 ) -> Result<LoopResult, SchedError> {
     let k = spec.portfolio_k();
     let budget = spec.portfolio_budget();
@@ -301,6 +308,9 @@ pub(crate) fn race(
         partition: initial,
     };
     let trips = ddg.trip_count();
+    let run = |cand, cutoff, shared| {
+        schedule_impl(ddg, machine, cand, popts, cfg, Some(&seed), cutoff, shared)
+    };
 
     let mut best: Option<(AlgorithmSpec, LoopResult)> = None;
     for cand in ranked.into_iter().take(k.max(1)) {
@@ -331,9 +341,18 @@ pub(crate) fn race(
                 }
             }
         };
-        let result = {
-            let _span = gpsched_trace::span!("portfolio.race", "cand={cand}");
-            schedule_impl(ddg, machine, cand, popts, cfg, Some(&seed), cutoff)
+        // Another unit's unconstrained run of this candidate answers it.
+        // (The closure runs only if the unit computing it panicked.)
+        let full = shared.and_then(|s| s.started(cand, || run(cand, Cutoff::default(), None)));
+        let result = match full {
+            Some(full) => {
+                gpsched_trace::counter!("portfolio.shared_runs");
+                cutoff.outcome(cand, start_ii, cfg, full)
+            }
+            None => {
+                let _span = gpsched_trace::span!("portfolio.race", "cand={cand}");
+                run(cand, cutoff, shared)
+            }
         };
         match result {
             Ok(r) => match &best {
@@ -351,8 +370,7 @@ pub(crate) fn race(
     // list scheduling (the fixed specs guarantee this per spec via their
     // fallback; the portfolio guarantees it across the pool).
     let list = AlgorithmSpec::LIST;
-    let none = Cutoff::default();
-    let list_result = schedule_impl(ddg, machine, list, popts, cfg, Some(&seed), none)?;
+    let list_result = run(list, Cutoff::default(), shared)?;
     let (selected, mut winner) = match best {
         Some((s, r)) if key(&r) <= key(&list_result) => (s, r),
         _ => (list, list_result),

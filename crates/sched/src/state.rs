@@ -230,6 +230,12 @@ pub(crate) struct SchedStats {
     pub(crate) trial_rollbacks: gpsched_trace::BatchCounter,
     pub(crate) undo_entries: gpsched_trace::BatchCounter,
     pub(crate) transfers_booked: gpsched_trace::BatchCounter,
+    /// Why a [`PartialSchedule::try_spill`] call inserted no spill: no
+    /// value outlives the II, or every candidate lacked a store or a
+    /// reload slot.
+    pub(crate) spill_no_candidate: gpsched_trace::BatchCounter,
+    pub(crate) spill_no_store_slot: gpsched_trace::BatchCounter,
+    pub(crate) spill_no_reload_slot: gpsched_trace::BatchCounter,
 }
 
 impl Default for SchedStats {
@@ -239,6 +245,9 @@ impl Default for SchedStats {
             trial_rollbacks: gpsched_trace::BatchCounter::new("sched.trial_rollbacks"),
             undo_entries: gpsched_trace::BatchCounter::new("sched.undo_entries"),
             transfers_booked: gpsched_trace::BatchCounter::new("sched.transfers_booked"),
+            spill_no_candidate: gpsched_trace::BatchCounter::new("sched.spill_no_candidate"),
+            spill_no_store_slot: gpsched_trace::BatchCounter::new("sched.spill_no_store_slot"),
+            spill_no_reload_slot: gpsched_trace::BatchCounter::new("sched.spill_no_reload_slot"),
         }
     }
 }
@@ -1084,7 +1093,14 @@ impl<'a> PartialSchedule<'a> {
             }
         }
         cands.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        if cands.is_empty() {
+            self.stats.spill_no_candidate.add(1);
+            return false;
+        }
 
+        // Whether some candidate found a store slot and then lacked a
+        // reload slot (the failure tally's cause).
+        let mut reload_blocked = false;
         'cand: for (_, opi) in cands {
             let pl = self.placements[opi].expect("candidate is placed");
             let def = pl.time + self.op_latency(opi);
@@ -1130,6 +1146,7 @@ impl<'a> PartialSchedule<'a> {
                     }
                 }
                 let Some(l) = found else {
+                    reload_blocked = true;
                     continue 'cand;
                 };
                 reserved.push(l);
@@ -1159,6 +1176,11 @@ impl<'a> PartialSchedule<'a> {
             });
             gpsched_trace::counter!("sched.spills_inserted");
             return true;
+        }
+        if reload_blocked {
+            self.stats.spill_no_reload_slot.add(1);
+        } else {
+            self.stats.spill_no_store_slot.add(1);
         }
         false
     }
