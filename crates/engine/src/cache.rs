@@ -20,7 +20,7 @@ use crate::diskcache::DiskCache;
 use gpsched_ddg::Ddg;
 use gpsched_machine::MachineConfig;
 use gpsched_partition::{partition_ddg, MatchStrategy, PartitionOptions, PartitionResult};
-use gpsched_sched::{AlgorithmSpec, DriverConfig, SchedSeed};
+use gpsched_sched::SchedSeed;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -111,16 +111,6 @@ pub fn popts_key(popts: &PartitionOptions) -> u64 {
     h.0
 }
 
-/// FNV-1a hash of the [`DriverConfig`]: its II cap. The in-memory
-/// portfolio winner memo keys on it — a race run under a different II cap
-/// may crown a different winner, so the two configurations must not share
-/// memo entries. The disk cache never sees it.
-pub fn cfg_key(cfg: &DriverConfig) -> u64 {
-    let mut h = Fnv1a::new();
-    h.mix(cfg.ii_cap.map_or(u64::MAX, |c| c as u64));
-    h.0
-}
-
 /// FNV-1a hash of everything that distinguishes one machine from another
 /// for scheduling purposes: per-cluster unit mix and registers, the
 /// interconnect topology and the latency model. `short_name` is *not*
@@ -178,9 +168,6 @@ type SeedCell = Arc<OnceLock<SchedSeed>>;
 /// ([`ddg_content_hash`], [`machine_key`], [`popts_key`]).
 pub struct SweepCache {
     entries: Mutex<HashMap<CacheKey, SeedCell>>,
-    /// Memoized portfolio race winners, keyed by the seed key plus the
-    /// driver-config hash and the portfolio's `(k, budget)` knobs.
-    winners: Mutex<HashMap<(CacheKey, u64, usize, usize), AlgorithmSpec>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     disk_hits: AtomicUsize,
@@ -192,7 +179,6 @@ impl SweepCache {
     pub fn new() -> Self {
         SweepCache {
             entries: Mutex::new(HashMap::new()),
-            winners: Mutex::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             disk_hits: AtomicUsize::new(0),
@@ -269,51 +255,6 @@ impl SweepCache {
             }
         }
         (seed.clone(), origin != Origin::Computed)
-    }
-
-    /// The memoized winner of a portfolio race over the same
-    /// (loop, machine, partition options, driver config, k, budget), if
-    /// this cache has seen it. Sound to replay because the race is a pure
-    /// function of exactly those inputs and re-running the winning spec
-    /// alone reproduces the raced winner's schedule byte for byte (a
-    /// cutoff only aborts runs that cannot win — see DESIGN.md §12) — so
-    /// a memo hit schedules one spec instead of racing `k`.
-    pub fn portfolio_winner(
-        &self,
-        key: CacheKey,
-        cfg: &DriverConfig,
-        spec: AlgorithmSpec,
-    ) -> Option<AlgorithmSpec> {
-        self.winners
-            .lock()
-            .expect("cache poisoned")
-            .get(&(
-                key,
-                cfg_key(cfg),
-                spec.portfolio_k(),
-                spec.portfolio_budget(),
-            ))
-            .copied()
-    }
-
-    /// Records the winner of a completed portfolio race for
-    /// [`Self::portfolio_winner`] to replay.
-    pub fn record_portfolio_winner(
-        &self,
-        key: CacheKey,
-        cfg: &DriverConfig,
-        spec: AlgorithmSpec,
-        winner: AlgorithmSpec,
-    ) {
-        self.winners.lock().expect("cache poisoned").insert(
-            (
-                key,
-                cfg_key(cfg),
-                spec.portfolio_k(),
-                spec.portfolio_budget(),
-            ),
-            winner,
-        );
     }
 
     /// `(hits, misses)` so far. Disk hits count as hits.
@@ -545,7 +486,7 @@ mod tests {
 
     /// Disk-cache lines carry the DDG, machine and options keys plus an
     /// `fnv1a` checksum, so changing any of them orphans every cache file
-    /// written before. (`cfg_key` keys only the in-memory winner memo.)
+    /// written before.
     #[test]
     fn persisted_keys_are_pinned() {
         assert_eq!(
@@ -566,11 +507,6 @@ mod tests {
         assert_eq!(
             popts_key(&PartitionOptions::default()),
             0x6fac_fc36_325e_522f
-        );
-        assert_eq!(cfg_key(&DriverConfig::default()), 0x8cf5_1a8b_fca3_883d);
-        assert_eq!(
-            cfg_key(&DriverConfig { ii_cap: Some(100) }),
-            0x0c35_bd2f_5a46_5561
         );
         assert_eq!(fnv1a(b"gpsched"), 0xd07e_260a_e7bf_7ff9);
     }

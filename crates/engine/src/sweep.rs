@@ -346,32 +346,13 @@ fn run_unit(
     // A hit can still have *blocked* on a concurrent miss computing the
     // same entry; that wait is the miss's cost, not this unit's.
     let t0 = if cache_hit { Instant::now() } else { t0 };
-    // Portfolio units consult the winner memo: a repeat of the same race
-    // schedules only the memoized winning spec, which reproduces the
-    // raced result exactly (the race is pure and a completed winner is
-    // cutoff-independent). The record still reports the portfolio's name.
-    let memo_key = (use_cache && algorithm.is_portfolio()).then(|| {
-        (
-            hashes[li],
-            crate::cache::machine_key(machine),
-            crate::cache::popts_key(&job.popts),
-        )
-    });
-    let memo_winner = memo_key.and_then(|key| cache.portfolio_winner(key, &job.cfg, algorithm));
-    if memo_winner.is_some() {
-        gpsched_trace::counter!("portfolio.winner_memo_hits");
-    }
-    let effective = memo_winner.unwrap_or(algorithm);
     let (ddg, popts, cfg) = (&spec.ddg, &job.popts, &job.cfg);
     let r = match runs {
-        Some(runs) => runs.schedule(ddg, machine, effective, popts, cfg, &seed),
-        None => schedule_loop_spec_seeded(ddg, machine, effective, popts, cfg, &seed),
+        Some(runs) => runs.schedule(ddg, machine, algorithm, popts, cfg, &seed),
+        None => schedule_loop_spec_seeded(ddg, machine, algorithm, popts, cfg, &seed),
     }
     .map_err(|e| fail(e.to_string()))?;
     let sched_time_us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    if let (Some(key), Some(winner)) = (memo_key, r.selected) {
-        cache.record_portfolio_winner(key, &job.cfg, algorithm, winner);
-    }
 
     let repartitions = match r.method {
         ScheduledWith::Modulo { repartitions } => repartitions,

@@ -7,7 +7,7 @@
 //! both the degenerate single-worker path and a contended pool are
 //! exercised on every push).
 
-use gpsched_engine::{run_sweep, JobSpec, SweepOptions};
+use gpsched_engine::{run_sweep, run_sweep_cached, JobSpec, SweepCache, SweepOptions, SweepResult};
 use gpsched_machine::MachineConfig;
 use gpsched_sched::AlgorithmSpec;
 use gpsched_trace::TraceSession;
@@ -140,11 +140,11 @@ fn large_loops_agree_across_worker_counts() {
 fn portfolio_is_deterministic_across_worker_counts_and_cache_states() {
     // The portfolio race ranks candidates from DDG features and runs them
     // strictly in rank order, so its selection must not depend on the
-    // worker count, the winner memo, the shared runs or cache warmth.
-    // Mixed fixed + portfolio specs in one job also exercise the memo
-    // keying: with GP, URACAM and List in the job, a cached sweep answers
-    // the race's leader, its challengers and its List floor from the
-    // fixed units' runs.
+    // worker count, the shared runs or cache warmth. Mixed fixed +
+    // portfolio specs in one job also exercise the shared runs' keying:
+    // with GP, URACAM and List in the job, a cached sweep answers the
+    // race's leader, its challengers and its List floor from the fixed
+    // units' runs.
     let suite = spec_suite();
     let mut job = JobSpec::new()
         .machines([
@@ -204,7 +204,7 @@ fn portfolio_is_deterministic_across_worker_counts_and_cache_states() {
     assert_eq!(
         reference,
         canonical(&uncached),
-        "winner memo or shared runs changed portfolio results"
+        "shared runs changed portfolio results"
     );
     // Every portfolio unit scheduled (none dropped to a failure record),
     // and the record keeps the portfolio display name — `Portfolio` and
@@ -219,6 +219,74 @@ fn portfolio_is_deterministic_across_worker_counts_and_cache_states() {
     assert!(portfolio_records
         .iter()
         .any(|r| r.algorithm == "Portfolio:5:8"));
+}
+
+#[test]
+fn repeated_portfolio_job_through_one_cache_matches_uncached() {
+    // The daemon runs every job through one long-lived `SweepCache`, so a
+    // portfolio body submitted twice finds the seeds its first submission
+    // left behind. Both submissions, serial and then pooled, must schedule
+    // exactly what an uncached sweep schedules.
+    //
+    // Sessions serialize through a process-wide lock: holding one keeps
+    // this test's races out of the counters the traced portfolio test reads.
+    let _session = TraceSession::start();
+    let suite = spec_suite();
+    let program = suite.iter().find(|p| p.name == "hydro2d").expect("exists");
+    let mut job = JobSpec::new()
+        .program(program)
+        .machines([
+            MachineConfig::two_cluster(32, 1, 1),
+            MachineConfig::four_cluster(32, 1, 2),
+        ])
+        .algorithms([
+            AlgorithmSpec::GP,
+            AlgorithmSpec::PORTFOLIO,
+            AlgorithmSpec::parse("portfolio:5:8").expect("parses"),
+        ]);
+    for seed in 0..2 {
+        job = job.loop_in(
+            "synth",
+            synthesize(format!("r{seed}"), &SynthProfile::default(), seed),
+        );
+    }
+
+    let canonical = |r: &SweepResult| -> Vec<String> {
+        assert!(r.failures.is_empty(), "{:?}", r.failures);
+        r.records
+            .iter()
+            .map(|rec| format!("{{\"unit\":{},{}}}", rec.unit, rec.canonical_fields()))
+            .collect()
+    };
+    let uncached = run_sweep(
+        &job,
+        &SweepOptions {
+            workers: 1,
+            use_cache: false,
+            progress: false,
+        },
+        None,
+    );
+    let cache = SweepCache::new();
+    let first = run_sweep_cached(&job, &SweepOptions::serial(), None, &cache);
+    let second = run_sweep_cached(
+        &job,
+        &SweepOptions {
+            workers: test_workers(),
+            use_cache: true,
+            progress: false,
+        },
+        None,
+        &cache,
+    );
+    assert!(
+        second.records.iter().all(|r| r.cache_hit),
+        "the second submission recomputed a seed"
+    );
+    let reference = canonical(&uncached);
+    assert_eq!(reference.len(), job.unit_count());
+    assert_eq!(reference, canonical(&first), "first submission differs");
+    assert_eq!(reference, canonical(&second), "second submission differs");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! [`gpsched_engine::run_sweep`], so they use every CPU the host offers
 //! and share MII/partition preprocessing across the per-algorithm bars.
 
-use gpsched_engine::{aggregate_by_group, run_sweep, JobSpec, SweepOptions};
+use crate::variants::series_for_specs;
 use gpsched_machine::MachineConfig;
 use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::{spec_suite, Program};
@@ -52,51 +52,30 @@ impl FigureSeries {
     }
 }
 
-/// Builds one figure series for a clustered machine configuration by
-/// running two engine sweeps: the unified upper bound (GP on one cluster —
-/// all algorithms coincide there) and the clustered machine under the
-/// three modulo algorithms.
+/// Builds one figure series for a clustered machine configuration from
+/// two [`series_for_specs`] sweeps: the unified upper bound (GP on one
+/// cluster — all algorithms coincide there) and the clustered machine
+/// under the three modulo algorithms.
 pub fn series_for(programs: &[Program], machine: &MachineConfig, title: &str) -> FigureSeries {
-    let opts = SweepOptions::default();
-    let unified_job = JobSpec::new()
-        .programs(programs)
-        .machine(MachineConfig::unified(machine.total_registers()))
-        .algorithm(AlgorithmSpec::GP);
-    let clustered_job = JobSpec::new()
-        .programs(programs)
-        .machine(machine.clone())
-        .algorithms(AlgorithmSpec::MODULO);
-    let unified = aggregate_by_group(&run_sweep(&unified_job, &opts, None).records);
-    let clustered = aggregate_by_group(&run_sweep(&clustered_job, &opts, None).records);
-
-    let ipc_of =
-        |agg: &[gpsched_engine::GroupAggregate], group: &str, algo: AlgorithmSpec| -> f64 {
-            agg.iter()
-                .find(|a| a.group == group && a.algorithm == algo.name())
-                .map(|a| a.ipc)
-                .expect("sweep covers every (program, algorithm)")
-        };
-
-    let mut rows: Vec<FigureRow> = programs
-        .iter()
-        .map(|p| FigureRow {
-            program: p.name.to_string(),
-            unified: ipc_of(&unified, p.name, AlgorithmSpec::GP),
-            uracam: ipc_of(&clustered, p.name, AlgorithmSpec::URACAM),
-            fixed: ipc_of(&clustered, p.name, AlgorithmSpec::FIXED),
-            gp: ipc_of(&clustered, p.name, AlgorithmSpec::GP),
+    let unified = series_for_specs(
+        programs,
+        &MachineConfig::unified(machine.total_registers()),
+        &[AlgorithmSpec::GP],
+    );
+    let clustered = series_for_specs(programs, machine, &AlgorithmSpec::MODULO);
+    // Both series end with their average row, so zipping them pairs it too.
+    let rows = unified
+        .rows
+        .into_iter()
+        .zip(clustered.rows)
+        .map(|(u, c)| FigureRow {
+            program: u.program,
+            unified: u.ipc[0],
+            uracam: c.ipc[0],
+            fixed: c.ipc[1],
+            gp: c.ipc[2],
         })
         .collect();
-
-    let n = rows.len() as f64;
-    let avg = FigureRow {
-        program: "average".to_string(),
-        unified: rows.iter().map(|r| r.unified).sum::<f64>() / n,
-        uracam: rows.iter().map(|r| r.uracam).sum::<f64>() / n,
-        fixed: rows.iter().map(|r| r.fixed).sum::<f64>() / n,
-        gp: rows.iter().map(|r| r.gp).sum::<f64>() / n,
-    };
-    rows.push(avg);
     FigureSeries {
         machine: machine.short_name(),
         title: title.to_string(),
@@ -178,8 +157,13 @@ mod tests {
         let suite = mini_suite();
         let m = MachineConfig::two_cluster(32, 1, 1);
         let s = series_for(&suite, &m, "check");
-        let direct = crate::run::run_program(&suite[0], &m, AlgorithmSpec::GP);
-        assert!((s.rows[0].gp - direct.ipc).abs() < 1e-12);
+        let (mut ops, mut cycles) = (0u128, 0u128);
+        for ddg in &suite[0].loops {
+            let r = gpsched_sched::schedule_loop(ddg, &m, AlgorithmSpec::GP).expect("schedules");
+            ops += r.ops as u128 * r.trips as u128;
+            cycles += r.cycles() as u128;
+        }
+        assert!((s.rows[0].gp - ops as f64 / cycles as f64).abs() < 1e-12);
     }
 
     #[test]

@@ -1,8 +1,5 @@
 //! Experiment harness reproducing every table and figure of the paper.
 //!
-//! * [`run`] — schedule one program (a set of innermost loops) on one
-//!   machine with one algorithm, measuring aggregate IPC and the CPU time
-//!   spent computing the schedules;
 //! * [`figures`] — Figure 2 (1 bus, latency 1) and Figure 3 (1 bus,
 //!   latency 2): IPC per SPECfp95 program and average, bars = unified /
 //!   URACAM / Fixed / GP;
@@ -41,7 +38,6 @@ pub mod figures;
 pub mod portfolio;
 pub mod profile;
 pub mod report;
-pub mod run;
 pub mod stress;
 pub mod tables;
 pub mod topologies;
@@ -50,7 +46,6 @@ pub mod variants;
 pub use figures::{figure2, figure3, FigureRow, FigureSeries};
 pub use portfolio::{portfolio_report, PortfolioReport, PortfolioRow};
 pub use profile::{profile_report, profile_report_on, ProfileReport};
-pub use run::{run_program, ProgramRun};
 pub use stress::{stress_report, StressReport, StressRow};
 pub use tables::{table2, Table2Row};
 pub use topologies::{default_topology_report, topology_report, TopologyReport, TopologyRow};

@@ -10,9 +10,8 @@
 //!   (Galil's O(V³) formulation, following van Rantwijk's reference
 //!   implementation).
 //!
-//! The partitioner defaults to the exact algorithm (matching LEDA) and can be
-//! switched to the greedy one; `benches/ablation_matching.rs` quantifies the
-//! difference.
+//! The partitioner uses the exact algorithm (matching LEDA) on coarsening
+//! levels of up to 192 nodes by default and the greedy one above that.
 
 mod blossom;
 mod greedy;

@@ -10,8 +10,8 @@ use crate::weights::edge_weights;
 use gpsched_ddg::Ddg;
 use gpsched_machine::MachineConfig;
 
-/// Options of the multilevel partitioner (the ablation benches toggle
-/// these).
+/// Options of the multilevel partitioner. Every field is part of the
+/// engine's seed-cache key.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PartitionOptions {
     /// Matching strategy for coarsening.

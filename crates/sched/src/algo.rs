@@ -68,8 +68,8 @@ pub struct LoopResult {
     /// Trip count used for the cycle accounting.
     pub trips: u64,
     /// For portfolio runs, the fixed spec whose schedule won the race
-    /// (re-running it alone reproduces this result exactly — the engine's
-    /// winner memo relies on that). `None` for fixed-spec runs.
+    /// (re-running it alone reproduces this result exactly). `None` for
+    /// fixed-spec runs.
     pub selected: Option<AlgorithmSpec>,
 }
 

@@ -554,7 +554,7 @@ fn spill_pass(
             store,
             loads,
         });
-        gpsched_trace::counter!("sched.spills_inserted");
+        gpsched_trace::counter!("sched.list_spills_inserted");
         spilled[victim] = true;
     }
     gpsched_trace::counter!("sched.trial_rollbacks", rollbacks);

@@ -30,10 +30,10 @@
 //! function of `(ddg, machine, spec)`, byte-identical for any worker
 //! count, and re-running the winning spec alone reproduces the winner's
 //! schedule exactly (a cutoff only turns losing runs into early errors;
-//! it never alters a run that succeeds). The engine's winner memo and the
-//! sequential-equivalence argument in DESIGN.md §12 both lean on that,
-//! and so do [`SharedRuns`]: in a batch that also schedules the raced
-//! specs, a race reads their unconstrained runs instead of repeating them.
+//! it never alters a run that succeeds). The sequential-equivalence
+//! argument in DESIGN.md §12 leans on that, and so do [`SharedRuns`]: in
+//! a batch that also schedules the raced specs, a race reads their
+//! unconstrained runs instead of repeating them.
 
 use crate::algo::{schedule_impl, DriverConfig, LoopResult, SharedRuns};
 use crate::error::SchedError;
@@ -366,9 +366,10 @@ pub(crate) fn race(
         }
     }
 
-    // The non-pipelined floor: a portfolio answer never loses to plain
-    // list scheduling (the fixed specs guarantee this per spec via their
-    // fallback; the portfolio guarantees it across the pool).
+    // The non-pipelined floor: List is compared last, so a portfolio
+    // answer never loses to plain list scheduling. A fixed spec can: its
+    // fallback fires only at the II cap, so a ladder that succeeds below
+    // the cap may still take more cycles than List.
     let list = AlgorithmSpec::LIST;
     let list_result = run(list, Cutoff::default(), shared)?;
     let (selected, mut winner) = match best {

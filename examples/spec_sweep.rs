@@ -6,42 +6,37 @@
 //! ```
 
 use gpsched::prelude::*;
-use gpsched_eval::run::{run_program, run_unified};
+use gpsched_eval::figures::series_for;
 
 fn main() {
-    let suite = spec_suite();
     let picks = ["swim", "hydro2d"];
-
-    for name in picks {
-        let program = suite
-            .iter()
-            .find(|p| p.name == name)
-            .expect("program in suite");
+    let programs: Vec<_> = spec_suite()
+        .into_iter()
+        .filter(|p| picks.contains(&p.name))
+        .collect();
+    for p in &programs {
         println!(
-            "\n=== {} ({} loops, {} dynamic ops) ===",
-            program.name,
-            program.loops.len(),
-            program.dynamic_ops()
+            "{} ({} loops, {} dynamic ops)",
+            p.name,
+            p.loops.len(),
+            p.dynamic_ops()
         );
+    }
+
+    for (_, machine) in table1_configs() {
+        if machine.is_unified() {
+            continue;
+        }
+        let series = series_for(&programs, &machine, "");
+        println!("\n=== {} ===", series.machine);
         println!(
             "{:<12} {:>8} {:>8} {:>8} {:>8}",
-            "machine", "unified", "URACAM", "Fixed", "GP"
+            "program", "unified", "URACAM", "Fixed", "GP"
         );
-        for (_, machine) in table1_configs() {
-            if machine.is_unified() {
-                continue;
-            }
-            let unified = run_unified(program, machine.total_registers());
-            let ur = run_program(program, &machine, AlgorithmSpec::URACAM);
-            let fx = run_program(program, &machine, AlgorithmSpec::FIXED);
-            let gp = run_program(program, &machine, AlgorithmSpec::GP);
+        for r in &series.rows {
             println!(
                 "{:<12} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-                machine.short_name(),
-                unified.ipc,
-                ur.ipc,
-                fx.ipc,
-                gp.ipc
+                r.program, r.unified, r.uracam, r.fixed, r.gp
             );
         }
     }

@@ -1,10 +1,9 @@
 //! Shape tests of the paper's evaluation claims on a reduced suite
-//! (fast enough for CI; the full sweep lives in `reproduce` and the
-//! benches).
+//! (fast enough for CI; the full sweep lives in `reproduce`).
 
 use gpsched::prelude::*;
 use gpsched_eval::figures::series_for;
-use gpsched_eval::run::{run_program, run_unified};
+use gpsched_eval::series_for_specs;
 use gpsched_workloads::Program;
 
 /// Three representative programs, trimmed to their first loops.
@@ -21,19 +20,26 @@ fn mini_suite() -> Vec<Program> {
 
 #[test]
 fn unified_bounds_all_algorithms() {
-    for p in mini_suite() {
-        for regs in [32, 64] {
-            let u = run_unified(&p, regs);
-            for algo in AlgorithmSpec::PAPER {
-                let c = run_program(&p, &MachineConfig::two_cluster(regs, 1, 1), algo);
+    let programs = mini_suite();
+    for regs in [32, 64] {
+        let u = series_for_specs(
+            &programs,
+            &MachineConfig::unified(regs),
+            &[AlgorithmSpec::GP],
+        );
+        let c = series_for_specs(
+            &programs,
+            &MachineConfig::two_cluster(regs, 1, 1),
+            &AlgorithmSpec::PAPER,
+        );
+        for (ur, cr) in u.rows.iter().zip(&c.rows) {
+            for (algo, &ipc) in c.specs.iter().zip(&cr.ipc) {
                 // 1% tolerance for prolog/epilog noise (see end_to_end).
                 assert!(
-                    u.ipc >= c.ipc * 0.99,
-                    "{}@r{regs}: {} {} beat unified {}",
-                    p.name,
-                    c.algorithm,
-                    c.ipc,
-                    u.ipc
+                    ur.ipc[0] >= ipc * 0.99,
+                    "{}@r{regs}: {algo} {ipc} beat unified {}",
+                    cr.program,
+                    ur.ipc[0]
                 );
             }
         }
