@@ -53,6 +53,15 @@
 //! become failure records (see [`UnitFailure`]), and the executor wraps
 //! each job in `catch_unwind` as a last line of defense.
 //!
+//! # Wire path
+//!
+//! Sockets run with `TCP_NODELAY`, and every HTTP message leaves in one
+//! write: a response, a client request, and each batch of result lines
+//! that a stream finds pending when it wakes (the first batch carries the
+//! response head). With `--trace`, `GET /metrics` counts the daemon's
+//! socket writes under `serve.socket_writes`: at most one per request plus
+//! one per result line.
+//!
 //! [`canonical_json_line`]: crate::record::canonical_json_line
 //! [`UnitFailure`]: crate::sweep::UnitFailure
 
@@ -316,9 +325,11 @@ fn acceptor_loop(listener: TcpListener, shared: Arc<Shared>, max_body: usize) {
         }
         let Ok(stream) = stream else { continue };
         let shared = Arc::clone(&shared);
-        // Thread-per-connection: requests are short-lived except result
-        // streams, and the job executor — not connection handling — is the
-        // bottleneck by design.
+        // Thread-per-connection: a request is one read and one write,
+        // except a result stream, which writes once per batch of new lines
+        // and lives as long as its job. The job executor, not connection
+        // handling, is the bottleneck by design. Nothing caps the number
+        // of connections yet.
         let _ = std::thread::Builder::new()
             .name("serve-conn".to_string())
             .spawn(move || {
@@ -499,13 +510,29 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-fn write_response(stream: &mut TcpStream, status: u16, reason: &str, body: &str) {
-    let _ = write!(
-        stream,
+/// Sends a whole response, head and body, in one write.
+fn write_response(w: &mut impl Write, status: u16, reason: &str, body: &str) {
+    let message = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.flush();
+    let _ = w.write_all(message.as_bytes());
+    let _ = w.flush();
+}
+
+/// The daemon's writes to one connection: each `write` it passes to the
+/// socket counts once under `serve.socket_writes`, which CI caps.
+struct SocketWriter<'a>(&'a TcpStream);
+
+impl Write for SocketWriter<'_> {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        gpsched_trace::counter!("serve.socket_writes");
+        self.0.write(bytes)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
 }
 
 fn json_error(msg: &str) -> String {
@@ -514,10 +541,16 @@ fn json_error(msg: &str) -> String {
 
 fn handle_connection(mut stream: TcpStream, shared: &Shared, max_body: usize) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let request = match read_request(&mut stream, max_body) {
+    // Every message leaves in one write. Nagle's algorithm would still
+    // hold a stream's second batch of result lines until the client
+    // acknowledged the first.
+    let _ = stream.set_nodelay(true);
+    let request = read_request(&mut stream, max_body);
+    let stream = &mut SocketWriter(&stream);
+    let request = match request {
         Ok(r) => r,
         Err((status, reason, msg)) => {
-            write_response(&mut stream, status, reason, &json_error(&msg));
+            write_response(stream, status, reason, &json_error(&msg));
             return;
         }
     };
@@ -526,23 +559,21 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, max_body: usize) {
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/jobs") => match parse_job_body(&request.body) {
             Ok(job) => match shared.try_enqueue(job) {
-                Ok(id) => {
-                    write_response(&mut stream, 202, "Accepted", &format!("{{\"job\":{id}}}\n"))
-                }
+                Ok(id) => write_response(stream, 202, "Accepted", &format!("{{\"job\":{id}}}\n")),
                 Err(()) => write_response(
-                    &mut stream,
+                    stream,
                     503,
                     "Service Unavailable",
                     &json_error("job queue is full, retry later"),
                 ),
             },
-            Err(msg) => write_response(&mut stream, 400, "Bad Request", &json_error(&msg)),
+            Err(msg) => write_response(stream, 400, "Bad Request", &json_error(&msg)),
         },
         ("GET", "/healthz") => {
             let queued = shared.queue.lock().expect("queue poisoned").len();
             let (hits, misses) = shared.cache.stats();
             write_response(
-                &mut stream,
+                stream,
                 200,
                 "OK",
                 &format!(
@@ -562,10 +593,10 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, max_body: usize) {
                 Some(summary) => format!("{}\n", summary.to_json()),
                 None => "{\"tracing\":false}\n".to_string(),
             };
-            write_response(&mut stream, 200, "OK", &body);
+            write_response(stream, 200, "OK", &body);
         }
         ("POST", "/shutdown") => {
-            write_response(&mut stream, 200, "OK", "{\"ok\":true}\n");
+            write_response(stream, 200, "OK", "{\"ok\":true}\n");
             shared.request_shutdown();
         }
         ("GET", path) => match parse_job_path(path) {
@@ -583,18 +614,18 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, max_body: usize) {
                         inner.lines.len()
                     );
                     drop(inner);
-                    write_response(&mut stream, 200, "OK", &body);
+                    write_response(stream, 200, "OK", &body);
                 }
-                None => write_response(&mut stream, 404, "Not Found", &json_error("no such job")),
+                None => write_response(stream, 404, "Not Found", &json_error("no such job")),
             },
             Some((id, true)) => match shared.job(id) {
-                Some(entry) => stream_results(&mut stream, &entry),
-                None => write_response(&mut stream, 404, "Not Found", &json_error("no such job")),
+                Some(entry) => stream_results(stream, &entry),
+                None => write_response(stream, 404, "Not Found", &json_error("no such job")),
             },
-            None => write_response(&mut stream, 404, "Not Found", &json_error("no such path")),
+            None => write_response(stream, 404, "Not Found", &json_error("no such path")),
         },
         _ => write_response(
-            &mut stream,
+            stream,
             405,
             "Method Not Allowed",
             &json_error("unsupported method"),
@@ -616,49 +647,43 @@ fn parse_job_path(path: &str) -> Option<(u64, bool)> {
 /// connection) once the job is done or failed. The response carries no
 /// `Content-Length` — the body ends when the connection closes, which is
 /// what lets the client read results while the job is still scheduling.
-fn stream_results(stream: &mut TcpStream, entry: &JobEntry) {
-    if write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/jsonl\r\nConnection: close\r\n\r\n"
-    )
-    .is_err()
-    {
-        return;
-    }
+///
+/// Each wake-up sends everything pending in one write: the first carries
+/// the head with the lines that exist by then, and the last carries the
+/// failed job's error line.
+fn stream_results(w: &mut impl Write, entry: &JobEntry) {
+    let mut batch = String::from(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/jsonl\r\nConnection: close\r\n\r\n",
+    );
     let mut sent = 0usize;
     loop {
-        let (to_send, finished, error) = {
+        let finished = {
             let mut inner = entry.inner.lock().expect("job poisoned");
-            while inner.lines.len() == sent
-                && !matches!(inner.status, JobStatus::Done | JobStatus::Failed)
-            {
+            let over = |s: JobStatus| matches!(s, JobStatus::Done | JobStatus::Failed);
+            while inner.lines.len() == sent && !over(inner.status) {
                 inner = entry.cv.wait(inner).expect("job poisoned");
             }
-            (
-                inner.lines[sent..].to_vec(),
-                matches!(inner.status, JobStatus::Done | JobStatus::Failed),
-                inner.error.clone(),
-            )
+            for line in &inner.lines[sent..] {
+                batch.push_str(line);
+                batch.push('\n');
+            }
+            sent = inner.lines.len();
+            // No line follows the status change: the executor marks a job
+            // over only after its sweep returned.
+            let finished = over(inner.status);
+            if let (true, Some(e)) = (finished, &inner.error) {
+                batch.push_str(&json_error(e));
+            }
+            finished
         };
-        for line in &to_send {
-            if writeln!(stream, "{line}").is_err() {
-                return; // client went away; the job keeps running
-            }
+        if w.write_all(batch.as_bytes()).is_err() {
+            return; // client went away; the job keeps running
         }
-        sent += to_send.len();
         if finished {
-            let all_sent = {
-                let inner = entry.inner.lock().expect("job poisoned");
-                inner.lines.len() == sent
-            };
-            if all_sent {
-                if let Some(e) = error {
-                    let _ = writeln!(stream, "{}", json_error(&e).trim_end());
-                }
-                let _ = stream.flush();
-                return;
-            }
+            let _ = w.flush();
+            return;
         }
+        batch.clear();
     }
 }
 
@@ -815,12 +840,14 @@ pub mod client {
         body: &str,
     ) -> Result<(u16, String), String> {
         let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        write!(
-            stream,
+        let _ = stream.set_nodelay(true);
+        let message = format!(
             "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
             body.len()
-        )
-        .map_err(|e| format!("send: {e}"))?;
+        );
+        stream
+            .write_all(message.as_bytes())
+            .map_err(|e| format!("send: {e}"))?;
         let mut response = String::new();
         stream
             .read_to_string(&mut response)
@@ -1007,6 +1034,103 @@ end
         assert!(
             shared.try_enqueue(JobSpec::new()).is_err(),
             "third must 503"
+        );
+    }
+
+    /// An in-memory writer that hands the bytes of each `write` call, one
+    /// message per call, to the test.
+    struct Recorder(std::sync::mpsc::Sender<Vec<u8>>);
+
+    impl Write for Recorder {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0
+                .send(bytes.to_vec())
+                .expect("the test keeps listening");
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn recorder() -> (Recorder, std::sync::mpsc::Receiver<Vec<u8>>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        (Recorder(tx), rx)
+    }
+
+    fn text(write: Vec<u8>) -> String {
+        String::from_utf8(write).expect("utf8")
+    }
+
+    const JSONL_HEAD: &str =
+        "HTTP/1.1 200 OK\r\nContent-Type: application/jsonl\r\nConnection: close\r\n\r\n";
+
+    #[test]
+    fn a_response_is_one_write() {
+        let (mut w, writes) = recorder();
+        write_response(&mut w, 202, "Accepted", "{\"job\":7}\n");
+        write_response(&mut w, 404, "Not Found", &json_error("no such job"));
+        drop(w);
+        let writes: Vec<String> = writes.into_iter().map(text).collect();
+        assert_eq!(
+            writes,
+            [
+                "HTTP/1.1 202 Accepted\r\nContent-Type: application/json\r\n\
+                 Content-Length: 10\r\nConnection: close\r\n\r\n{\"job\":7}\n",
+                "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n\
+                 Content-Length: 24\r\nConnection: close\r\n\r\n{\"error\":\"no such job\"}\n",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_finished_job_streams_in_one_write_with_its_error_line() {
+        let entry = JobEntry::new();
+        entry.inner.lock().expect("job").lines = vec!["{\"unit\":0}".into(), "{\"unit\":1}".into()];
+        entry.finish(JobStatus::Failed, Some("server shutting down".into()));
+        let (mut w, writes) = recorder();
+        stream_results(&mut w, &entry);
+        drop(w);
+        let writes: Vec<String> = writes.into_iter().map(text).collect();
+        assert_eq!(
+            writes,
+            [format!(
+                "{JSONL_HEAD}{{\"unit\":0}}\n{{\"unit\":1}}\n{{\"error\":\"server shutting down\"}}\n"
+            )]
+        );
+    }
+
+    #[test]
+    fn lines_reach_the_stream_in_order_while_the_job_runs() {
+        let entry = JobEntry::new();
+        let (mut w, writes) = recorder();
+        std::thread::scope(|s| {
+            let entry = &entry;
+            let stream = s.spawn(move || stream_results(&mut w, entry));
+            let mut sink = LineSink {
+                entry,
+                buf: Vec::new(),
+            };
+            // Each line waits for the stream's write before the next one
+            // exists, so every batch holds exactly one line; the job is
+            // marked done only after the last of them was written.
+            for unit in 0..3 {
+                let line = format!("{{\"unit\":{unit}}}\n");
+                sink.write_all(line.as_bytes()).expect("sink");
+                let head = if unit == 0 { JSONL_HEAD } else { "" };
+                assert_eq!(
+                    text(writes.recv().expect("a write")),
+                    format!("{head}{line}")
+                );
+            }
+            entry.finish(JobStatus::Done, None);
+            stream.join().expect("the stream ends with its job");
+        });
+        assert_eq!(
+            writes.try_iter().count(),
+            0,
+            "nothing follows the last line"
         );
     }
 

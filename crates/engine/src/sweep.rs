@@ -1,12 +1,15 @@
-//! The batch sweep executor: a worker pool over the units of a
-//! [`JobSpec`].
+//! The batch sweep executor: runs every unit of a [`JobSpec`] and
+//! streams each finished unit's JSONL line to an optional sink.
 //!
-//! Workers are plain `std::thread`s claiming units off a shared atomic
-//! counter; finished records stream back over an `mpsc` channel to the
-//! caller's thread, which forwards each JSONL line to the optional sink
-//! in completion order and finally sorts the collected records by unit
-//! index — so the returned vector is deterministic however many workers
-//! ran, while the sink observes results as soon as they exist.
+//! A unit's work is written once: claim the next unit index off a shared
+//! atomic counter, schedule it, release its (loop, machine) pair's shared
+//! runs, and hand the record to the caller's thread, which writes its line
+//! to the sink. With one worker the calling thread does all of it, in unit
+//! order, and no thread or channel exists. With more, a pool of scoped
+//! `std::thread`s claims and schedules, and records reach the caller's
+//! thread over an `mpsc` channel in completion order. The returned records
+//! are sorted by unit index either way, so they are deterministic however
+//! many workers ran, while the sink observes results as soon as they exist.
 
 use crate::cache::{compute_seed, ddg_content_hash, SweepCache};
 use crate::job::JobSpec;
@@ -156,62 +159,72 @@ pub fn run_sweep_cached(
     let shared = (opts.use_cache && races).then(|| PairRuns::new(job.algorithms.len()));
 
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Result<RunRecord, Box<UnitFailure>>>();
-
+    // Claims the next unit and schedules it; `None` once every unit is
+    // claimed.
+    let claim = || {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        if k >= nunits {
+            return None;
+        }
+        // A (loop, machine) pair's units are consecutive.
+        let pair = k / job.algorithms.len();
+        let runs = shared.as_ref().map(|s| s.acquire(pair));
+        let outcome = run_unit(job, k, &hashes, cache, opts.use_cache, runs.as_deref());
+        if let Some(s) = &shared {
+            s.release(pair);
+        }
+        Some(outcome)
+    };
+    // The caller's side: streams each finished unit's line to the sink.
     let mut records: Vec<RunRecord> = Vec::with_capacity(nunits);
     let mut failures: Vec<UnitFailure> = Vec::new();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let hashes = &hashes;
-            let shared = shared.as_ref();
-            scope.spawn(move || {
-                gpsched_trace::set_thread_label(format!("worker-{w}"));
-                loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= nunits {
-                        break;
-                    }
-                    // A (loop, machine) pair's units are consecutive.
-                    let pair = k / job.algorithms.len();
-                    let runs = shared.map(|s| s.acquire(pair));
-                    let outcome = run_unit(job, k, hashes, cache, opts.use_cache, runs.as_deref());
-                    if let Some(s) = shared {
-                        s.release(pair);
-                    }
-                    if tx.send(outcome).is_err() {
-                        break;
-                    }
-                }
-            });
+    let mut last_progress = Instant::now();
+    let mut accept = |outcome: Result<RunRecord, Box<UnitFailure>>| {
+        if let Some(w) = sink.as_deref_mut() {
+            let mut line = match &outcome {
+                Ok(record) => record.to_json(),
+                Err(failure) => failure.to_json(),
+            };
+            // One write per line: the daemon's sink wakes the job's result
+            // streams on every write.
+            line.push('\n');
+            let _ = w.write_all(line.as_bytes());
         }
-        drop(tx);
-        // Drain in completion order, streaming to the sink; progress goes
-        // to stderr only, so the JSONL stream stays clean.
-        let mut last_progress = Instant::now();
-        for outcome in rx {
-            match outcome {
-                Ok(record) => {
-                    if let Some(w) = sink.as_deref_mut() {
-                        let _ = writeln!(w, "{}", record.to_json());
-                    }
-                    records.push(record);
-                }
-                Err(failure) => {
-                    if let Some(w) = sink.as_deref_mut() {
-                        let _ = writeln!(w, "{}", failure.to_json());
-                    }
-                    failures.push(*failure);
-                }
-            }
+        match outcome {
+            Ok(record) => records.push(record),
+            Err(failure) => failures.push(*failure),
+        }
+        // Progress goes to stderr only, so the JSONL stream stays clean.
+        if opts.progress && last_progress.elapsed().as_millis() >= 250 {
+            last_progress = Instant::now();
             let done = records.len() + failures.len();
-            if opts.progress && last_progress.elapsed().as_millis() >= 250 {
-                last_progress = Instant::now();
-                eprintln!("{}", progress_line(done, nunits, t0));
-            }
+            eprintln!("{}", progress_line(done, nunits, t0));
         }
-    });
+    };
+    if workers == 1 {
+        while let Some(outcome) = claim() {
+            accept(outcome);
+        }
+    } else {
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for w in 0..workers {
+                let (tx, claim) = (tx.clone(), &claim);
+                scope.spawn(move || {
+                    gpsched_trace::set_thread_label(format!("worker-{w}"));
+                    while let Some(outcome) = claim() {
+                        if tx.send(outcome).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+            drop(tx);
+            for outcome in rx {
+                accept(outcome);
+            }
+        });
+    }
     if opts.progress && nunits > 0 {
         eprintln!(
             "{}",

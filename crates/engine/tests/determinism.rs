@@ -4,8 +4,13 @@
 //!
 //! The comparison worker count defaults to 8 and can be pinned with
 //! `GPSCHED_TEST_WORKERS` (CI runs the suite at 1 and 8 explicitly, so
-//! both the degenerate single-worker path and a contended pool are
-//! exercised on every push).
+//! both the single-worker path, which runs on the calling thread, and a
+//! contended pool are exercised on every push).
+//!
+//! Trace counters are process-wide: a sweep running beside a traced one
+//! counts into its session. Every test here that runs a sweep therefore
+//! holds [`lock`] for its whole body, and a traced test takes it before
+//! its `TraceSession`.
 
 use gpsched_engine::{run_sweep, run_sweep_cached, JobSpec, SweepCache, SweepOptions, SweepResult};
 use gpsched_machine::MachineConfig;
@@ -13,6 +18,15 @@ use gpsched_sched::AlgorithmSpec;
 use gpsched_trace::TraceSession;
 use gpsched_workloads::{spec_suite, synth::synthesize, SynthProfile};
 use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the sweeps of this test binary.
+static SWEEPS: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the sweeps it guards share no data.
+    SWEEPS.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The "many workers" side of the comparisons (`GPSCHED_TEST_WORKERS`,
 /// default 8).
@@ -63,6 +77,7 @@ fn canonical_lines(jsonl: &[u8]) -> BTreeSet<String> {
 
 #[test]
 fn one_worker_and_many_workers_agree() {
+    let _sweeps = lock();
     let job = job();
     let mut jsonl1: Vec<u8> = Vec::new();
     let mut jsonl8: Vec<u8> = Vec::new();
@@ -97,6 +112,7 @@ fn one_worker_and_many_workers_agree() {
 
 #[test]
 fn large_loops_agree_across_worker_counts() {
+    let _sweeps = lock();
     // The SPECfp95 loops of at least 64 ops climb the longest II ladders
     // and dominate a sweep's tail. Their canonical sweep JSONL must be
     // byte-identical between one worker and a contended pool.
@@ -138,6 +154,7 @@ fn large_loops_agree_across_worker_counts() {
 
 #[test]
 fn portfolio_is_deterministic_across_worker_counts_and_cache_states() {
+    let _sweeps = lock();
     // The portfolio race ranks candidates from DDG features and runs them
     // strictly in rank order, so its selection must not depend on the
     // worker count, the shared runs or cache warmth. Mixed fixed +
@@ -223,14 +240,11 @@ fn portfolio_is_deterministic_across_worker_counts_and_cache_states() {
 
 #[test]
 fn repeated_portfolio_job_through_one_cache_matches_uncached() {
+    let _sweeps = lock();
     // The daemon runs every job through one long-lived `SweepCache`, so a
     // portfolio body submitted twice finds the seeds its first submission
     // left behind. Both submissions, serial and then pooled, must schedule
     // exactly what an uncached sweep schedules.
-    //
-    // Sessions serialize through a process-wide lock: holding one keeps
-    // this test's races out of the counters the traced portfolio test reads.
-    let _session = TraceSession::start();
     let suite = spec_suite();
     let program = suite.iter().find(|p| p.name == "hydro2d").expect("exists");
     let mut job = JobSpec::new()
@@ -291,6 +305,7 @@ fn repeated_portfolio_job_through_one_cache_matches_uncached() {
 
 #[test]
 fn cache_does_not_change_results() {
+    let _sweeps = lock();
     let job = job();
     let cached = run_sweep(&job, &SweepOptions::serial(), None);
     let uncached = run_sweep(
@@ -316,6 +331,7 @@ fn cache_does_not_change_results() {
 
 #[test]
 fn repeated_sweeps_are_identical() {
+    let _sweeps = lock();
     let job = job();
     let a = run_sweep(&job, &SweepOptions::default(), None);
     let b = run_sweep(&job, &SweepOptions::default(), None);
@@ -329,4 +345,46 @@ fn repeated_sweeps_are_identical() {
             .map(|r| r.canonical_fields())
             .collect::<Vec<_>>()
     );
+}
+
+#[test]
+fn one_worker_sweeps_on_the_calling_thread_in_unit_order() {
+    let _sweeps = lock();
+    let job = job();
+    let session = TraceSession::start();
+    // A span of the test's own thread names that thread's trace id.
+    drop(gpsched_trace::span!("test.caller"));
+    let mut jsonl: Vec<u8> = Vec::new();
+    let r = run_sweep(&job, &SweepOptions::serial(), Some(&mut jsonl));
+    let trace = session.finish();
+
+    let caller = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "test.caller")
+        .expect("the caller's span")
+        .tid;
+    let units: Vec<_> = trace
+        .spans
+        .iter()
+        .filter(|s| s.name == "engine.unit")
+        .collect();
+    assert_eq!(units.len(), job.unit_count());
+    assert!(
+        units.iter().all(|s| s.tid == caller),
+        "a one-worker sweep scheduled units off the calling thread: {:?}",
+        units.iter().map(|s| &s.thread).collect::<BTreeSet<_>>()
+    );
+    // The sink saw every unit's line, in unit order.
+    let order: Vec<usize> = String::from_utf8_lossy(&jsonl)
+        .lines()
+        .map(|l| {
+            l.strip_prefix("{\"unit\":")
+                .and_then(|rest| rest.split(',').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("no unit index in {l}"))
+        })
+        .collect();
+    assert_eq!(order, (0..job.unit_count()).collect::<Vec<_>>());
+    assert_eq!(r.records.len(), job.unit_count());
 }
