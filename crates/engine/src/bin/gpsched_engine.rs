@@ -13,7 +13,7 @@
 //!                         [--workers N] [--out FILE]
 //! gpsched-engine export   [--spec] [--kernels] [--synth N [--seed S] [--ops K]]
 //!                         [--out FILE]
-//! gpsched-engine machines [--machines table1|clustered|NAMES] [--out FILE]
+//! gpsched-engine machines [--machines table1|clustered|topologies|NAMES] [--out FILE]
 //! gpsched-engine speedup  [--workers-list 1,2,4] [sweep selection flags]
 //! ```
 //!
@@ -27,11 +27,11 @@
 //! the same corpora without going through a file.
 
 use gpsched_engine::{
-    aggregate_by_group, generate_corpus_text, machine_from_short_name, parse_corpus,
+    aggregate_by_group, distinct_short_names, generate_corpus_text, machine_set, parse_corpus,
     parse_machine_corpus, run_sweep, serialize_corpus, serialize_machine_corpus, serve, JobSpec,
     ServeOptions, SweepOptions,
 };
-use gpsched_machine::{table1_configs, topology_presets, MachineConfig};
+use gpsched_machine::MachineConfig;
 use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::{kernels, spec_suite, synth, SynthProfile, PRESET_NAMES};
 use std::io::Write;
@@ -82,7 +82,8 @@ USAGE:
                           [--cache-file FILE] [--max-body-kb N] [--trace]
   gpsched-engine client   submit|status|results|health|shutdown
                           [--addr HOST:PORT] [--job ID] [--corpus FILE]
-                          [--gen SPECS] [--machines NAMES|FILE.machine]
+                          [--gen SPECS]
+                          [--machines table1|clustered|topologies|NAMES|FILE.machine]
                           [--algos SPECS] [--group NAME] [--out FILE] [--wait]
 
 With no source flags, `sweep` runs the full SPECfp95 suite across all
@@ -170,54 +171,22 @@ fn check_flags(args: &[String], known: &[&str]) {
 }
 
 fn parse_machines(spec: &str) -> Vec<MachineConfig> {
-    match spec {
-        "table1" => table1_configs().into_iter().map(|(_, m)| m).collect(),
-        "clustered" => table1_configs()
-            .into_iter()
-            .map(|(_, m)| m)
-            .filter(|m| !m.is_unified())
-            .collect(),
-        // One reference machine per interconnect topology (shared bus,
-        // pipelined bus, ring, point-to-point).
-        "topologies" => topology_presets(),
-        // A `.machine` interchange file: every machine in the corpus.
-        path if path.ends_with(".machine") => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-            let machines =
-                parse_machine_corpus(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-            if machines.is_empty() {
-                fail(&format!("{path}: corpus holds no machines"));
-            }
-            // Records label machines by their shape-derived short name,
-            // so two *different* machines sharing one short name (same
-            // totals, different unit mixes) would silently merge in every
-            // report. Refuse the ambiguity up front.
-            let mut seen: std::collections::BTreeMap<String, (String, &MachineConfig)> =
-                std::collections::BTreeMap::new();
-            for (name, m) in &machines {
-                let short = m.short_name();
-                if let Some((prev_name, prev_m)) = seen.get(&short) {
-                    if *prev_m != m {
-                        fail(&format!(
-                            "{path}: machines `{prev_name}` and `{name}` are different \
-                             configurations but share the short name `{short}`; sweep records \
-                             could not tell them apart"
-                        ));
-                    }
-                }
-                seen.insert(short, (name.clone(), m));
-            }
-            machines.into_iter().map(|(_, m)| m).collect()
+    // A `.machine` interchange file: every machine in the corpus.
+    if spec.ends_with(".machine") {
+        let text = std::fs::read_to_string(spec)
+            .unwrap_or_else(|e| fail(&format!("cannot read {spec}: {e}")));
+        let machines =
+            parse_machine_corpus(&text).unwrap_or_else(|e| fail(&format!("{spec}: {e}")));
+        if machines.is_empty() {
+            fail(&format!("{spec}: corpus holds no machines"));
         }
-        list => list
-            .split(',')
-            .map(|name| {
-                machine_from_short_name(name.trim())
-                    .unwrap_or_else(|| fail(&format!("unknown machine `{name}`")))
-            })
-            .collect(),
+        return distinct_short_names(machines).unwrap_or_else(|e| fail(&format!("{spec}: {e}")));
     }
+    let machines = machine_set(spec).unwrap_or_else(|e| fail(&e));
+    if machines.is_empty() {
+        fail("--machines selects no machine");
+    }
+    machines
 }
 
 /// Builds the job selected by the common sweep flags.
@@ -697,16 +666,7 @@ fn cmd_serve(args: &[String]) {
 /// Builds a `POST /jobs` body from the client's selection flags.
 fn job_body_from_args(args: &[String]) -> String {
     let mut body = String::new();
-    let machines_spec = opt_value(args, "--machines").unwrap_or("table1");
-    match machines_spec {
-        // Named sets expand client-side to short names the daemon resolves.
-        "table1" => {
-            let names: Vec<String> = gpsched_machine::table1_configs()
-                .iter()
-                .map(|(_, m)| m.short_name())
-                .collect();
-            body.push_str(&format!("machines {}\n", names.join(",")));
-        }
+    match opt_value(args, "--machines").unwrap_or("table1") {
         path if path.ends_with(".machine") => {
             // Embed the file's machine blocks verbatim.
             let text = std::fs::read_to_string(path)
@@ -716,7 +676,8 @@ fn job_body_from_args(args: &[String]) -> String {
                 body.push('\n');
             }
         }
-        list => body.push_str(&format!("machines {list}\n")),
+        // Machine sets and short names: the daemon resolves them.
+        selection => body.push_str(&format!("machines {selection}\n")),
     }
     if let Some(algos) = opt_value(args, "--algos") {
         body.push_str(&format!("algos {algos}\n"));

@@ -2,14 +2,16 @@
 //! every [`AlgorithmSpec`] in the catalog over generated corpora and
 //! audits every schedule with the cycle-accurate simulator.
 //!
-//! The module is product code (the `eval::stress` report is built on it)
-//! but its main consumers are tests: `tests/synth_conformance.rs` at the
-//! workspace root drives [`conformance_corpus`] → [`check_case`] across
-//! the whole catalog, and any future scheduling change that breaks a
-//! cross-spec invariant fails there with a *minimized* reproducer — a
-//! small `.ddg` the failure still fires on, plus the generator seed that
-//! produced the original loop — printed in the panic message (and written
-//! to `GPSCHED_REPRO_DIR` when set, which CI uploads as an artifact).
+//! The module is product code (the sim-audited `eval::audited` reports
+//! run [`audit`] on each schedule they make) but its main consumers are
+//! tests: `tests/synth_conformance.rs` at the workspace root drives
+//! [`conformance_corpus`] → [`check_case`] across the whole catalog,
+//! scheduling each unit alone, and any future scheduling change that
+//! breaks a cross-spec invariant fails there with a *minimized*
+//! reproducer — a small `.ddg` the failure still fires on, plus the
+//! generator seed that produced the original loop — printed in the panic
+//! message (and written to `GPSCHED_REPRO_DIR` when set, which CI uploads
+//! as an artifact).
 //!
 //! Invariants audited per (loop, machine, spec) unit:
 //!
@@ -30,7 +32,7 @@ use crate::gen::generate_corpus;
 use crate::text::serialize_ddg;
 use gpsched_ddg::{mii, Ddg, DdgBuilder};
 use gpsched_machine::MachineConfig;
-use gpsched_sched::{schedule_loop, AlgorithmSpec, ScheduledWith};
+use gpsched_sched::{schedule_loop, AlgorithmSpec, LoopResult, ScheduledWith};
 use gpsched_sim::simulate;
 use gpsched_workloads::{preset, PRESET_NAMES};
 
@@ -107,19 +109,36 @@ pub struct UnitAudit {
     pub repartitions: usize,
 }
 
-/// Schedules one unit and audits every conformance invariant.
+/// Schedules one unit alone and [`audit`]s it.
 ///
 /// # Errors
 ///
-/// A human-readable description of the first violated invariant.
+/// A human-readable description of the scheduling error or of the first
+/// violated invariant.
 pub fn audit_unit(
     ddg: &Ddg,
     machine: &MachineConfig,
     spec: AlgorithmSpec,
 ) -> Result<UnitAudit, String> {
     let r = schedule_loop(ddg, machine, spec).map_err(|e| format!("scheduling failed: {e}"))?;
+    audit(ddg, machine, spec, &r, mii::mii(ddg, machine))
+}
+
+/// Audits every conformance invariant of `r`, the result of scheduling
+/// `ddg` on `machine` with `spec`, against the loop's MII `mii_v` on that
+/// machine.
+///
+/// # Errors
+///
+/// A human-readable description of the first violated invariant.
+pub fn audit(
+    ddg: &Ddg,
+    machine: &MachineConfig,
+    spec: AlgorithmSpec,
+    r: &LoopResult,
+    mii_v: i64,
+) -> Result<UnitAudit, String> {
     let sched = &r.schedule;
-    let mii_v = mii::mii(ddg, machine);
     if sched.ii() < 1 {
         return Err(format!("II {} below 1", sched.ii()));
     }

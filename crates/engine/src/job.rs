@@ -1,10 +1,11 @@
 //! Job specifications: what a batch sweep should schedule.
 
 use gpsched_ddg::Ddg;
-use gpsched_machine::{table1_configs, MachineConfig};
+use gpsched_machine::{table1_configs, topology_presets, MachineConfig};
 use gpsched_partition::PartitionOptions;
 use gpsched_sched::{AlgorithmSpec, DriverConfig};
 use gpsched_workloads::Program;
+use std::collections::BTreeMap;
 
 /// One loop in a job, tagged with the group (program / corpus) it belongs
 /// to so results can be aggregated the way the paper aggregates whole
@@ -234,6 +235,62 @@ pub fn machine_from_short_name(s: &str) -> Option<MachineConfig> {
         regs,
         interconnect,
     ))
+}
+
+/// Resolves a machine selection, as the CLI's `--machines` and the job
+/// grammar's `machines` directive take it: `table1` (the paper's
+/// machines), `clustered` (those without the unified ones), `topologies`
+/// (one reference machine per interconnect shape: shared bus, pipelined
+/// bus, ring, point-to-point) or a comma-separated list of short names
+/// ([`machine_from_short_name`]; empty entries are skipped).
+///
+/// # Errors
+///
+/// Names the first entry that is no machine short name.
+pub fn machine_set(selection: &str) -> Result<Vec<MachineConfig>, String> {
+    let table1 = || table1_configs().into_iter().map(|(_, m)| m);
+    match selection.trim() {
+        "table1" => Ok(table1().collect()),
+        "clustered" => Ok(table1().filter(|m| !m.is_unified()).collect()),
+        "topologies" => Ok(topology_presets()),
+        list => list
+            .split(',')
+            .map(str::trim)
+            .filter(|name| !name.is_empty())
+            .map(|name| {
+                machine_from_short_name(name)
+                    .ok_or_else(|| format!("unknown machine short name `{name}`"))
+            })
+            .collect(),
+    }
+}
+
+/// The machines of a parsed `.machine` corpus (a file, or the blocks
+/// embedded in a job body), refusing two *different* machines that share
+/// one short name: records label machines by that shape-derived name
+/// (same totals, different unit mixes give the same one), so they would
+/// silently merge in every report.
+///
+/// # Errors
+///
+/// Names both machines and the short name they share.
+pub fn distinct_short_names(
+    machines: Vec<(String, MachineConfig)>,
+) -> Result<Vec<MachineConfig>, String> {
+    let mut seen: BTreeMap<String, (&str, &MachineConfig)> = BTreeMap::new();
+    for (name, m) in &machines {
+        let short = m.short_name();
+        if let Some((prev_name, prev_m)) = seen.get(&short) {
+            if *prev_m != m {
+                return Err(format!(
+                    "machines `{prev_name}` and `{name}` are different configurations but share \
+                     the short name `{short}`; sweep records could not tell them apart"
+                ));
+            }
+        }
+        seen.insert(short, (name, m));
+    }
+    Ok(machines.into_iter().map(|(_, m)| m).collect())
 }
 
 #[cfg(test)]

@@ -69,7 +69,7 @@ mod textutil;
 pub use cache::{ddg_content_hash, machine_key, popts_key, CacheKey, SweepCache};
 pub use diskcache::DiskCache;
 pub use gen::{generate_corpus, generate_corpus_text};
-pub use job::{machine_from_short_name, JobSpec, LoopSpec};
+pub use job::{distinct_short_names, machine_from_short_name, machine_set, JobSpec, LoopSpec};
 pub use machine_text::{
     parse_machine, parse_machine_corpus, serialize_machine, serialize_machine_corpus,
     MachineTextError,

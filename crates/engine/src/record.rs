@@ -128,9 +128,6 @@ pub struct SweepStats {
     pub cache_entries: usize,
     /// Worker threads used.
     pub workers: usize,
-    /// Per-phase profile of this sweep, present when it ran under an
-    /// active trace session (`sweep --trace` / `profile`).
-    pub trace: Option<gpsched_trace::TraceSummary>,
 }
 
 impl SweepStats {
@@ -182,7 +179,6 @@ impl SweepStats {
             cache_misses,
             cache_entries: 0,
             workers,
-            trace: None,
         }
     }
 

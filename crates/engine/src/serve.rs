@@ -39,10 +39,13 @@
 //! end
 //! ```
 //!
-//! `machines` takes the CLI's short names; embedded `machine` blocks add
-//! custom configurations. `algos` takes what the CLI's `--algos` takes
-//! (a spec list or the `all`/`modulo`/`extended` shortcuts) and defaults
-//! to the paper's four. Parse errors carry the *body* line number —
+//! `machines` takes what the CLI's `--machines` takes (`table1`,
+//! `clustered`, `topologies` or a list of short names; see
+//! [`machine_set`]); embedded `machine` blocks add custom configurations,
+//! and two different blocks may not share one short name. `algos` takes
+//! what the CLI's `--algos` takes (a spec list or the
+//! `all`/`modulo`/`extended` shortcuts) and defaults to the paper's
+//! four. Parse errors carry the *body* line number —
 //! embedded blocks are extracted as shadow texts that preserve line
 //! positions.
 //!
@@ -67,7 +70,7 @@
 
 use crate::cache::SweepCache;
 use crate::diskcache::DiskCache;
-use crate::job::{machine_from_short_name, JobSpec};
+use crate::job::{distinct_short_names, machine_set, JobSpec};
 use crate::machine_text::parse_machine_corpus;
 use crate::sweep::{run_sweep_cached, SweepOptions};
 use crate::text::parse_corpus;
@@ -708,7 +711,7 @@ pub fn parse_job_body(body: &str) -> Result<JobSpec, String> {
     let mut machine_shadow = String::new();
     let mut groups: Vec<String> = Vec::new(); // group of each embedded ddg
     let mut current_group = "job".to_string();
-    let mut machine_names: Vec<(usize, String)> = Vec::new();
+    let mut machine_sets: Vec<(usize, &str)> = Vec::new();
     let mut algo_lists: Vec<(usize, &str)> = Vec::new();
 
     for (i, raw) in body.lines().enumerate() {
@@ -731,12 +734,7 @@ pub fn parse_job_body(body: &str) -> Result<JobSpec, String> {
                     push_shadow(&mut ddg_shadow, &mut machine_shadow, "", raw);
                 }
                 "machines" => {
-                    for name in line["machines".len()..].split(',') {
-                        let name = name.trim();
-                        if !name.is_empty() {
-                            machine_names.push((line_no, name.to_string()));
-                        }
-                    }
+                    machine_sets.push((line_no, &line["machines".len()..]));
                     push_shadow(&mut ddg_shadow, &mut machine_shadow, "", "");
                 }
                 "algos" => {
@@ -780,13 +778,10 @@ pub fn parse_job_body(body: &str) -> Result<JobSpec, String> {
     let embedded_machines = parse_machine_corpus(&machine_shadow).map_err(|e| e.to_string())?;
 
     let mut machines: Vec<MachineConfig> = Vec::new();
-    for (line_no, name) in &machine_names {
-        machines.push(
-            machine_from_short_name(name)
-                .ok_or_else(|| format!("line {line_no}: unknown machine short name `{name}`"))?,
-        );
+    for (line_no, selection) in machine_sets {
+        machines.extend(machine_set(selection).map_err(|e| format!("line {line_no}: {e}"))?);
     }
-    machines.extend(embedded_machines.into_iter().map(|(_, m)| m));
+    machines.extend(distinct_short_names(embedded_machines)?);
 
     let mut algorithms: Vec<AlgorithmSpec> = Vec::new();
     for (line_no, list) in algo_lists {
@@ -1014,6 +1009,46 @@ end
             err.starts_with("line 2: ") && err.contains("nonsense"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn machines_take_the_cli_sets() {
+        let machines = |lines: &str| {
+            parse_job_body(&format!("{lines}\nddg t\ntrips 1\nop int 1\nend\n"))
+                .map(|job| job.machines)
+        };
+        let table1: Vec<MachineConfig> = gpsched_machine::table1_configs()
+            .into_iter()
+            .map(|(_, m)| m)
+            .collect();
+        assert_eq!(machines("machines table1").unwrap(), table1);
+        let clustered: Vec<MachineConfig> =
+            table1.into_iter().filter(|m| !m.is_unified()).collect();
+        assert_eq!(clustered.len(), 8);
+        assert_eq!(machines("machines clustered").unwrap(), clustered);
+        assert_eq!(
+            machines("machines topologies").unwrap(),
+            gpsched_machine::topology_presets()
+        );
+        let err = machines("machines u-r32\nmachines topologies,u-r32").unwrap_err();
+        assert!(
+            err.starts_with("line 2: ") && err.contains("`topologies`"),
+            "{err}"
+        );
+        // Two embedded blocks with one short name (`c2r32b1l1`) but
+        // different unit mixes would merge in every record.
+        let block = |name: &str, units: &str| {
+            format!("machine {name}\ncluster {units} 16\ncluster {units} 16\nbus 1 1\nend")
+        };
+        let err =
+            machines(&format!("{}\n{}", block("a", "2 2 2"), block("b", "2 1 1"))).unwrap_err();
+        assert!(
+            err.contains("`a` and `b`") && err.contains("short name `c2r32b1l1`"),
+            "{err}"
+        );
+        // The same machine twice is not ambiguous.
+        let twice = machines(&format!("{}\n{}", block("a", "2 2 2"), block("b", "2 2 2")));
+        assert_eq!(twice.unwrap().len(), 2);
     }
 
     #[test]

@@ -244,10 +244,6 @@ pub fn run_sweep_cached(
     );
     stats.failed = failures.len();
     stats.cache_entries = cache.len();
-    // When this sweep runs inside a trace session, embed the per-phase
-    // profile collected so far (non-destructively — the session owner
-    // still finishes and exports the full trace).
-    stats.trace = gpsched_trace::summary_if_active();
     SweepResult {
         records,
         failures,

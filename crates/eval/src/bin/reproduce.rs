@@ -13,10 +13,13 @@
 //! reproduce all        # everything + rewrite EXPERIMENTS.md
 //! ```
 //!
-//! `stress` and `portfolio` read `GPSCHED_SYNTH_BUDGET` (total generated
-//! loops; default 90). `portfolio` exits non-zero unless portfolio's
-//! aggregate IPC is at least every fixed catalog spec's (and every unit
-//! passes the conformance audit) — CI runs it as a gate. None of
+//! `stress` and `portfolio` build one sim-audited report
+//! (`gpsched_eval::audited`) from different inputs, and read
+//! `GPSCHED_SYNTH_BUDGET` (total generated loops; default 90). `stress`
+//! exits non-zero on any audit failure; `portfolio` exits non-zero unless
+//! portfolio's aggregate IPC is at least every fixed catalog spec's (and
+//! every portfolio unit passes the conformance audit) — CI runs both as
+//! gates. None of
 //! `stress`, `portfolio`, `topologies` is part of `all` — their
 //! corpora/machines are open-ended where EXPERIMENTS.md pins the paper's
 //! frozen evaluation.
@@ -26,7 +29,7 @@
 
 use gpsched_eval::report;
 use gpsched_eval::{figure2, figure3, series_for_specs, table2, tables};
-use gpsched_machine::MachineConfig;
+use gpsched_machine::{Interconnect, MachineConfig};
 use gpsched_sched::AlgorithmSpec;
 use std::time::Instant;
 
@@ -45,6 +48,42 @@ fn variants_figure() -> Vec<gpsched_eval::VariantSeries> {
     .iter()
     .map(|m| series_for_specs(&programs, m, &specs))
     .collect()
+}
+
+/// The sim-audited reports, which differ only in their inputs. `stress`:
+/// the catalog over the preset corpora on one machine per interconnect
+/// shape. `portfolio`: the catalog plus `portfolio` over the preset
+/// corpora and SPECfp95 on two bus machines.
+fn audited(portfolio: bool) -> gpsched_eval::AuditedReport {
+    let budget = gpsched_engine::conformance::synth_budget(90);
+    let mut corpora = gpsched_eval::preset_corpora(budget, 0xC0DE);
+    let mut specs = AlgorithmSpec::CATALOG.to_vec();
+    let machines = if portfolio {
+        let spec_loops = gpsched_workloads::spec_suite()
+            .into_iter()
+            .flat_map(|p| p.loops)
+            .collect();
+        corpora.push(("SPECfp95".to_string(), spec_loops));
+        specs.push(AlgorithmSpec::PORTFOLIO);
+        vec![
+            MachineConfig::two_cluster(32, 1, 1),
+            MachineConfig::four_cluster(32, 1, 2),
+        ]
+    } else {
+        let four = |interconnect| MachineConfig::homogeneous_with(4, (1, 1, 1), 64, interconnect);
+        vec![
+            MachineConfig::two_cluster(32, 1, 1),
+            MachineConfig::four_cluster(64, 1, 2),
+            // The open interconnect axis: ring and point-to-point
+            // machines pass the same sim-audited sweep.
+            four(Interconnect::Ring {
+                hop_latency: 1,
+                links_per_hop: 1,
+            }),
+            four(Interconnect::uniform_point_to_point(4, 1, 1)),
+        ]
+    };
+    gpsched_eval::audited_report(&corpora, &machines, &specs)
 }
 
 fn main() {
@@ -66,30 +105,7 @@ fn main() {
             report::render_variants("Variants — IPC per algorithm spec", &variants_figure())
         ),
         "stress" => {
-            let budget = gpsched_engine::conformance::synth_budget(90);
-            let machines = [
-                MachineConfig::two_cluster(32, 1, 1),
-                MachineConfig::four_cluster(64, 1, 2),
-                // The open interconnect axis: ring and point-to-point
-                // machines pass the same sim-audited sweep.
-                MachineConfig::homogeneous_with(
-                    4,
-                    (1, 1, 1),
-                    64,
-                    gpsched_machine::Interconnect::Ring {
-                        hop_latency: 1,
-                        links_per_hop: 1,
-                    },
-                ),
-                MachineConfig::homogeneous_with(
-                    4,
-                    (1, 1, 1),
-                    64,
-                    gpsched_machine::Interconnect::uniform_point_to_point(4, 1, 1),
-                ),
-            ];
-            let report =
-                gpsched_eval::stress_report(budget, 0xC0DE, &machines, &AlgorithmSpec::CATALOG);
+            let report = audited(false);
             println!("Stress — catalog IPC over synthetic preset corpora (sim-audited)\n");
             print!("{}", report.render());
             if !report.failures.is_empty() {
@@ -97,15 +113,13 @@ fn main() {
             }
         }
         "portfolio" => {
-            let budget = gpsched_engine::conformance::synth_budget(90);
-            let machines = [
-                MachineConfig::two_cluster(32, 1, 1),
-                MachineConfig::four_cluster(32, 1, 2),
-            ];
-            let report = gpsched_eval::portfolio_report(budget, 0xC0DE, &machines);
+            let report = audited(true);
             println!("Portfolio — feature-guided selection vs every fixed spec (sim-audited)\n");
             print!("{}", report.render());
-            if !report.portfolio_dominates() {
+            let pass = report.portfolio_dominates();
+            let verdict = if pass { "PASS" } else { "FAIL" };
+            println!("portfolio >= every fixed catalog spec on aggregate IPC: {verdict}");
+            if !pass {
                 std::process::exit(1);
             }
         }

@@ -8,12 +8,13 @@
 //! * [`variants`] — the same aggregation opened to arbitrary
 //!   [`gpsched_sched::AlgorithmSpec`] lists, so policy variants
 //!   (`gp:norepart`, `uracam:greedy-merit`, …) get figures too;
-//! * [`stress`] — the workload axis opened the same way: the whole spec
-//!   catalog over generated synthetic corpora (one per `workloads::synth`
-//!   preset), every unit validated by the conformance audit;
-//! * [`portfolio`] — the selection axis: feature-guided `portfolio`
-//!   against every fixed catalog spec over the preset corpora *and*
-//!   SPECfp95, sim-audited, with an exact aggregate dominance check;
+//! * [`audited`] — the sim-audited reports behind `reproduce stress` (the
+//!   workload axis: the spec catalog over one generated corpus per
+//!   `workloads::synth` preset) and `reproduce portfolio` (the selection
+//!   axis: feature-guided `portfolio` against every fixed catalog spec
+//!   over those corpora *and* SPECfp95, with an exact aggregate dominance
+//!   check); every unit passes the conformance audit, and each
+//!   (loop, machine) pair shares one seed and its runs between specs;
 //! * [`topologies`] — the machine axis opened too: the SPECfp95 set on
 //!   one reference machine per interconnect topology (shared bus,
 //!   pipelined bus, ring, point-to-point);
@@ -34,19 +35,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audited;
 pub mod figures;
-pub mod portfolio;
 pub mod profile;
 pub mod report;
-pub mod stress;
 pub mod tables;
 pub mod topologies;
 pub mod variants;
 
+pub use audited::{audited_report, preset_corpora, AuditedReport, AuditedRow};
 pub use figures::{figure2, figure3, FigureRow, FigureSeries};
-pub use portfolio::{portfolio_report, PortfolioReport, PortfolioRow};
 pub use profile::{profile_report, profile_report_on, ProfileReport};
-pub use stress::{stress_report, StressReport, StressRow};
 pub use tables::{table2, Table2Row};
-pub use topologies::{default_topology_report, topology_report, TopologyReport, TopologyRow};
+pub use topologies::{default_topology_report, topology_report, TopologyReport};
 pub use variants::{series_for_specs, VariantRow, VariantSeries};

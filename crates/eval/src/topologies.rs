@@ -9,19 +9,10 @@
 //! stays out of `reproduce all`, which pins the paper's frozen
 //! evaluation.
 
-use gpsched_engine::{aggregate_by_group, run_sweep, JobSpec, SweepOptions};
+use crate::variants::{program_rows, VariantRow};
 use gpsched_machine::{topology_presets, MachineConfig};
 use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::Program;
-
-/// One program's IPC across the topology columns.
-#[derive(Clone, Debug)]
-pub struct TopologyRow {
-    /// Program name (or `"average"`).
-    pub program: String,
-    /// IPC per machine, aligned with [`TopologyReport::machines`].
-    pub ipc: Vec<f64>,
-}
 
 /// The full topology comparison.
 #[derive(Clone, Debug)]
@@ -32,8 +23,9 @@ pub struct TopologyReport {
     pub machines: Vec<String>,
     /// Interconnect kind tag per machine column.
     pub kinds: Vec<String>,
-    /// Per-program rows followed by the `"average"` row.
-    pub rows: Vec<TopologyRow>,
+    /// Per-program rows followed by the `"average"` row, one IPC per
+    /// machine.
+    pub rows: Vec<VariantRow>,
 }
 
 /// Builds the topology report: `programs` on every machine in `machines`
@@ -44,33 +36,8 @@ pub fn topology_report(
     machines: &[MachineConfig],
     spec: AlgorithmSpec,
 ) -> TopologyReport {
-    let job = JobSpec::new()
-        .programs(programs)
-        .machines(machines.iter().cloned())
-        .algorithm(spec);
-    let agg = aggregate_by_group(&run_sweep(&job, &SweepOptions::default(), None).records);
     let names: Vec<String> = machines.iter().map(MachineConfig::short_name).collect();
-
-    let ipc_of = |group: &str, machine: &str| -> f64 {
-        agg.iter()
-            .find(|a| a.group == group && a.machine == machine)
-            .map(|a| a.ipc)
-            .expect("sweep covers every (program, machine)")
-    };
-    let mut rows: Vec<TopologyRow> = programs
-        .iter()
-        .map(|p| TopologyRow {
-            program: p.name.to_string(),
-            ipc: names.iter().map(|m| ipc_of(p.name, m)).collect(),
-        })
-        .collect();
-    let n = rows.len() as f64;
-    rows.push(TopologyRow {
-        program: "average".to_string(),
-        ipc: (0..names.len())
-            .map(|i| rows.iter().map(|r| r.ipc[i]).sum::<f64>() / n)
-            .collect(),
-    });
+    let rows = program_rows(programs, machines, &[spec], &names, |a| &a.machine);
     TopologyReport {
         spec: spec.name(),
         machines: names,

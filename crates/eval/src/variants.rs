@@ -6,18 +6,19 @@
 //! so policy variants (`gp:norepart`, `uracam:greedy-merit`, …) land in
 //! figures and tables exactly like the paper's algorithms.
 
-use gpsched_engine::{aggregate_by_group, run_sweep, JobSpec, SweepOptions};
+use gpsched_engine::{aggregate_by_group, run_sweep, GroupAggregate, JobSpec, SweepOptions};
 use gpsched_machine::MachineConfig;
 use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::Program;
 
-/// One program's bars in a variant figure: one IPC per spec, in the
-/// series' spec order.
+/// One program's bars in a variant figure or a topology report: one IPC
+/// per column (a spec of [`VariantSeries::specs`] or a machine of
+/// [`crate::TopologyReport::machines`]), in column order.
 #[derive(Clone, Debug)]
 pub struct VariantRow {
     /// Program name (or `"average"`).
     pub program: String,
-    /// IPC per algorithm spec, aligned with [`VariantSeries::specs`].
+    /// IPC per column.
     pub ipc: Vec<f64>,
 }
 
@@ -69,39 +70,59 @@ pub fn series_for_specs(
     machine: &MachineConfig,
     specs: &[AlgorithmSpec],
 ) -> VariantSeries {
-    let job = JobSpec::new()
-        .programs(programs)
-        .machine(machine.clone())
-        .algorithms(specs.iter().copied());
-    let agg = aggregate_by_group(&run_sweep(&job, &SweepOptions::default(), None).records);
     let names: Vec<String> = specs.iter().map(AlgorithmSpec::name).collect();
-
-    let ipc_of = |group: &str, algo: &str| -> f64 {
-        agg.iter()
-            .find(|a| a.group == group && a.algorithm == algo)
-            .map(|a| a.ipc)
-            .expect("sweep covers every (program, spec)")
-    };
-    let mut rows: Vec<VariantRow> = programs
-        .iter()
-        .map(|p| VariantRow {
-            program: p.name.to_string(),
-            ipc: names.iter().map(|n| ipc_of(p.name, n)).collect(),
-        })
-        .collect();
-    let n = rows.len() as f64;
-    let avg = VariantRow {
-        program: "average".to_string(),
-        ipc: (0..names.len())
-            .map(|i| rows.iter().map(|r| r.ipc[i]).sum::<f64>() / n)
-            .collect(),
-    };
-    rows.push(avg);
+    let rows = program_rows(
+        programs,
+        std::slice::from_ref(machine),
+        specs,
+        &names,
+        |a| &a.algorithm,
+    );
     VariantSeries {
         machine: machine.short_name(),
         specs: names,
         rows,
     }
+}
+
+/// Sweeps `programs` × `machines` × `specs` through the engine executor
+/// and pivots the per-program aggregates into one row per program plus
+/// the `"average"` row, with one IPC per entry of `columns`; `column`
+/// reads the aggregate's field the columns name (its algorithm or its
+/// machine).
+pub(crate) fn program_rows(
+    programs: &[Program],
+    machines: &[MachineConfig],
+    specs: &[AlgorithmSpec],
+    columns: &[String],
+    column: fn(&GroupAggregate) -> &String,
+) -> Vec<VariantRow> {
+    let job = JobSpec::new()
+        .programs(programs)
+        .machines(machines.iter().cloned())
+        .algorithms(specs.iter().copied());
+    let agg = aggregate_by_group(&run_sweep(&job, &SweepOptions::default(), None).records);
+    let ipc_of = |group: &str, name: &str| -> f64 {
+        agg.iter()
+            .find(|a| a.group == group && column(a) == name)
+            .map(|a| a.ipc)
+            .expect("sweep covers every (program, column)")
+    };
+    let mut rows: Vec<VariantRow> = programs
+        .iter()
+        .map(|p| VariantRow {
+            program: p.name.to_string(),
+            ipc: columns.iter().map(|c| ipc_of(p.name, c)).collect(),
+        })
+        .collect();
+    let n = rows.len() as f64;
+    rows.push(VariantRow {
+        program: "average".to_string(),
+        ipc: (0..columns.len())
+            .map(|i| rows.iter().map(|r| r.ipc[i]).sum::<f64>() / n)
+            .collect(),
+    });
+    rows
 }
 
 #[cfg(test)]

@@ -26,7 +26,8 @@ pub struct PhaseStat {
 }
 
 /// A trace reduced to per-phase statistics plus the counter totals —
-/// what `SweepStats` embeds and what the text profile report renders.
+/// what the text profile report renders and the daemon's `GET /metrics`
+/// serves.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceSummary {
     /// One entry per distinct span name, sorted by descending self time
