@@ -45,7 +45,6 @@
 mod build;
 mod ddg;
 mod dep;
-pub mod dot;
 pub mod mii;
 mod op;
 pub mod timing;

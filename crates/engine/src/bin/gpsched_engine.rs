@@ -1,5 +1,5 @@
-//! The `gpsched-engine` CLI: batch sweeps, corpus export and scaling
-//! measurements from the command line.
+//! The `gpsched-engine` CLI: batch sweeps, profiles, corpus and machine
+//! export, and the scheduling daemon and its client.
 //!
 //! ```text
 //! gpsched-engine sweep    [--spec] [--kernels] [--corpus FILE] [--gen SPECS]
@@ -14,7 +14,6 @@
 //! gpsched-engine export   [--spec] [--kernels] [--synth N [--seed S] [--ops K]]
 //!                         [--out FILE]
 //! gpsched-engine machines [--machines table1|clustered|topologies|NAMES] [--out FILE]
-//! gpsched-engine speedup  [--workers-list 1,2,4] [sweep selection flags]
 //! ```
 //!
 //! `sweep` with no source flag defaults to the full SPECfp95 suite on all
@@ -46,7 +45,6 @@ fn main() {
         Some("gen") => cmd_gen(&args[1..]),
         Some("export") => cmd_export(&args[1..]),
         Some("machines") => cmd_machines(&args[1..]),
-        Some("speedup") => cmd_speedup(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
@@ -77,7 +75,6 @@ USAGE:
                           [--out FILE]
   gpsched-engine machines [--machines table1|clustered|topologies|NAME,NAME,…]
                           [--out FILE]
-  gpsched-engine speedup  [--workers-list 1,2,4] [sweep selection flags]
   gpsched-engine serve    [--addr HOST:PORT] [--workers N] [--queue N]
                           [--cache-file FILE] [--max-body-kb N] [--trace]
   gpsched-engine client   submit|status|results|health|shutdown
@@ -139,6 +136,37 @@ fn opt_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
+}
+
+/// The numeric value of a `--flag N` option, if given.
+fn number<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    opt_value(args, flag).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| fail(&format!("{flag} needs a number")))
+    })
+}
+
+/// Writes `text` to the `--out` file and reports `wrote {what} to {path}`
+/// on stderr, or prints it to stdout when there is no `--out`.
+fn write_out(args: &[String], text: &str, what: &str) {
+    match opt_value(args, "--out") {
+        Some(path) => {
+            std::fs::write(path, text)
+                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
+            eprintln!("wrote {what} to {path}");
+        }
+        None => print!("{text}"),
+    }
+}
+
+/// The options the sweep flags select; `--workers` defaults to
+/// `workers` (0 picks every host CPU).
+fn sweep_options(args: &[String], workers: usize) -> SweepOptions {
+    SweepOptions {
+        workers: number(args, "--workers").unwrap_or(workers),
+        use_cache: !has_flag(args, "--no-cache"),
+        progress: has_flag(args, "--progress"),
+    }
 }
 
 /// Validates that every `--flag` in `args` is known.
@@ -282,16 +310,7 @@ fn parse_gen_spec(spec: &str) -> (&str, usize, u64) {
 fn cmd_sweep(args: &[String]) {
     check_flags(args, SWEEP_FLAGS);
     let job = job_from_args(args);
-    let opts = SweepOptions {
-        workers: opt_value(args, "--workers")
-            .map(|w| {
-                w.parse()
-                    .unwrap_or_else(|_| fail("--workers needs a number"))
-            })
-            .unwrap_or(0),
-        use_cache: !has_flag(args, "--no-cache"),
-        progress: has_flag(args, "--progress"),
-    };
+    let opts = sweep_options(args, 0);
     let trace_out = opt_value(args, "--trace-out");
     let tracing = has_flag(args, "--trace") || trace_out.is_some();
     let session = tracing.then(gpsched_trace::TraceSession::start);
@@ -380,21 +399,10 @@ fn cmd_profile(args: &[String]) {
     known.push("--top");
     check_flags(args, &known);
     let job = job_from_args(args);
-    let top: usize = opt_value(args, "--top")
-        .map(|n| n.parse().unwrap_or_else(|_| fail("--top needs a number")))
-        .unwrap_or(20);
-    let opts = SweepOptions {
-        // Serial by default: with one worker, self-time fractions of the
-        // wall clock are directly meaningful.
-        workers: opt_value(args, "--workers")
-            .map(|w| {
-                w.parse()
-                    .unwrap_or_else(|_| fail("--workers needs a number"))
-            })
-            .unwrap_or(1),
-        use_cache: !has_flag(args, "--no-cache"),
-        progress: has_flag(args, "--progress"),
-    };
+    let top: usize = number(args, "--top").unwrap_or(20);
+    // Serial by default: with one worker, self-time fractions of the wall
+    // clock are directly meaningful.
+    let opts = sweep_options(args, 1);
     eprintln!(
         "profile: {} units ({} loops × {} machines × {} algorithms) on {} workers",
         job.unit_count(),
@@ -464,14 +472,7 @@ fn cmd_machines(args: &[String]) {
     check_flags(args, MACHINES_FLAGS);
     let machines = parse_machines(opt_value(args, "--machines").unwrap_or("table1"));
     let text = serialize_machine_corpus(machines.iter());
-    match opt_value(args, "--out") {
-        Some(path) => {
-            std::fs::write(path, &text)
-                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote {} machines to {path}", machines.len());
-        }
-        None => print!("{text}"),
-    }
+    write_out(args, &text, &format!("{} machines", machines.len()));
 }
 
 const GEN_FLAGS: &[&str] = &[
@@ -501,27 +502,12 @@ fn cmd_gen(args: &[String]) {
     if let Some(k) = opt_value(args, "--ops") {
         profile.ops = parse_ops(k);
     }
-    let seed: u64 = opt_value(args, "--seed")
-        .map(|s| s.parse().unwrap_or_else(|_| fail("--seed needs a number")))
-        .unwrap_or(0);
-    let count: usize = opt_value(args, "--count")
-        .map(|c| c.parse().unwrap_or_else(|_| fail("--count needs a number")))
-        .unwrap_or(50);
-    let workers: usize = opt_value(args, "--workers")
-        .map(|w| {
-            w.parse()
-                .unwrap_or_else(|_| fail("--workers needs a number"))
-        })
-        .unwrap_or(0);
+    let seed: u64 = number(args, "--seed").unwrap_or(0);
+    let count: usize = number(args, "--count").unwrap_or(50);
+    let workers: usize = number(args, "--workers").unwrap_or(0);
     let text = generate_corpus_text(preset_name, &profile, seed, count, workers);
-    match opt_value(args, "--out") {
-        Some(path) => {
-            std::fs::write(path, &text)
-                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote {count} `{preset_name}` loops (seed {seed}) to {path}");
-        }
-        None => print!("{text}"),
-    }
+    let what = format!("{count} `{preset_name}` loops (seed {seed})");
+    write_out(args, &text, &what);
 }
 
 const EXPORT_FLAGS: &[&str] = &["--spec", "--kernels", "--synth", "--seed", "--ops", "--out"];
@@ -539,9 +525,7 @@ fn cmd_export(args: &[String]) {
     }
     if let Some(n) = opt_value(args, "--synth") {
         let n: usize = n.parse().unwrap_or_else(|_| fail("--synth needs a count"));
-        let seed: u64 = opt_value(args, "--seed")
-            .map(|s| s.parse().unwrap_or_else(|_| fail("--seed needs a number")))
-            .unwrap_or(0);
+        let seed: u64 = number(args, "--seed").unwrap_or(0);
         let profile = match opt_value(args, "--ops") {
             Some(k) => SynthProfile {
                 ops: parse_ops(k),
@@ -561,61 +545,7 @@ fn cmd_export(args: &[String]) {
         fail("export needs a source: --spec, --kernels and/or --synth N");
     }
     let text = serialize_corpus(loops.iter());
-    match opt_value(args, "--out") {
-        Some(path) => {
-            std::fs::write(path, &text)
-                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote {} loops to {path}", loops.len());
-        }
-        None => print!("{text}"),
-    }
-}
-
-fn cmd_speedup(args: &[String]) {
-    let mut known = SWEEP_FLAGS.to_vec();
-    known.push("--workers-list");
-    check_flags(args, &known);
-    let job = job_from_args(args);
-    let list = opt_value(args, "--workers-list").unwrap_or("1,2,4");
-    let workers: Vec<usize> = list
-        .split(',')
-        .map(|w| {
-            w.trim()
-                .parse()
-                .unwrap_or_else(|_| fail("--workers-list needs numbers"))
-        })
-        .collect();
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!(
-        "speedup: {} units ({} loops × {} machines × {} algorithms); host has {host} CPU(s)",
-        job.unit_count(),
-        job.loops.len(),
-        job.machines.len(),
-        job.algorithms.len()
-    );
-    if host == 1 {
-        eprintln!("note: single-CPU host — worker counts above 1 can only add overhead");
-    }
-    let mut base: Option<f64> = None;
-    println!(
-        "{:>8} {:>10} {:>12} {:>9}",
-        "workers", "wall (s)", "loops/s", "speedup"
-    );
-    for &w in &workers {
-        let opts = SweepOptions {
-            workers: w,
-            use_cache: !has_flag(args, "--no-cache"),
-            progress: has_flag(args, "--progress"),
-        };
-        let r = run_sweep(&job, &opts, None);
-        let wall = r.stats.wall_time.as_secs_f64();
-        let b = *base.get_or_insert(wall);
-        println!(
-            "{w:>8} {wall:>10.2} {:>12.0} {:>8.2}x",
-            r.stats.throughput(),
-            b / wall
-        );
-    }
+    write_out(args, &text, &format!("{} loops", loops.len()));
 }
 
 fn cmd_serve(args: &[String]) {
@@ -634,21 +564,16 @@ fn cmd_serve(args: &[String]) {
     if let Some(addr) = opt_value(args, "--addr") {
         opts.addr = addr.to_string();
     }
-    if let Some(w) = opt_value(args, "--workers") {
-        opts.workers = w
-            .parse()
-            .unwrap_or_else(|_| fail("--workers needs a number"));
+    if let Some(w) = number(args, "--workers") {
+        opts.workers = w;
     }
-    if let Some(q) = opt_value(args, "--queue") {
-        opts.queue_capacity = q.parse().unwrap_or_else(|_| fail("--queue needs a number"));
+    if let Some(q) = number(args, "--queue") {
+        opts.queue_capacity = q;
     }
     if let Some(path) = opt_value(args, "--cache-file") {
         opts.cache_path = Some(path.into());
     }
-    if let Some(kb) = opt_value(args, "--max-body-kb") {
-        let kb: usize = kb
-            .parse()
-            .unwrap_or_else(|_| fail("--max-body-kb needs a number"));
+    if let Some(kb) = number::<usize>(args, "--max-body-kb") {
         opts.max_body_bytes = kb * 1024;
     }
     opts.trace = has_flag(args, "--trace");
@@ -734,24 +659,11 @@ fn cmd_client(args: &[String]) {
     let default_addr = ServeOptions::default().addr;
     let addr = opt_value(rest, "--addr").unwrap_or(&default_addr);
     let job_id = || -> u64 {
-        opt_value(rest, "--job")
-            .unwrap_or_else(|| fail("--job ID is required for this action"))
-            .parse()
-            .unwrap_or_else(|_| fail("--job needs a number"))
+        number(rest, "--job").unwrap_or_else(|| fail("--job ID is required for this action"))
     };
-    let write_lines = |lines: &[String]| match opt_value(rest, "--out") {
-        Some(path) => {
-            let mut text = lines.join("\n");
-            text.push('\n');
-            std::fs::write(path, text)
-                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-            eprintln!("wrote {} lines to {path}", lines.len());
-        }
-        None => {
-            for l in lines {
-                println!("{l}");
-            }
-        }
+    let write_lines = |lines: &[String]| {
+        let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        write_out(rest, &text, &format!("{} lines", lines.len()));
     };
     match action {
         "submit" => {

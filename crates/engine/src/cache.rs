@@ -5,10 +5,10 @@
 //! the MII and the initial partition. The cache keys them by a content
 //! hash of the DDG (FNV-1a over structure — the loop *name* is excluded,
 //! so corpora with duplicated bodies hit the cache), a structural hash of
-//! the machine, and a hash of the [`PartitionOptions`] in force (two sweeps
-//! with different refinement knobs compute different partitions — they must
-//! not share entries). Seeds are served to all workers through per-key
-//! [`OnceLock`]s so a miss never serializes unrelated work.
+//! the machine, and a hash of the partitioner's configuration constants
+//! (so a persisted entry computed under other constants is never served).
+//! Seeds are served to all workers through per-key [`OnceLock`]s so a miss
+//! never serializes unrelated work.
 //!
 //! A cache may additionally be backed by a [`DiskCache`]: on a memory miss
 //! the persistent store is consulted before computing, and freshly computed
@@ -19,14 +19,16 @@
 use crate::diskcache::DiskCache;
 use gpsched_ddg::Ddg;
 use gpsched_machine::MachineConfig;
-use gpsched_partition::{partition_ddg, MatchStrategy, PartitionOptions, PartitionResult};
+use gpsched_partition::coarsen::EXACT_MATCH_LIMIT;
+use gpsched_partition::refine::{EVAL_CANDIDATES, MAX_MOVES, SWAP_CANDIDATES};
+use gpsched_partition::{partition_ddg_with, CostEvaluator, PartitionResult};
 use gpsched_sched::SchedSeed;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The full memo-cache key:
-/// ([`ddg_content_hash`], [`machine_key`], [`popts_key`]).
+/// ([`ddg_content_hash`], [`machine_key`], [`partitioner_key`]).
 pub type CacheKey = (u64, u64, u64);
 
 /// FNV-1a, the one hash behind every key and checksum in this module.
@@ -87,27 +89,29 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h.0
 }
 
-/// FNV-1a hash of every [`PartitionOptions`] field that changes the
-/// computed partition. Two sweeps over the same loop and machine but with
-/// different matching or refinement knobs produce different seeds, so the
-/// options must be part of the cache key — keying on (loop, machine) alone
-/// silently serves one configuration's partition to the other.
-pub fn popts_key(popts: &PartitionOptions) -> u64 {
+/// FNV-1a hash of the partitioner's configuration constants, the third
+/// field of every cache key: a change to any constant computes different
+/// partitions, so it changes the key and orphans the persisted entries
+/// instead of serving them stale.
+///
+/// The hashed words keep the layout of the earlier settable options, so
+/// cache files written before the options became constants stay warm: the
+/// tag 2 for "exact matching up to a limit", the limit, a 1 for each of the
+/// two refinement passes (both always run), then the move, swap and
+/// evaluation bounds.
+pub fn partitioner_key() -> u64 {
     let mut h = Fnv1a::new();
-    match popts.strategy {
-        MatchStrategy::Exact => h.mix(0),
-        MatchStrategy::Greedy => h.mix(1),
-        MatchStrategy::Auto(limit) => {
-            h.mix(2);
-            h.mix(limit as u64);
-        }
+    for word in [
+        2,
+        EXACT_MATCH_LIMIT,
+        1,
+        1,
+        MAX_MOVES,
+        SWAP_CANDIDATES,
+        EVAL_CANDIDATES,
+    ] {
+        h.mix(word as u64);
     }
-    let r = &popts.refine;
-    h.mix(r.balance as u64);
-    h.mix(r.cut as u64);
-    h.mix(r.max_moves as u64);
-    h.mix(r.swap_candidates as u64);
-    h.mix(r.eval_candidates as u64);
     h.0
 }
 
@@ -165,7 +169,7 @@ pub fn machine_key(machine: &MachineConfig) -> u64 {
 type SeedCell = Arc<OnceLock<SchedSeed>>;
 
 /// Shared memo cache for one sweep (or one daemon lifetime), keyed by
-/// ([`ddg_content_hash`], [`machine_key`], [`popts_key`]).
+/// ([`ddg_content_hash`], [`machine_key`], [`partitioner_key`]).
 pub struct SweepCache {
     entries: Mutex<HashMap<CacheKey, SeedCell>>,
     hits: AtomicUsize,
@@ -197,18 +201,12 @@ impl SweepCache {
     }
 
     /// The seed (MII + initial partition) for scheduling `ddg` on
-    /// `machine` under `popts`, computing it on first request. `hash` must
+    /// `machine`, computing it on first request. `hash` must
     /// be [`ddg_content_hash`]`(ddg)` (precomputed once per loop by the
     /// executor). The boolean is `true` on a cache hit — from memory or
     /// from the backing disk store.
-    pub fn seed(
-        &self,
-        hash: u64,
-        ddg: &Ddg,
-        machine: &MachineConfig,
-        popts: &PartitionOptions,
-    ) -> (SchedSeed, bool) {
-        let key = (hash, machine_key(machine), popts_key(popts));
+    pub fn seed(&self, hash: u64, ddg: &Ddg, machine: &MachineConfig) -> (SchedSeed, bool) {
+        let key = (hash, machine_key(machine), partitioner_key());
         let cell = {
             let mut map = self.entries.lock().expect("cache poisoned");
             Arc::clone(map.entry(key).or_insert_with(|| Arc::new(OnceLock::new())))
@@ -226,7 +224,7 @@ impl SweepCache {
                 return found;
             }
             origin = Origin::Computed;
-            let computed = compute_seed(ddg, machine, popts);
+            let computed = compute_seed(ddg, machine);
             if let Some(disk) = &self.disk {
                 if let Err(e) = disk.append(key, &computed) {
                     eprintln!(
@@ -289,10 +287,11 @@ impl Default for SweepCache {
 }
 
 /// Computes a seed directly (the cache-off path uses this too).
-pub fn compute_seed(ddg: &Ddg, machine: &MachineConfig, popts: &PartitionOptions) -> SchedSeed {
+pub fn compute_seed(ddg: &Ddg, machine: &MachineConfig) -> SchedSeed {
     let start_ii = gpsched_ddg::mii::mii(ddg, machine);
     let partition: Option<PartitionResult> = if machine.cluster_count() > 1 {
-        Some(partition_ddg(ddg, machine, start_ii, popts))
+        let mut ev = CostEvaluator::new(ddg, machine);
+        Some(partition_ddg_with(ddg, machine, start_ii, &mut ev))
     } else {
         None
     };
@@ -326,15 +325,14 @@ mod tests {
         let ddg = kernels::fir(50, 4);
         let m = MachineConfig::two_cluster(32, 1, 1);
         let h = ddg_content_hash(&ddg);
-        let popts = PartitionOptions::default();
-        let (s1, hit1) = cache.seed(h, &ddg, &m, &popts);
-        let (s2, hit2) = cache.seed(h, &ddg, &m, &popts);
+        let (s1, hit1) = cache.seed(h, &ddg, &m);
+        let (s2, hit2) = cache.seed(h, &ddg, &m);
         assert!(!hit1 && hit2);
         assert_eq!(s1.start_ii, s2.start_ii);
         assert_eq!(cache.stats(), (1, 1));
         // A different machine is a different entry.
         let m4 = MachineConfig::four_cluster(32, 1, 1);
-        let _ = cache.seed(h, &ddg, &m4, &popts);
+        let _ = cache.seed(h, &ddg, &m4);
         assert_eq!(cache.stats(), (1, 2));
     }
 
@@ -342,10 +340,9 @@ mod tests {
     fn seed_matches_direct_computation() {
         let ddg = kernels::stencil5(200);
         let m = MachineConfig::four_cluster(64, 1, 2);
-        let popts = PartitionOptions::default();
-        let direct = compute_seed(&ddg, &m, &popts);
+        let direct = compute_seed(&ddg, &m);
         let cache = SweepCache::new();
-        let (cached, _) = cache.seed(ddg_content_hash(&ddg), &ddg, &m, &popts);
+        let (cached, _) = cache.seed(ddg_content_hash(&ddg), &ddg, &m);
         assert_eq!(direct.start_ii, cached.start_ii);
         assert_eq!(
             direct
@@ -387,9 +384,8 @@ mod tests {
         let ddg = kernels::daxpy(64);
         let cache = SweepCache::new();
         let h = ddg_content_hash(&ddg);
-        let popts = PartitionOptions::default();
-        let (_, hit_a) = cache.seed(h, &ddg, &a, &popts);
-        let (_, hit_b) = cache.seed(h, &ddg, &b, &popts);
+        let (_, hit_a) = cache.seed(h, &ddg, &a);
+        let (_, hit_b) = cache.seed(h, &ddg, &b);
         assert!(!hit_a && !hit_b, "distinct machines must both miss");
         assert_eq!(cache.stats(), (0, 2));
     }
@@ -398,95 +394,14 @@ mod tests {
     fn unified_machines_need_no_partition() {
         let ddg = kernels::daxpy(10);
         let m = MachineConfig::unified(32);
-        let seed = compute_seed(&ddg, &m, &PartitionOptions::default());
+        let seed = compute_seed(&ddg, &m);
         assert!(seed.partition.is_none());
         assert!(seed.start_ii >= 1);
     }
 
-    #[test]
-    fn differing_partition_options_do_not_share_entries() {
-        // Regression: the key used to be (ddg, machine) only, so a sweep
-        // with refinement disabled could be served the refined partition
-        // computed by an earlier sweep (or vice versa) — a stale-cache bug.
-        let ddg = kernels::stencil5(120);
-        let m = MachineConfig::four_cluster(32, 1, 1);
-        let h = ddg_content_hash(&ddg);
-        let refined = PartitionOptions::default();
-        let raw = PartitionOptions {
-            refine: gpsched_partition::refine::RefineOptions {
-                balance: false,
-                cut: false,
-                ..refined.refine
-            },
-            ..refined
-        };
-        assert_ne!(popts_key(&refined), popts_key(&raw));
-
-        let cache = SweepCache::new();
-        let (s_refined, hit1) = cache.seed(h, &ddg, &m, &refined);
-        let (s_raw, hit2) = cache.seed(h, &ddg, &m, &raw);
-        assert!(!hit1 && !hit2, "distinct options must both miss");
-        assert_eq!(cache.stats(), (0, 2));
-        // Each entry matches its own direct computation, not the other's.
-        let direct_raw = compute_seed(&ddg, &m, &raw);
-        let direct_refined = compute_seed(&ddg, &m, &refined);
-        let asg = |s: &SchedSeed| {
-            s.partition
-                .as_ref()
-                .map(|p| p.partition.assignment().to_vec())
-        };
-        assert_eq!(asg(&s_raw), asg(&direct_raw));
-        assert_eq!(asg(&s_refined), asg(&direct_refined));
-    }
-
-    #[test]
-    fn popts_key_covers_every_knob() {
-        let base = PartitionOptions::default();
-        let mut variants = vec![
-            PartitionOptions {
-                strategy: MatchStrategy::Exact,
-                ..base
-            },
-            PartitionOptions {
-                strategy: MatchStrategy::Greedy,
-                ..base
-            },
-            PartitionOptions {
-                strategy: MatchStrategy::Auto(7),
-                ..base
-            },
-        ];
-        let r = base.refine;
-        for refine in [
-            gpsched_partition::refine::RefineOptions {
-                balance: !r.balance,
-                ..r
-            },
-            gpsched_partition::refine::RefineOptions { cut: !r.cut, ..r },
-            gpsched_partition::refine::RefineOptions {
-                max_moves: r.max_moves + 1,
-                ..r
-            },
-            gpsched_partition::refine::RefineOptions {
-                swap_candidates: r.swap_candidates + 1,
-                ..r
-            },
-            gpsched_partition::refine::RefineOptions {
-                eval_candidates: r.eval_candidates + 1,
-                ..r
-            },
-        ] {
-            variants.push(PartitionOptions { refine, ..base });
-        }
-        let base_key = popts_key(&base);
-        for v in &variants {
-            assert_ne!(popts_key(v), base_key, "{v:?} must change the key");
-        }
-    }
-
-    /// Disk-cache lines carry the DDG, machine and options keys plus an
-    /// `fnv1a` checksum, so changing any of them orphans every cache file
-    /// written before.
+    /// Disk-cache lines carry the DDG, machine and partitioner keys plus
+    /// an `fnv1a` checksum, so changing any of them orphans every cache
+    /// file written before.
     #[test]
     fn persisted_keys_are_pinned() {
         assert_eq!(
@@ -504,10 +419,7 @@ mod tests {
             assert_eq!(m.short_name(), name);
             assert_eq!(machine_key(m), key, "{name}");
         }
-        assert_eq!(
-            popts_key(&PartitionOptions::default()),
-            0x6fac_fc36_325e_522f
-        );
+        assert_eq!(partitioner_key(), 0x6fac_fc36_325e_522f);
         assert_eq!(fnv1a(b"gpsched"), 0xd07e_260a_e7bf_7ff9);
     }
 }

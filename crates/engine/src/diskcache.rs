@@ -1,7 +1,7 @@
 //! Persistent, append-only seed cache backing [`SweepCache`].
 //!
 //! `gpsched-serve` runs for days; the expensive part of every job is the
-//! per-(loop, machine, options) preprocessing seed — MII plus the initial
+//! per-(loop, machine) preprocessing seed — MII plus the initial
 //! partition. This module persists those seeds to a human-inspectable text
 //! file so a restarted daemon starts warm instead of recomputing its whole
 //! working set.
@@ -18,8 +18,9 @@
 //!     <cut_slack> <cut_size> <nops> <a0> ... <aN-1> <crc>
 //! ```
 //!
-//! (shown wrapped; real entries are one line). The three key fields and
-//! the checksum are 16-digit lowercase hex; everything else is decimal.
+//! (shown wrapped; real entries are one line). The three key fields (a
+//! [`CacheKey`]: DDG hash, machine key, partitioner key) and the checksum
+//! are 16-digit lowercase hex; everything else is decimal.
 //! `<crc>` is FNV-1a over the entry's payload — every byte before the final
 //! space — so a torn write, a flipped bit, or a hand-edit is detected.
 //!

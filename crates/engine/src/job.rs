@@ -34,7 +34,8 @@ pub struct JobSpec {
     /// Algorithm specs to schedule with; any [`AlgorithmSpec`] variant is
     /// sweepable.
     pub algorithms: Vec<AlgorithmSpec>,
-    /// Partitioner options shared by every unit.
+    /// Carries no settings (see [`PartitionOptions`]); the partitioner
+    /// has one configuration.
     pub popts: PartitionOptions,
     /// Driver options shared by every unit.
     pub cfg: DriverConfig,
@@ -147,15 +148,6 @@ impl JobSpec {
             rest % self.algorithms.len(),
         )
     }
-
-    /// The full paper evaluation: SPECfp95 suite × Table 1 machines × all
-    /// four algorithms.
-    pub fn paper_sweep() -> Self {
-        JobSpec::new()
-            .programs(&gpsched_workloads::spec_suite())
-            .machines(table1_configs().into_iter().map(|(_, m)| m))
-            .algorithms(AlgorithmSpec::PAPER)
-    }
 }
 
 impl Default for JobSpec {
@@ -265,11 +257,11 @@ pub fn machine_set(selection: &str) -> Result<Vec<MachineConfig>, String> {
     }
 }
 
-/// The machines of a parsed `.machine` corpus (a file, or the blocks
-/// embedded in a job body), refusing two *different* machines that share
-/// one short name: records label machines by that shape-derived name
-/// (same totals, different unit mixes give the same one), so they would
-/// silently merge in every report.
+/// The named machines of a `.machine` file or a job body, refusing two
+/// *different* machines that share one short name: records label machines
+/// by that shape-derived name (same totals, different unit mixes give the
+/// same one), so they would silently merge in every report. A job body
+/// names its set-derived machines by their short names.
 ///
 /// # Errors
 ///
@@ -318,15 +310,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn unit_bounds_checked() {
         JobSpec::new().unit(0);
-    }
-
-    #[test]
-    fn paper_sweep_shape() {
-        let job = JobSpec::paper_sweep();
-        assert_eq!(job.machines.len(), 10);
-        assert_eq!(job.algorithms.len(), 4);
-        assert_eq!(job.loops.len(), 70); // 10 programs, 70 loops total
-        assert_eq!(job.unit_count(), 70 * 10 * 4);
     }
 
     #[test]

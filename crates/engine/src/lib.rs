@@ -31,7 +31,6 @@
 //! gpsched-engine sweep --spec --workers 4 --out results.jsonl
 //! gpsched-engine export --synth 100 --seed 7 --out corpus.ddg
 //! gpsched-engine sweep --corpus corpus.ddg --machines c2r32b1l1,c4r64b1l2
-//! gpsched-engine speedup --workers-list 1,2,4
 //! ```
 //!
 //! # Example
@@ -66,7 +65,7 @@ pub mod sweep;
 pub mod text;
 mod textutil;
 
-pub use cache::{ddg_content_hash, machine_key, popts_key, CacheKey, SweepCache};
+pub use cache::{ddg_content_hash, machine_key, partitioner_key, CacheKey, SweepCache};
 pub use diskcache::DiskCache;
 pub use gen::{generate_corpus, generate_corpus_text};
 pub use job::{distinct_short_names, machine_from_short_name, machine_set, JobSpec, LoopSpec};

@@ -777,11 +777,15 @@ pub fn parse_job_body(body: &str) -> Result<JobSpec, String> {
     let loops = parse_corpus(&ddg_shadow).map_err(|e| e.to_string())?;
     let embedded_machines = parse_machine_corpus(&machine_shadow).map_err(|e| e.to_string())?;
 
-    let mut machines: Vec<MachineConfig> = Vec::new();
+    // Named and embedded machines are checked together: a named machine
+    // and an embedded block can share a short name too.
+    let mut named: Vec<(String, MachineConfig)> = Vec::new();
     for (line_no, selection) in machine_sets {
-        machines.extend(machine_set(selection).map_err(|e| format!("line {line_no}: {e}"))?);
+        let set = machine_set(selection).map_err(|e| format!("line {line_no}: {e}"))?;
+        named.extend(set.into_iter().map(|m| (m.short_name(), m)));
     }
-    machines.extend(distinct_short_names(embedded_machines)?);
+    named.extend(embedded_machines);
+    let machines = distinct_short_names(named)?;
 
     let mut algorithms: Vec<AlgorithmSpec> = Vec::new();
     for (line_no, list) in algo_lists {
@@ -932,8 +936,8 @@ op int 1 b
 dep 0 1 flow 1 0
 end
 machine custom
-cluster 2 1 1 16
-cluster 2 1 1 16
+cluster 2 1 1 32
+cluster 2 1 1 32
 bus 1 1
 end
 ";
@@ -1049,6 +1053,24 @@ end
         // The same machine twice is not ambiguous.
         let twice = machines(&format!("{}\n{}", block("a", "2 2 2"), block("b", "2 2 2")));
         assert_eq!(twice.unwrap().len(), 2);
+    }
+
+    #[test]
+    fn named_and_embedded_machines_cannot_share_a_short_name() {
+        let body = |units: &str| {
+            format!(
+                "machines c2r32b1l1\nmachine custom\ncluster {units} 16\ncluster {units} 16\n\
+                 bus 1 1\nend\nddg t\ntrips 1\nop int 1\nend\n"
+            )
+        };
+        // 2/1/1 units per cluster: another machine with the same short name.
+        let err = parse_job_body(&body("2 1 1")).unwrap_err();
+        assert!(
+            err.contains("`c2r32b1l1` and `custom`") && err.contains("short name `c2r32b1l1`"),
+            "{err}"
+        );
+        // The named machine embedded once more is not ambiguous.
+        assert_eq!(parse_job_body(&body("2 2 2")).unwrap().machines.len(), 2);
     }
 
     #[test]

@@ -347,18 +347,18 @@ fn run_unit(
     let (seed, cache_hit) = {
         let _seed_span = gpsched_trace::span!("engine.seed");
         if use_cache {
-            cache.seed(hashes[li], &spec.ddg, machine, &job.popts)
+            cache.seed(hashes[li], &spec.ddg, machine)
         } else {
-            (compute_seed(&spec.ddg, machine, &job.popts), false)
+            (compute_seed(&spec.ddg, machine), false)
         }
     };
     // A hit can still have *blocked* on a concurrent miss computing the
     // same entry; that wait is the miss's cost, not this unit's.
     let t0 = if cache_hit { Instant::now() } else { t0 };
-    let (ddg, popts, cfg) = (&spec.ddg, &job.popts, &job.cfg);
+    let (ddg, cfg) = (&spec.ddg, &job.cfg);
     let r = match runs {
-        Some(runs) => runs.schedule(ddg, machine, algorithm, popts, cfg, &seed),
-        None => schedule_loop_spec_seeded(ddg, machine, algorithm, popts, cfg, &seed),
+        Some(runs) => runs.schedule(ddg, machine, algorithm, cfg, &seed),
+        None => schedule_loop_spec_seeded(ddg, machine, algorithm, &job.popts, cfg, &seed),
     }
     .map_err(|e| fail(e.to_string()))?;
     let sched_time_us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;

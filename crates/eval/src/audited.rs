@@ -18,7 +18,6 @@ use gpsched_ddg::Ddg;
 use gpsched_engine::cache::compute_seed;
 use gpsched_engine::conformance::{audit, conformance_corpus};
 use gpsched_machine::MachineConfig;
-use gpsched_partition::PartitionOptions;
 use gpsched_sched::{AlgorithmSpec, DriverConfig, SharedRuns};
 
 /// One (corpus, machine) row of an audited report.
@@ -85,7 +84,7 @@ pub fn audited_report(
     machines: &[MachineConfig],
     specs: &[AlgorithmSpec],
 ) -> AuditedReport {
-    let (popts, cfg) = (PartitionOptions::default(), DriverConfig::default());
+    let cfg = DriverConfig::default();
     let mut report = AuditedReport {
         specs: specs.iter().map(AlgorithmSpec::name).collect(),
         totals: vec![(0, 0); specs.len()],
@@ -97,11 +96,11 @@ pub fn audited_report(
             let mut cells = vec![(0u128, 0u128); specs.len()];
             let mut worst = 1.0f64;
             for ddg in loops {
-                let seed = compute_seed(ddg, machine, &popts);
+                let seed = compute_seed(ddg, machine);
                 let runs = SharedRuns::default();
                 for (cell, &spec) in cells.iter_mut().zip(specs) {
                     let unit = runs
-                        .schedule(ddg, machine, spec, &popts, &cfg, &seed)
+                        .schedule(ddg, machine, spec, &cfg, &seed)
                         .map_err(|e| format!("scheduling failed: {e}"))
                         .and_then(|r| audit(ddg, machine, spec, &r, seed.start_ii));
                     report.audited += 1;

@@ -153,8 +153,6 @@ pub struct BfKernel {
     row: Vec<u32>,
     /// CSR edge records grouped by source rank.
     edges: Vec<KernelEdge>,
-    /// Per CSR edge: the input dep index it came from.
-    dep: Vec<u32>,
     /// Input dep index → CSR edge position (for per-dep base updates).
     pos: Vec<u32>,
     /// Rank-indexed worklist of the current pass.
@@ -201,7 +199,7 @@ struct BfWork {
 }
 
 /// One CSR edge of a [`BfKernel`], kept as a record so the hot relaxation
-/// loop touches one contiguous 32-byte stride per edge.
+/// loop touches one contiguous 24-byte stride per edge.
 #[derive(Clone, Copy, Debug, Default)]
 struct KernelEdge {
     /// Destination node index (distance array slot).
@@ -213,8 +211,6 @@ struct KernelEdge {
     base: i64,
     /// Iteration distance.
     dist: i64,
-    /// Immutable base latency from `build` (what `base` resets to).
-    lat: i64,
 }
 
 impl BfKernel {
@@ -282,7 +278,7 @@ impl BfKernel {
         }
         let mut cursor: Vec<u32> = row[..n].to_vec();
         let mut edges = vec![KernelEdge::default(); m];
-        let (mut dep, mut pos) = (vec![0u32; m], vec![0u32; m]);
+        let mut pos = vec![0u32; m];
         for (k, &(s, d, l, dist)) in deps.iter().enumerate() {
             let r = rank[s] as usize;
             let i = cursor[r] as usize;
@@ -292,9 +288,7 @@ impl BfKernel {
                 dst_rank: rank[d],
                 base: l,
                 dist,
-                lat: l,
             };
-            dep[i] = k as u32;
             pos[k] = i as u32;
         }
         BfKernel {
@@ -302,7 +296,6 @@ impl BfKernel {
             order,
             row,
             edges,
-            dep,
             pos,
             active: NodeBitSet::new(n),
             next: NodeBitSet::new(n),
@@ -319,15 +312,6 @@ impl BfKernel {
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Sets every edge's weight base back to `lat + extra(dep)`, where
-    /// `dep` is the edge's index in the `deps` slice passed to `build`.
-    /// One linear sweep in CSR order; pass `|_| 0` to reset.
-    pub fn apply_extras(&mut self, mut extra: impl FnMut(usize) -> i64) {
-        for (e, &k) in self.edges.iter_mut().zip(&self.dep) {
-            e.base = e.lat + extra(k as usize);
-        }
     }
 
     /// Adds `delta` to the weight base of input dep `k`. The cheap path for
@@ -686,10 +670,6 @@ mod tests {
         assert_eq!(k.min_feasible_ii(1, 100, Some(4)), Some(6));
         k.add_extra(0, -2);
         assert_eq!(k.min_feasible_ii(1, 100, Some(6)), Some(4));
-        k.apply_extras(|d| if d == 0 { 1 } else { 0 });
-        assert_eq!(k.min_feasible_ii(1, 100, None), Some(5));
-        k.apply_extras(|_| 0);
-        assert_eq!(k.min_feasible_ii(1, 100, None), Some(4));
     }
 
     #[test]

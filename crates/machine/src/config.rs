@@ -171,23 +171,6 @@ impl MachineConfig {
         }
     }
 
-    /// Replaces the latency model (builder-style).
-    pub fn with_latencies(mut self, latencies: LatencyModel) -> Self {
-        self.latencies = latencies;
-        self
-    }
-
-    /// Replaces the interconnect (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interconnect is inconsistent with the cluster count.
-    pub fn with_interconnect(mut self, interconnect: Interconnect) -> Self {
-        interconnect.validate(self.clusters.len());
-        self.interconnect = interconnect;
-        self
-    }
-
     /// Number of clusters.
     pub fn cluster_count(&self) -> usize {
         self.clusters.len()
@@ -222,12 +205,6 @@ impl MachineConfig {
     #[inline]
     pub fn transfer_latency(&self, from: usize, to: usize) -> i64 {
         self.interconnect.latency(from, to, self.clusters.len())
-    }
-
-    /// Parallel transfers that may depart `from → to` per cycle.
-    #[inline]
-    pub fn channels_between(&self, from: usize, to: usize) -> u32 {
-        self.interconnect.channels(from, to, self.clusters.len())
     }
 
     /// Number of reservable interconnect channel groups.
@@ -509,65 +486,5 @@ mod tests {
         assert!(m.to_string().contains("2 clusters"));
         assert!(m.to_string().contains("bus"));
         assert!(MachineConfig::unified(32).to_string().contains("unified"));
-    }
-
-    #[test]
-    fn with_latencies_overrides() {
-        let m = MachineConfig::unified(32).with_latencies(LatencyModel {
-            load: 4,
-            ..LatencyModel::default()
-        });
-        assert_eq!(m.latency(OpClass::Load), 4);
-    }
-
-    #[test]
-    fn with_interconnect_swaps_topology() {
-        let m = MachineConfig::two_cluster(32, 1, 1).with_interconnect(Interconnect::Ring {
-            hop_latency: 1,
-            links_per_hop: 1,
-        });
-        assert_eq!(m.short_name(), "c2r32ring1x1");
-    }
-
-    #[test]
-    fn channels_between_matches_first_hop_capacity() {
-        // `channels_between` is the departure bandwidth of a pair: for
-        // every topology it must equal the capacity of the route's first
-        // channel.
-        let machines = [
-            MachineConfig::two_cluster(32, 2, 1),
-            MachineConfig::homogeneous_with(
-                4,
-                (1, 1, 1),
-                64,
-                Interconnect::Ring {
-                    hop_latency: 2,
-                    links_per_hop: 3,
-                },
-            ),
-            MachineConfig::homogeneous_with(
-                4,
-                (1, 1, 1),
-                64,
-                Interconnect::uniform_point_to_point(4, 1, 2),
-            ),
-        ];
-        for m in &machines {
-            for from in 0..m.cluster_count() {
-                for to in 0..m.cluster_count() {
-                    if from == to {
-                        continue;
-                    }
-                    let first = m.route(from, to).next().expect("non-empty route");
-                    assert_eq!(
-                        m.channels_between(from, to),
-                        m.channel_capacity(first.channel),
-                        "{} {from}->{to}",
-                        m.short_name()
-                    );
-                }
-            }
-        }
-        assert_eq!(MachineConfig::unified(32).channels_between(0, 0), 0);
     }
 }

@@ -209,21 +209,6 @@ impl Interconnect {
         }
     }
 
-    /// Parallel transfers that may *depart* from `from` towards `to` in
-    /// one cycle: the capacity of the route's first channel, derived
-    /// from [`Interconnect::route`] so the two can never drift apart
-    /// (0 when `from == to` or there is no interconnect).
-    pub fn channels(&self, from: usize, to: usize, nclusters: usize) -> u32 {
-        if from == to || matches!(self, Interconnect::None) {
-            return 0;
-        }
-        let first = self
-            .route(from, to, nclusters)
-            .next()
-            .expect("distinct endpoints have a route");
-        self.channel_capacity(first.channel)
-    }
-
     /// The deterministic route of a transfer `from → to`: an
     /// allocation-free iterator over the [`Hop`]s to book.
     ///

@@ -2,46 +2,26 @@
 //!
 //! Each level fuses pairs of nodes joined by a maximum-weight matching into
 //! macro-nodes, summing node weights and merging parallel edges, until as
-//! many nodes as clusters remain. The matching is exact (blossom) by
-//! default — the paper used LEDA's exact matcher — with a greedy heavy-edge
-//! fallback for large graphs and for the ablation study.
+//! many nodes as clusters remain. The matching is exact (blossom) — the
+//! paper used LEDA's exact matcher — up to [`EXACT_MATCH_LIMIT`] nodes, and
+//! greedy heavy-edge above it.
 
 use gpsched_ddg::Ddg;
 use gpsched_graph::matching::{greedy_matching, maximum_weight_matching, Matching};
 use gpsched_graph::{NodeId, UnGraph};
 
-/// How to compute the maximum-weight matching at each coarsening level.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MatchStrategy {
-    /// Exact blossom matching (what the paper's LEDA call computed).
-    Exact,
-    /// Greedy heavy-edge matching (METIS-style ½-approximation).
-    Greedy,
-    /// Exact up to the given node count, greedy above it.
-    Auto(usize),
-}
+/// The largest level that gets an exact blossom matching; larger levels
+/// use greedy heavy-edge matching (a METIS-style ½-approximation). Exact
+/// matching is O(V³), and innermost-loop DDGs are small, so exact is
+/// affordable well past the sizes the suite produces.
+pub const EXACT_MATCH_LIMIT: usize = 192;
 
-impl Default for MatchStrategy {
-    fn default() -> Self {
-        // Exact matching is O(V³); DDGs of innermost loops are small, so
-        // exact is affordable well past the sizes the suite produces.
-        MatchStrategy::Auto(192)
-    }
-}
-
-impl MatchStrategy {
-    fn run(self, n: usize, edges: &[(usize, usize, i64)]) -> Matching {
-        match self {
-            MatchStrategy::Exact => maximum_weight_matching(n, edges, false),
-            MatchStrategy::Greedy => greedy_matching(n, edges),
-            MatchStrategy::Auto(limit) => {
-                if n <= limit {
-                    maximum_weight_matching(n, edges, false)
-                } else {
-                    greedy_matching(n, edges)
-                }
-            }
-        }
+/// The maximum-weight matching of one coarsening level with `n` nodes.
+fn match_level(n: usize, edges: &[(usize, usize, i64)]) -> Matching {
+    if n <= EXACT_MATCH_LIMIT {
+        maximum_weight_matching(n, edges, false)
+    } else {
+        greedy_matching(n, edges)
     }
 }
 
@@ -147,7 +127,7 @@ fn contract(level: &Level, pairs: &[(usize, usize)]) -> Level {
 /// # Panics
 ///
 /// Panics if `target == 0`.
-pub fn coarsen_to(finest: Level, target: usize, strategy: MatchStrategy) -> Vec<Level> {
+pub fn coarsen_to(finest: Level, target: usize) -> Vec<Level> {
     assert!(target > 0, "target must be positive");
     let mut levels = vec![finest];
     loop {
@@ -163,7 +143,7 @@ pub fn coarsen_to(finest: Level, target: usize, strategy: MatchStrategy) -> Vec<
             .collect();
         let matching = {
             let _sp = gpsched_trace::span!("partition.coarsen.match", "n={n}");
-            strategy.run(n, &edges)
+            match_level(n, &edges)
         };
         // Every matched pair is an edge (both matchers only match along
         // edges) and edges are unique per unordered pair (`UnGraph` merges
@@ -234,7 +214,7 @@ mod tests {
     #[test]
     fn total_member_count_is_invariant() {
         let ddg = kernels::fir(100, 12);
-        let levels = coarsen_to(level_for(&ddg), 2, MatchStrategy::Exact);
+        let levels = coarsen_to(level_for(&ddg), 2);
         for l in &levels {
             let total: usize = l.members.iter().map(Vec::len).sum();
             assert_eq!(total, ddg.op_count());
@@ -249,7 +229,7 @@ mod tests {
     #[test]
     fn node_weight_conserved() {
         let ddg = kernels::stencil5(100);
-        let levels = coarsen_to(level_for(&ddg), 4, MatchStrategy::Greedy);
+        let levels = coarsen_to(level_for(&ddg), 4);
         let w0 = levels[0].graph.total_node_weight();
         for l in &levels {
             assert_eq!(l.graph.total_node_weight(), w0);
@@ -260,7 +240,7 @@ mod tests {
     fn reaches_target_node_count() {
         for target in [2usize, 4] {
             let ddg = kernels::matmul_inner(100);
-            let levels = coarsen_to(level_for(&ddg), target, MatchStrategy::default());
+            let levels = coarsen_to(level_for(&ddg), target);
             let last = levels.last().unwrap();
             assert!(last.node_count() <= target);
             // The paper fuses only as many pairs as needed, so we land
@@ -277,7 +257,7 @@ mod tests {
             b.op(gpsched_machine::OpClass::IntAlu, format!("o{i}"));
         }
         let ddg = b.build().unwrap();
-        let levels = coarsen_to(level_for(&ddg), 2, MatchStrategy::Exact);
+        let levels = coarsen_to(level_for(&ddg), 2);
         assert_eq!(levels.last().unwrap().node_count(), 2);
     }
 
@@ -295,7 +275,7 @@ mod tests {
         b.flow(x, y); // light pair
         b.trip_count(100);
         let ddg = b.build().unwrap();
-        let levels = coarsen_to(level_for(&ddg), 3, MatchStrategy::Exact);
+        let levels = coarsen_to(level_for(&ddg), 3);
         let last = levels.last().unwrap();
         assert_eq!(last.node_count(), 3);
         assert!(

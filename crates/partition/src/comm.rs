@@ -119,17 +119,6 @@ impl ChannelLoad {
         }
     }
 
-    /// Releases one communicated value `from → to`.
-    #[inline]
-    pub fn remove_pair(&mut self, from: usize, to: usize) {
-        let (s, e) = self.pair_ranges[from * self.nclusters + to];
-        for i in s as usize..e as usize {
-            let (ch, occ) = self.hops[i];
-            self.load[ch as usize] -= occ;
-            debug_assert!(self.load[ch as usize] >= 0, "channel load underflow");
-        }
-    }
-
     /// The interconnect-imposed II bound of the booked load: the largest
     /// `⌈load / capacity⌉` over all channels, at least 1. Matches the
     /// paper's `IIbus = ⌈NComm · LatBus / NBus⌉` on a shared bus.
@@ -195,8 +184,6 @@ mod tests {
         // Traffic on the opposite side of the ring does not interfere.
         load.add_pair(2, 3);
         assert_eq!(load.bound(), 4);
-        load.remove_pair(0, 1);
-        assert_eq!(load.bound(), 2);
     }
 
     #[test]

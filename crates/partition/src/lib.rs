@@ -9,9 +9,9 @@
 //!    estimated execution-time growth if the edge had to cross the bus and
 //!    `slack(e)` the cycles it can absorb for free;
 //! 2. **coarsening** ([`coarsen`]): maximum-weight matchings (exact blossom
-//!    by default, greedy heavy-edge optionally) repeatedly fuse the most
-//!    expensive-to-cut pairs into macro-nodes until as many nodes as
-//!    clusters remain;
+//!    up to [`coarsen::EXACT_MATCH_LIMIT`] nodes, greedy heavy-edge above)
+//!    repeatedly fuse the most expensive-to-cut pairs into macro-nodes
+//!    until as many nodes as clusters remain;
 //! 3. **refinement** ([`refine`]): walking back from the coarsest level,
 //!    first rebalance overloaded resources, then greedily apply the single
 //!    node move or pair swap that most reduces the estimated execution time
@@ -55,7 +55,5 @@ pub mod weights;
 pub use comm::{comm_cost, ChannelLoad};
 pub use estimate::{estimate, estimate_with, PartitionCost};
 pub use evaluator::{CostEvaluator, TrialBatch};
-pub use multilevel::{
-    partition_ddg, partition_ddg_with, MatchStrategy, PartitionOptions, PartitionResult,
-};
+pub use multilevel::{partition_ddg, partition_ddg_with, PartitionOptions, PartitionResult};
 pub use partition::Partition;

@@ -1,24 +1,25 @@
 //! The multilevel partitioning driver (§3.2).
 
-pub use crate::coarsen::MatchStrategy;
 use crate::coarsen::{coarsen_to, initial_level, Level};
 use crate::estimate::PartitionCost;
 use crate::evaluator::CostEvaluator;
 use crate::partition::Partition;
-use crate::refine::{expand, refine_level, RefineOptions};
+use crate::refine::{expand, refine_level};
 use crate::weights::edge_weights;
 use gpsched_ddg::Ddg;
 use gpsched_machine::MachineConfig;
 
-/// Options of the multilevel partitioner. Every field is part of the
-/// engine's seed-cache key.
+/// Carries no settings: the partitioner has one configuration, the
+/// constants [`coarsen::EXACT_MATCH_LIMIT`](crate::coarsen::EXACT_MATCH_LIMIT)
+/// and [`refine::MAX_MOVES`](crate::refine::MAX_MOVES),
+/// [`SWAP_CANDIDATES`](crate::refine::SWAP_CANDIDATES) and
+/// [`EVAL_CANDIDATES`](crate::refine::EVAL_CANDIDATES).
+///
+/// The type remains only because the benchmark harness (`gpbench/`) names
+/// it: the engine's `JobSpec::popts` field and the fourth parameter of
+/// [`partition_ddg`] and of `gpsched_sched::schedule_loop_spec_seeded`.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct PartitionOptions {
-    /// Matching strategy for coarsening.
-    pub strategy: MatchStrategy,
-    /// Refinement knobs.
-    pub refine: RefineOptions,
-}
+pub struct PartitionOptions {}
 
 /// Result of [`partition_ddg`].
 #[derive(Clone, Debug)]
@@ -45,10 +46,10 @@ pub fn partition_ddg(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii_input: i64,
-    options: &PartitionOptions,
+    _options: &PartitionOptions,
 ) -> PartitionResult {
     let mut ev = CostEvaluator::new(ddg, machine);
-    partition_ddg_with(ddg, machine, ii_input, options, &mut ev)
+    partition_ddg_with(ddg, machine, ii_input, &mut ev)
 }
 
 /// [`partition_ddg`] with a caller-supplied [`CostEvaluator`], so repeated
@@ -63,7 +64,6 @@ pub fn partition_ddg_with(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii_input: i64,
-    options: &PartitionOptions,
     ev: &mut CostEvaluator<'_>,
 ) -> PartitionResult {
     assert!(ii_input >= 1, "ii_input must be positive");
@@ -89,7 +89,7 @@ pub fn partition_ddg_with(
         let _span = gpsched_trace::span!("partition.coarsen");
         let weights = edge_weights(ddg, machine, ii_input, ev.timing_workspace());
         let finest = initial_level(ddg, &weights);
-        coarsen_to(finest, nclusters, options.strategy)
+        coarsen_to(finest, nclusters)
     };
 
     // 2. Initial partition of the coarsest level: one node per cluster.
@@ -97,16 +97,7 @@ pub fn partition_ddg_with(
     let mut assign: Vec<usize> = (0..coarsest.node_count()).map(|i| i % nclusters).collect();
 
     // 3. Uncoarsen: project and refine level by level.
-    let mut cost = refine_level(
-        ddg,
-        machine,
-        ii_input,
-        coarsest,
-        &mut assign,
-        &options.refine,
-        ev,
-        None,
-    );
+    let mut cost = refine_level(ddg, machine, ii_input, coarsest, &mut assign, ev, None);
     for idx in (0..levels.len() - 1).rev() {
         let finer = &levels[idx];
         let coarser = &levels[idx + 1];
@@ -121,16 +112,7 @@ pub fn partition_ddg_with(
         assign = finer_assign;
         // The projection leaves the op-level assignment unchanged, so the
         // previous level's final cost is this level's entry cost.
-        cost = refine_level(
-            ddg,
-            machine,
-            ii_input,
-            finer,
-            &mut assign,
-            &options.refine,
-            ev,
-            Some(cost),
-        );
+        cost = refine_level(ddg, machine, ii_input, finer, &mut assign, ev, Some(cost));
     }
 
     let ops = expand(&levels[0], &assign);
@@ -144,8 +126,10 @@ pub fn partition_ddg_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarsen::EXACT_MATCH_LIMIT;
     use crate::estimate::estimate;
     use gpsched_ddg::mii;
+    use gpsched_ddg::timing::TimingWorkspace;
     use gpsched_workloads::kernels;
 
     #[test]
@@ -228,16 +212,32 @@ mod tests {
     }
 
     #[test]
-    fn greedy_strategy_also_valid() {
-        let ddg = kernels::fir(300, 12);
-        let m = MachineConfig::two_cluster(32, 1, 1);
-        let ii = mii::mii(&ddg, &m);
-        let opts = PartitionOptions {
-            strategy: MatchStrategy::Greedy,
-            ..PartitionOptions::default()
+    fn loops_above_the_exact_limit_use_greedy_matching() {
+        // More ops than `EXACT_MATCH_LIMIT`, so the finest level is matched
+        // greedily; the hierarchy must still conserve node weight and the
+        // result must still be a valid partition.
+        let profile = gpsched_workloads::SynthProfile {
+            ops: EXACT_MATCH_LIMIT + 48,
+            ..Default::default()
         };
-        let r = partition_ddg(&ddg, &m, ii, &opts);
+        let ddg = gpsched_workloads::synth::synthesize("large", &profile, 7);
+        let m = MachineConfig::four_cluster(64, 1, 2);
+        let ii = mii::mii(&ddg, &m);
+        let weights = edge_weights(&ddg, &m, ii, &mut TimingWorkspace::new());
+        let levels = coarsen_to(initial_level(&ddg, &weights), m.cluster_count());
+        assert!(levels[0].node_count() > EXACT_MATCH_LIMIT);
+        let w0 = levels[0].graph.total_node_weight();
+        for l in &levels {
+            assert_eq!(l.graph.total_node_weight(), w0);
+        }
+        let r = partition_ddg(&ddg, &m, ii, &PartitionOptions::default());
+        assert_eq!(r.levels, levels.len());
         assert_eq!(r.partition.len(), ddg.op_count());
+        assert!(r
+            .partition
+            .assignment()
+            .iter()
+            .all(|&c| c < m.cluster_count()));
     }
 
     #[test]

@@ -64,17 +64,6 @@ impl Partition {
         &self.assignment
     }
 
-    /// Reassigns one operation (used by refinement and by the GP scheduler
-    /// when it overrides the partition).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op` or `cluster` is out of range.
-    pub fn reassign(&mut self, op: usize, cluster: usize) {
-        assert!(cluster < self.nclusters, "cluster out of range");
-        self.assignment[op] = cluster;
-    }
-
     /// Dependences of `ddg` whose endpoints live in different clusters.
     pub fn cut_deps<'a>(&'a self, ddg: &'a Ddg) -> impl Iterator<Item = DepId> + 'a {
         ddg.dep_ids().filter(move |&e| {
@@ -170,12 +159,5 @@ mod tests {
         assert_eq!(p2.comm_count(&ddg), 1);
         let p3 = Partition::new(vec![2, 1, 0], 3);
         assert_eq!(p3.comm_count(&ddg), 2);
-    }
-
-    #[test]
-    fn reassign_moves_op() {
-        let mut p = Partition::new(vec![0, 0], 2);
-        p.reassign(1, 1);
-        assert_eq!(p.cluster_of(1), 1);
     }
 }

@@ -18,33 +18,15 @@ use crate::evaluator::{CostEvaluator, TrialBatch};
 use gpsched_ddg::Ddg;
 use gpsched_machine::{MachineConfig, ResourceKind};
 
-/// Knobs for the refinement passes (ablation switches).
-#[derive(Clone, Copy, Debug)]
-pub struct RefineOptions {
-    /// Run the workload-balance pass.
-    pub balance: bool,
-    /// Run the cut-impact pass.
-    pub cut: bool,
-    /// Upper bound on applied moves per level (safety valve).
-    pub max_moves: usize,
-    /// How many swap partners to evaluate per blocked move.
-    pub swap_candidates: usize,
-    /// How many screened candidates receive a full execution-time estimate
-    /// per move round.
-    pub eval_candidates: usize,
-}
+/// Upper bound on applied moves per pass and level (a safety valve).
+pub const MAX_MOVES: usize = 64;
 
-impl Default for RefineOptions {
-    fn default() -> Self {
-        RefineOptions {
-            balance: true,
-            cut: true,
-            max_moves: 64,
-            swap_candidates: 4,
-            eval_candidates: 12,
-        }
-    }
-}
+/// How many swap partners the cut pass evaluates per blocked move.
+pub const SWAP_CANDIDATES: usize = 4;
+
+/// How many screened candidates receive a full execution-time estimate
+/// per move round of the cut pass.
+pub const EVAL_CANDIDATES: usize = 12;
 
 /// Expands a per-node assignment at `level` into a per-op assignment.
 pub fn expand(level: &Level, assign: &[usize]) -> Vec<usize> {
@@ -142,7 +124,6 @@ pub fn balance_pass(
     level: &Level,
     usage: &[[i64; 3]],
     assign: &mut [usize],
-    max_moves: usize,
 ) -> usize {
     let caps = capacities(machine, ii);
     let nclusters = machine.cluster_count();
@@ -153,7 +134,7 @@ pub fn balance_pass(
     let mut overloaded: Vec<(usize, usize, f64)> = Vec::new();
     let mut nodes: Vec<usize> = Vec::new();
 
-    while moves < max_moves {
+    while moves < MAX_MOVES {
         // Overloaded (cluster, kind), most saturated first.
         overloaded.clear();
         for c in 0..nclusters {
@@ -235,7 +216,6 @@ pub fn cut_pass(
     level: &Level,
     usage: &[[i64; 3]],
     assign: &mut [usize],
-    opts: &RefineOptions,
     ev: &mut CostEvaluator<'_>,
     prev: Option<PartitionCost>,
 ) -> PartitionCost {
@@ -279,7 +259,7 @@ pub fn cut_pass(
     let mut caps = capacities(machine, caps_ii);
     let mut totals = cluster_usage(usage, assign, nclusters);
 
-    while moves < opts.max_moves {
+    while moves < MAX_MOVES {
         if current.ii_effective.max(1) != caps_ii {
             caps_ii = current.ii_effective.max(1);
             caps = capacities(machine, caps_ii);
@@ -342,16 +322,14 @@ pub fn cut_pass(
             }
         }
         // (gain, v, c2) is a total order, so selecting the top
-        // `eval_candidates` before sorting yields the same prefix the full
+        // `EVAL_CANDIDATES` before sorting yields the same prefix the full
         // sort would.
         let by_gain = |a: &(i64, usize, usize), b: &(i64, usize, usize)| {
             b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
         };
-        if opts.eval_candidates == 0 {
-            candidates.clear();
-        } else if candidates.len() > opts.eval_candidates {
-            candidates.select_nth_unstable_by(opts.eval_candidates - 1, by_gain);
-            candidates.truncate(opts.eval_candidates);
+        if candidates.len() > EVAL_CANDIDATES {
+            candidates.select_nth_unstable_by(EVAL_CANDIDATES - 1, by_gain);
+            candidates.truncate(EVAL_CANDIDATES);
         }
         candidates.sort_by(by_gain);
         for &(_, v, c2) in &candidates {
@@ -366,7 +344,7 @@ pub fn cut_pass(
                 partners.extend((0..level.node_count()).filter(|&u| assign[u] == c2));
                 // Prefer partners whose departure frees the most slots.
                 partners.sort_by_key(|&u| std::cmp::Reverse(usage[u].iter().sum::<i64>()));
-                partners.truncate(opts.swap_candidates);
+                partners.truncate(SWAP_CANDIDATES);
                 for &u in &partners {
                     // Capacity check with both displacements applied.
                     let ok = (0..3).all(|k| {
@@ -409,14 +387,12 @@ pub fn cut_pass(
 /// carries the timing workspace and cut state across levels and calls;
 /// `prev` (the previous level's final cost, when the assignment projected
 /// through unchanged) lets the cut pass skip its entry re-evaluation.
-#[allow(clippy::too_many_arguments)]
 pub fn refine_level(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii_input: i64,
     level: &Level,
     assign: &mut [usize],
-    opts: &RefineOptions,
     ev: &mut CostEvaluator<'_>,
     prev: Option<PartitionCost>,
 ) -> PartitionCost {
@@ -424,17 +400,10 @@ pub fn refine_level(
     // Both passes consume the same per-node usage table; compute it once.
     let usage = node_usage(ddg, level);
     let mut prev = prev;
-    if opts.balance && balance_pass(machine, ii_input, level, &usage, assign, opts.max_moves) > 0 {
+    if balance_pass(machine, ii_input, level, &usage, assign) > 0 {
         prev = None; // the assignment changed under the carried cost
     }
-    if opts.cut {
-        cut_pass(
-            ddg, machine, ii_input, level, &usage, assign, opts, ev, prev,
-        )
-    } else {
-        ev.reset(ii_input, &expand(level, assign));
-        ev.cost()
-    }
+    cut_pass(ddg, machine, ii_input, level, &usage, assign, ev, prev)
 }
 
 #[cfg(test)]
@@ -466,7 +435,7 @@ mod tests {
         let level = level_of(&ddg, &m);
         let mut assign = vec![0usize; 8];
         let usage = node_usage(&ddg, &level);
-        let moves = balance_pass(&m, 2, &level, &usage, &mut assign, 100);
+        let moves = balance_pass(&m, 2, &level, &usage, &mut assign);
         assert!(moves >= 4);
         let in_c1 = assign.iter().filter(|&&c| c == 1).count();
         assert_eq!(in_c1, 4);
@@ -486,7 +455,7 @@ mod tests {
         // Must terminate (no infinite loop) even though both clusters stay
         // overloaded.
         let usage = node_usage(&ddg, &level);
-        balance_pass(&m, 1, &level, &usage, &mut assign, 100);
+        balance_pass(&m, 1, &level, &usage, &mut assign);
     }
 
     #[test]
@@ -517,7 +486,6 @@ mod tests {
             &level,
             &node_usage(&ddg, &level),
             &mut assign,
-            &RefineOptions::default(),
             &mut ev,
             None,
         );
@@ -537,16 +505,7 @@ mod tests {
             let mut assign: Vec<usize> = (0..level.node_count()).map(|i| i % 2).collect();
             let before = estimate(&ddg, &m, 1, &Partition::new(expand(&level, &assign), 2));
             let mut ev = CostEvaluator::new(&ddg, &m);
-            let after = refine_level(
-                &ddg,
-                &m,
-                1,
-                &level,
-                &mut assign,
-                &RefineOptions::default(),
-                &mut ev,
-                None,
-            );
+            let after = refine_level(&ddg, &m, 1, &level, &mut assign, &mut ev, None);
             assert!(
                 !before.better_than(&after),
                 "{}: refinement worsened cost",
@@ -582,7 +541,6 @@ mod tests {
             &level,
             &node_usage(&ddg, &level),
             &mut assign,
-            &RefineOptions::default(),
             &mut ev,
             None,
         );

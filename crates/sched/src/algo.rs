@@ -18,7 +18,7 @@ use crate::schedule::Schedule;
 use crate::spec::AlgorithmSpec;
 use gpsched_ddg::Ddg;
 use gpsched_machine::MachineConfig;
-use gpsched_partition::{Partition, PartitionOptions};
+use gpsched_partition::{partition_ddg_with, CostEvaluator, Partition, PartitionOptions};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
@@ -115,16 +115,8 @@ pub fn schedule_loop(
     machine: &MachineConfig,
     spec: AlgorithmSpec,
 ) -> Result<LoopResult, SchedError> {
-    schedule_impl(
-        ddg,
-        machine,
-        spec,
-        &PartitionOptions::default(),
-        &DriverConfig::default(),
-        None,
-        Cutoff::default(),
-        None,
-    )
+    let cfg = DriverConfig::default();
+    schedule_impl(ddg, machine, spec, &cfg, None, Cutoff::default(), None)
 }
 
 /// Precomputed scheduling inputs, typically served from a memo cache keyed
@@ -139,11 +131,12 @@ pub struct SchedSeed {
     pub partition: Option<gpsched_partition::PartitionResult>,
 }
 
-/// [`schedule_loop`] with explicit partitioner and driver options and
-/// precomputed MII/partition inputs, so batch drivers that schedule the
-/// same loop on the same machine under several specs (or repeatedly
-/// across sweeps) skip the shared preprocessing. Every call pays for its
-/// own runs; [`SharedRuns::schedule`] shares them between calls.
+/// [`schedule_loop`] with explicit driver options and precomputed
+/// MII/partition inputs, so batch drivers that schedule the same loop on
+/// the same machine under several specs (or repeatedly across sweeps)
+/// skip the shared preprocessing. Every call pays for its own runs;
+/// [`SharedRuns::schedule`] shares them between calls. `_popts` carries
+/// no settings (see [`PartitionOptions`]).
 ///
 /// # Errors
 ///
@@ -178,32 +171,21 @@ pub fn schedule_loop_spec_seeded(
     ddg: &Ddg,
     machine: &MachineConfig,
     spec: AlgorithmSpec,
-    popts: &PartitionOptions,
+    _popts: &PartitionOptions,
     cfg: &DriverConfig,
     seed: &SchedSeed,
 ) -> Result<LoopResult, SchedError> {
-    schedule_impl(
-        ddg,
-        machine,
-        spec,
-        popts,
-        cfg,
-        Some(seed),
-        Cutoff::default(),
-        None,
-    )
+    schedule_impl(ddg, machine, spec, cfg, Some(seed), Cutoff::default(), None)
 }
 
 /// Both entry points and [`SharedRuns::schedule`], plus the early `cutoff`
 /// only the portfolio race imposes on its challengers. With `shared`, an
 /// unconstrained run of a catalog spec is read from (or stored in) the
 /// memo, and a portfolio race reads its siblings' runs from it.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn schedule_impl(
     ddg: &Ddg,
     machine: &MachineConfig,
     spec: AlgorithmSpec,
-    popts: &PartitionOptions,
     cfg: &DriverConfig,
     seed: Option<&SchedSeed>,
     cutoff: Cutoff,
@@ -222,7 +204,7 @@ pub(crate) fn schedule_impl(
         .filter(|_| cutoff.is_none())
         .and_then(|s| s.slot(spec));
     if let Some(slot) = slot {
-        let run = || schedule_impl(ddg, machine, spec, popts, cfg, seed, cutoff, None);
+        let run = || schedule_impl(ddg, machine, spec, cfg, seed, cutoff, None);
         return slot.get_or_run(run).clone();
     }
 
@@ -244,19 +226,23 @@ pub(crate) fn schedule_impl(
     // Resolve the precomputed inputs, filling the gaps for direct calls.
     let start_ii = seed.map_or_else(|| gpsched_ddg::mii::mii(ddg, machine), |s| s.start_ii);
     let initial = if spec.needs_partition() {
-        Some(
-            seed.and_then(|s| s.partition.clone())
-                .unwrap_or_else(|| gpsched_partition::partition_ddg(ddg, machine, start_ii, popts)),
-        )
+        Some(seed.and_then(|s| s.partition.clone()).unwrap_or_else(|| {
+            partition_ddg_with(
+                ddg,
+                machine,
+                start_ii,
+                &mut CostEvaluator::new(ddg, machine),
+            )
+        }))
     } else {
         None
     };
 
     if spec.is_portfolio() {
-        return crate::portfolio::race(ddg, machine, spec, popts, cfg, start_ii, initial, shared);
+        return crate::portfolio::race(ddg, machine, spec, cfg, start_ii, initial, shared);
     }
 
-    match pipeline::run_until(ddg, machine, popts, cfg, start_ii, initial, spec, cutoff) {
+    match pipeline::run_until(ddg, machine, cfg, start_ii, initial, spec, cutoff) {
         Ok(out) => Ok(base(
             out.schedule,
             ScheduledWith::Modulo {
@@ -279,8 +265,8 @@ type RunResult = Result<LoopResult, SchedError>;
 /// every unit of a batch that schedules the pair with a catalog spec or a
 /// portfolio reads it, so each spec's II ladder is climbed at most once.
 ///
-/// All calls on one memo must pass the same loop, machine, options and
-/// seed; the engine keeps one per (loop, machine) pair of a sweep. A run
+/// All calls on one memo must pass the same loop, machine, driver options
+/// and seed; the engine keeps one per (loop, machine) pair of a sweep. A run
 /// is computed by the first unit that asks for it, and a unit asking
 /// while it is in flight waits for it. A portfolio race reads its leader,
 /// its List floor and every challenger whose run has started from here:
@@ -334,14 +320,14 @@ impl SharedRuns {
     ///
     /// let ddg = kernels::fir(500, 8);
     /// let machine = MachineConfig::four_cluster(32, 1, 2);
-    /// let (popts, cfg) = (PartitionOptions::default(), DriverConfig::default());
+    /// let cfg = DriverConfig::default();
     /// let start_ii = mii(&ddg, &machine);
-    /// let partition = Some(partition_ddg(&ddg, &machine, start_ii, &popts));
-    /// let seed = SchedSeed { start_ii, partition };
+    /// let partition = partition_ddg(&ddg, &machine, start_ii, &PartitionOptions::default());
+    /// let seed = SchedSeed { start_ii, partition: Some(partition) };
     /// let runs = SharedRuns::default();
-    /// let gp = runs.schedule(&ddg, &machine, AlgorithmSpec::GP, &popts, &cfg, &seed)?;
+    /// let gp = runs.schedule(&ddg, &machine, AlgorithmSpec::GP, &cfg, &seed)?;
     /// // The race reads GP's ladder instead of climbing it again.
-    /// let best = runs.schedule(&ddg, &machine, AlgorithmSpec::PORTFOLIO, &popts, &cfg, &seed)?;
+    /// let best = runs.schedule(&ddg, &machine, AlgorithmSpec::PORTFOLIO, &cfg, &seed)?;
     /// assert!(best.cycles() <= gp.cycles());
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
@@ -350,12 +336,11 @@ impl SharedRuns {
         ddg: &Ddg,
         machine: &MachineConfig,
         spec: AlgorithmSpec,
-        popts: &PartitionOptions,
         cfg: &DriverConfig,
         seed: &SchedSeed,
     ) -> Result<LoopResult, SchedError> {
         let none = Cutoff::default();
-        schedule_impl(ddg, machine, spec, popts, cfg, Some(seed), none, Some(self))
+        schedule_impl(ddg, machine, spec, cfg, Some(seed), none, Some(self))
     }
 
     /// `spec`'s slot, if it is a catalog spec.
@@ -615,7 +600,7 @@ mod tests {
                         order.reverse();
                     }
                     for i in order {
-                        let got = runs.schedule(&ddg, &m, specs[i], &popts, &cfg, &seed);
+                        let got = runs.schedule(&ddg, &m, specs[i], &cfg, &seed);
                         let (got, want) = (got.unwrap(), &alone[i]);
                         let at = format!("{} on {}: {}", ddg.name(), m.short_name(), specs[i]);
                         assert_eq!(got.method, want.method, "{at}");
@@ -639,10 +624,9 @@ mod tests {
             ii_cap: Some(1), // below RecMII=3
         };
         let start = gpsched_ddg::mii::mii(&ddg, &m);
-        let popts = PartitionOptions::default();
         let spec = AlgorithmSpec::URACAM;
         assert_eq!(
-            pipeline::run(&ddg, &m, &popts, &cfg, start, None, spec).unwrap_err(),
+            pipeline::run(&ddg, &m, &cfg, start, None, spec).unwrap_err(),
             SchedError::IiLimitExceeded { limit: 1 }
         );
     }

@@ -35,9 +35,7 @@ use crate::state::PartialSchedule;
 use gpsched_ddg::timing::{Timing, TimingWorkspace};
 use gpsched_ddg::{Ddg, OpId};
 use gpsched_machine::MachineConfig;
-use gpsched_partition::{
-    partition_ddg_with, CostEvaluator, Partition, PartitionOptions, PartitionResult,
-};
+use gpsched_partition::{partition_ddg_with, CostEvaluator, Partition, PartitionResult};
 
 /// Outcome of a pipeline run.
 #[derive(Clone, Debug)]
@@ -336,8 +334,7 @@ impl Cutoff {
 ///
 /// `start_ii` is the first II to try (the loop's MII, or a memo-cached
 /// value); `initial` seeds the partition for the partition-driven specs
-/// (computed at `start_ii` when absent). URACAM ignores both `popts` and
-/// `initial`.
+/// (computed at `start_ii` when absent). URACAM ignores `initial`.
 ///
 /// # Errors
 ///
@@ -350,23 +347,20 @@ impl Cutoff {
 pub fn run(
     ddg: &Ddg,
     machine: &MachineConfig,
-    popts: &PartitionOptions,
     cfg: &DriverConfig,
     start_ii: i64,
     initial: Option<PartitionResult>,
     spec: AlgorithmSpec,
 ) -> Result<PipelineOutcome, SchedError> {
     let none = Cutoff::default();
-    run_until(ddg, machine, popts, cfg, start_ii, initial, spec, none)
+    run_until(ddg, machine, cfg, start_ii, initial, spec, none)
 }
 
 /// [`run`], stopped early with [`SchedError::RaceCutoff`] once `cutoff`
 /// says the run cannot win.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_until(
     ddg: &Ddg,
     machine: &MachineConfig,
-    popts: &PartitionOptions,
     cfg: &DriverConfig,
     start_ii: i64,
     initial: Option<PartitionResult>,
@@ -390,10 +384,14 @@ pub(crate) fn run_until(
     // II-raising retries instead of being rebuilt per call.
     let mut ev: Option<CostEvaluator<'_>> = None;
     let mut part: Option<PartitionResult> = if spec.needs_partition() {
-        Some(
-            initial
-                .unwrap_or_else(|| gpsched_partition::partition_ddg(ddg, machine, start_ii, popts)),
-        )
+        Some(initial.unwrap_or_else(|| {
+            partition_ddg_with(
+                ddg,
+                machine,
+                start_ii,
+                &mut CostEvaluator::new(ddg, machine),
+            )
+        }))
     } else {
         None
     };
@@ -421,7 +419,7 @@ pub(crate) fn run_until(
             if cluster::wants_repartition(spec, p, ii) {
                 let _span = gpsched_trace::span!("sched.cluster.repartition", "ii={ii}");
                 let ev = ev.get_or_insert_with(|| CostEvaluator::new(ddg, machine));
-                part = Some(partition_ddg_with(ddg, machine, ii, popts, ev));
+                part = Some(partition_ddg_with(ddg, machine, ii, ev));
                 repartitions += 1;
             }
         }
@@ -436,17 +434,17 @@ pub(crate) fn run_until(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpsched_partition::PartitionOptions;
     use gpsched_workloads::kernels;
 
     #[test]
     fn uracam_policies_match_driver() {
         let cfg = DriverConfig::default();
-        let popts = PartitionOptions::default();
         for ddg in kernels::all_kernels(200) {
             let m = MachineConfig::two_cluster(32, 1, 1);
             let direct = crate::schedule_loop(&ddg, &m, AlgorithmSpec::URACAM).unwrap();
             let start = gpsched_ddg::mii::mii(&ddg, &m);
-            let piped = run(&ddg, &m, &popts, &cfg, start, None, AlgorithmSpec::URACAM).unwrap();
+            let piped = run(&ddg, &m, &cfg, start, None, AlgorithmSpec::URACAM).unwrap();
             assert_eq!(direct.schedule.ii(), piped.schedule.ii(), "{}", ddg.name());
             let (a, b) = (direct.schedule.length(), piped.schedule.length());
             assert_eq!(a, b, "{}", ddg.name());
@@ -594,12 +592,11 @@ mod tests {
     #[test]
     fn gp_policies_match_driver() {
         let cfg = DriverConfig::default();
-        let popts = PartitionOptions::default();
         for ddg in kernels::all_kernels(200) {
             let m = MachineConfig::four_cluster(32, 1, 2);
             let direct = crate::schedule_loop(&ddg, &m, AlgorithmSpec::GP).unwrap();
             let start = gpsched_ddg::mii::mii(&ddg, &m);
-            let piped = run(&ddg, &m, &popts, &cfg, start, None, AlgorithmSpec::GP).unwrap();
+            let piped = run(&ddg, &m, &cfg, start, None, AlgorithmSpec::GP).unwrap();
             assert_eq!(direct.schedule.ii(), piped.schedule.ii(), "{}", ddg.name());
             let repartitions = match direct.method {
                 crate::ScheduledWith::Modulo { repartitions } => repartitions,
@@ -660,7 +657,7 @@ mod tests {
                 for &spec in &specs {
                     let run = |cutoff| {
                         let seed = Some(&seed);
-                        crate::algo::schedule_impl(ddg, m, spec, &popts, &cfg, seed, cutoff, None)
+                        crate::algo::schedule_impl(ddg, m, spec, &cfg, seed, cutoff, None)
                     };
                     let full = run(Cutoff::default());
                     let full_run = full.as_ref().expect("schedulable");
@@ -728,8 +725,7 @@ mod tests {
         let ddg = kernels::daxpy(100);
         let m = MachineConfig::two_cluster(32, 1, 1);
         let start = gpsched_ddg::mii::mii(&ddg, &m);
-        let (popts, cfg) = (PartitionOptions::default(), DriverConfig::default());
-        let _ = run(&ddg, &m, &popts, &cfg, start, None, spec);
+        let _ = run(&ddg, &m, &DriverConfig::default(), start, None, spec);
     }
 
     #[test]

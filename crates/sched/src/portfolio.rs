@@ -44,7 +44,7 @@ use crate::SchedSeed;
 use gpsched_ddg::timing::TimingWorkspace;
 use gpsched_ddg::{Ddg, DepKind};
 use gpsched_machine::MachineConfig;
-use gpsched_partition::{PartitionOptions, PartitionResult};
+use gpsched_partition::PartitionResult;
 
 /// Cheap shape descriptors of one scheduling unit, extracted in one pass
 /// over the DDG (plus one timing analysis at the MII). All fields are
@@ -284,12 +284,10 @@ fn key(r: &LoopResult) -> (u64, i64, i64) {
 ///
 /// [`SchedError::Unschedulable`] when the machine lacks units for the
 /// loop — the same condition the fixed specs report.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn race(
     ddg: &Ddg,
     machine: &MachineConfig,
     spec: AlgorithmSpec,
-    popts: &PartitionOptions,
     cfg: &DriverConfig,
     start_ii: i64,
     initial: Option<PartitionResult>,
@@ -308,9 +306,8 @@ pub(crate) fn race(
         partition: initial,
     };
     let trips = ddg.trip_count();
-    let run = |cand, cutoff, shared| {
-        schedule_impl(ddg, machine, cand, popts, cfg, Some(&seed), cutoff, shared)
-    };
+    let run =
+        |cand, cutoff, shared| schedule_impl(ddg, machine, cand, cfg, Some(&seed), cutoff, shared);
 
     let mut best: Option<(AlgorithmSpec, LoopResult)> = None;
     for cand in ranked.into_iter().take(k.max(1)) {
@@ -384,6 +381,7 @@ pub(crate) fn race(
 mod tests {
     use super::*;
     use crate::schedule_loop;
+    use gpsched_partition::PartitionOptions;
     use gpsched_workloads::kernels;
 
     fn machines() -> Vec<MachineConfig> {

@@ -4,19 +4,6 @@ use crate::state::{CommKind, PartialSchedule, Placement, Spill, Transfer};
 use gpsched_ddg::Ddg;
 use gpsched_machine::MachineConfig;
 
-/// How the schedule executes iterations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScheduleKind {
-    /// Software-pipelined: a new iteration starts every II cycles.
-    Modulo,
-    /// List-scheduled fallback: iterations run back to back. The II is
-    /// the iteration period; SL normally equals it but diverges when
-    /// register relief inserts spill code (a spill tail pushes SL past
-    /// II; a grown period leaves SL below II with idle cycles between
-    /// iterations).
-    List,
-}
-
 /// A complete schedule of one loop.
 ///
 /// All times are normalized: the earliest issue lies in `[0, II)` and every
@@ -28,7 +15,6 @@ pub enum ScheduleKind {
 pub struct Schedule {
     ii: i64,
     length: i64,
-    kind: ScheduleKind,
     placements: Vec<Placement>,
     transfers: Vec<Transfer>,
     spills: Vec<Spill>,
@@ -143,7 +129,6 @@ impl Schedule {
         Schedule {
             ii,
             length: last_done - first_issue,
-            kind: ScheduleKind::Modulo,
             placements,
             transfers,
             spills,
@@ -167,7 +152,6 @@ impl Schedule {
         Schedule {
             ii: ii.max(1),
             length,
-            kind: ScheduleKind::List,
             placements,
             transfers,
             spills,
@@ -183,11 +167,6 @@ impl Schedule {
     /// Schedule length `SL` of one iteration.
     pub fn length(&self) -> i64 {
         self.length
-    }
-
-    /// Modulo or list.
-    pub fn kind(&self) -> ScheduleKind {
-        self.kind
     }
 
     /// Placement of every op (indexed by op).
@@ -259,7 +238,6 @@ mod tests {
         assert_eq!(s.length(), 5); // load at 0, add completes at 2+3
         assert_eq!(s.stage_count(), 3);
         assert_eq!(s.cycles(10), 9 * 2 + 5);
-        assert_eq!(s.kind(), ScheduleKind::Modulo);
     }
 
     #[test]

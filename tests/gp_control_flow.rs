@@ -93,7 +93,7 @@ fn list_fallback_engages_and_works() {
     let start_ii = mii::mii(&ddg, &machine);
     // The II ladder reports the failure…
     let spec = AlgorithmSpec::URACAM;
-    let ladder = pipeline::run(&ddg, &machine, &popts, &cfg, start_ii, None, spec);
+    let ladder = pipeline::run(&ddg, &machine, &cfg, start_ii, None, spec);
     assert_eq!(
         ladder.unwrap_err(),
         SchedError::IiLimitExceeded { limit: 1 }
