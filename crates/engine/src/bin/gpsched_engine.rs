@@ -7,7 +7,7 @@
 //!                         [--algos all|modulo|extended|SPECS]
 //!                         [--workers N] [--no-cache] [--out FILE] [--quiet]
 //!                         [--trace] [--trace-out FILE] [--progress]
-//! gpsched-engine profile  [sweep selection flags] [--top N] [--trace-out FILE]
+//! gpsched-engine profile  [sweep flags but --out, --quiet, --trace] [--top N]
 //! gpsched-engine trace-check --file FILE [--expect NAME,NAME,…]
 //! gpsched-engine gen      --preset NAME [--seed S] [--count N] [--ops K]
 //!                         [--workers N] [--out FILE]
@@ -67,7 +67,7 @@ USAGE:
                           [--algos all|modulo|extended|SPEC,SPEC,…]
                           [--workers N] [--no-cache] [--out FILE] [--quiet]
                           [--trace] [--trace-out FILE] [--progress]
-  gpsched-engine profile  [sweep selection flags] [--top N] [--trace-out FILE]
+  gpsched-engine profile  [sweep flags but --out, --quiet, --trace] [--top N]
   gpsched-engine trace-check --file FILE [--expect NAME,NAME,…]
   gpsched-engine gen      --preset NAME [--seed S] [--count N] [--ops K]
                           [--workers N] [--out FILE]
@@ -102,8 +102,10 @@ long-distance. `gen` output is byte-identical for a given preset, seed
 and count, whatever `--workers` says.
 `sweep --trace` records per-phase spans and counters (profile report on
 stderr; `--trace-out` additionally writes Chrome Trace Event JSON for
-chrome://tracing / Perfetto). `profile` runs a traced sweep and prints
-the top phases by self-time to stdout. `trace-check` validates a trace
+chrome://tracing / Perfetto). `profile` runs a traced sweep (serial
+unless `--workers` says otherwise) and prints the top phases by
+self-time to stdout; it always traces and writes no records, so it
+refuses `--out`, `--quiet` and `--trace`. `trace-check` validates a trace
 JSON file and optionally asserts that named spans are present (CI).
 `serve` starts the long-lived scheduling daemon (HTTP/1.1, bounded FIFO
 job queue, streaming JSONL results; `--cache-file` persists seeds so a
@@ -263,7 +265,8 @@ fn job_from_args(args: &[String]) -> JobSpec {
     job
 }
 
-const SWEEP_FLAGS: &[&str] = &[
+/// The flags `sweep` and `profile` share: what to schedule and how.
+const SELECTION_FLAGS: &[&str] = &[
     "--spec",
     "--kernels",
     "--corpus",
@@ -272,9 +275,6 @@ const SWEEP_FLAGS: &[&str] = &[
     "--algos",
     "--workers",
     "--no-cache",
-    "--out",
-    "--quiet",
-    "--trace",
     "--trace-out",
     "--progress",
 ];
@@ -308,7 +308,10 @@ fn parse_gen_spec(spec: &str) -> (&str, usize, u64) {
 }
 
 fn cmd_sweep(args: &[String]) {
-    check_flags(args, SWEEP_FLAGS);
+    check_flags(
+        args,
+        &[SELECTION_FLAGS, &["--out", "--quiet", "--trace"]].concat(),
+    );
     let job = job_from_args(args);
     let opts = sweep_options(args, 0);
     let trace_out = opt_value(args, "--trace-out");
@@ -395,9 +398,9 @@ fn cmd_sweep(args: &[String]) {
 
 /// Runs a traced sweep and prints the hottest phases by self-time.
 fn cmd_profile(args: &[String]) {
-    let mut known = SWEEP_FLAGS.to_vec();
-    known.push("--top");
-    check_flags(args, &known);
+    // A profile always traces and writes no records: `--out`, `--quiet`
+    // and `--trace` would be silently ignored, so they are refused.
+    check_flags(args, &[SELECTION_FLAGS, &["--top"]].concat());
     let job = job_from_args(args);
     let top: usize = number(args, "--top").unwrap_or(20);
     // Serial by default: with one worker, self-time fractions of the wall

@@ -163,45 +163,6 @@ impl AuditedReport {
     pub fn aggregate_ipc(&self) -> Vec<f64> {
         self.totals.iter().copied().map(ipc).collect()
     }
-
-    /// Plain-text rendering: the table with its aggregate row, then the
-    /// audit summary and one `FAIL` line per failure.
-    pub fn render(&self) -> String {
-        let widths: Vec<usize> = self.specs.iter().map(|s| s.len().max(7)).collect();
-        let mut out = format!("{:<18} {:<12}", "corpus", "machine");
-        for (s, w) in self.specs.iter().zip(&widths) {
-            out.push_str(&format!(" {s:>w$}"));
-        }
-        out.push_str("  worst II/MII\n");
-        let aggregate = AuditedRow {
-            corpus: "aggregate".to_string(),
-            machine: "(all)".to_string(),
-            ipc: self.aggregate_ipc(),
-            worst_ii_over_mii: self
-                .rows
-                .iter()
-                .fold(1.0, |w, r| w.max(r.worst_ii_over_mii)),
-        };
-        for row in self.rows.iter().chain([&aggregate]) {
-            out.push_str(&format!("{:<18} {:<12}", row.corpus, row.machine));
-            for (v, w) in row.ipc.iter().zip(&widths) {
-                out.push_str(&format!(" {v:>w$.3}"));
-            }
-            out.push_str(&format!("  {:>12.2}\n", row.worst_ii_over_mii));
-        }
-        out.push_str(&format!(
-            "\n{} loops, {} units audited — {} list fallbacks, {} spilled units, {} audit failures\n",
-            self.loops,
-            self.audited,
-            self.fallbacks,
-            self.spilled,
-            self.failures.len()
-        ));
-        for f in &self.failures {
-            out.push_str(&format!("  FAIL {f}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -223,8 +184,9 @@ mod tests {
         assert!(r.failures.is_empty(), "{:?}", r.failures);
         assert_eq!(r.rows.len(), 6); // 6 presets × 1 machine
         assert!(r.rows.iter().all(|row| row.ipc.iter().all(|&x| x > 0.0)));
-        let text = r.render();
-        assert!(text.contains("recurrence-heavy"));
+        let text = crate::report::audited_section("Stress", &r);
+        assert!(text.contains("| recurrence-heavy | c2r32b1l1 |"));
+        assert!(text.contains("| aggregate | (all) |"));
         assert!(text.contains("0 audit failures"));
     }
 
@@ -256,9 +218,9 @@ mod tests {
         assert!(
             r.portfolio_dominates(),
             "portfolio must match the best fixed spec:\n{}",
-            r.render()
+            crate::report::audited_section("Portfolio", &r)
         );
-        assert!(r.render().contains("SPECfp95"));
+        assert!(crate::report::audited_section("Portfolio", &r).contains("| SPECfp95 |"));
     }
 
     #[test]

@@ -1,42 +1,52 @@
-//! Regenerates every table and figure of the paper.
+//! Regenerates every table and figure of the paper, as Markdown.
 //!
 //! ```text
-//! reproduce table1   # machine configuration matrix
-//! reproduce fig2     # IPC, 1 bus, latency 1 (4 sub-graphs)
-//! reproduce fig3     # IPC, 1 bus, latency 2 (4 sub-graphs)
-//! reproduce table2   # scheduling CPU time per algorithm/config
+//! reproduce table1     # machine configuration matrix
+//! reproduce fig2       # IPC, 1 bus, latency 1 (4 sub-graphs)
+//! reproduce fig3       # IPC, 1 bus, latency 2 (4 sub-graphs)
+//! reproduce table2     # scheduling work per algorithm/config, counted
+//! reproduce profile    # per-phase span counts and counters
 //! reproduce variants   # IPC of the policy-variant specs (beyond the paper)
 //! reproduce stress     # catalog × synthetic preset corpora, sim-audited
 //! reproduce portfolio  # portfolio vs every fixed spec, sim-audited gate
 //! reproduce topologies # SPECfp95 IPC across interconnect topologies
-//! reproduce profile    # per-phase scheduling profile (gpsched-trace)
-//! reproduce all        # everything + rewrite EXPERIMENTS.md
+//! reproduce all        # EXPERIMENTS.md, then the timing appendix
 //! ```
 //!
-//! `stress` and `portfolio` build one sim-audited report
-//! (`gpsched_eval::audited`) from different inputs, and read
-//! `GPSCHED_SYNTH_BUDGET` (total generated loops; default 90). `stress`
-//! exits non-zero on any audit failure; `portfolio` exits non-zero unless
-//! portfolio's aggregate IPC is at least every fixed catalog spec's (and
-//! every portfolio unit passes the conformance audit) — CI runs both as
-//! gates. None of
-//! `stress`, `portfolio`, `topologies` is part of `all` — their
-//! corpora/machines are open-ended where EXPERIMENTS.md pins the paper's
-//! frozen evaluation.
+//! `all` writes `EXPERIMENTS.md` (exit 1 if it cannot) and prints the
+//! same bytes, followed by a timing appendix (Table 2 milliseconds,
+//! profile self times) that never enters the file. The file holds IPC and
+//! work counts only, so it regenerates byte-identically on any host and
+//! CPU count, and CI diffs it against the committed copy.
 //!
-//! Run with `--release`; the full sweep schedules ~76 loops × 9 machine
-//! configurations × 4 algorithm bars.
+//! `stress` and `portfolio` build one sim-audited report
+//! (`gpsched_eval::audited`) from different inputs, over
+//! `SYNTH_BUDGET` generated loops. `stress` exits non-zero on any audit
+//! failure; `portfolio` exits non-zero unless portfolio's aggregate IPC is
+//! at least every fixed catalog spec's (and every portfolio unit passes
+//! the conformance audit) — CI runs both as gates. None of `stress`,
+//! `portfolio`, `topologies` is part of `all` — their corpora/machines
+//! are open-ended where EXPERIMENTS.md pins the paper's frozen
+//! evaluation.
+//!
+//! Run with `--release`; the figures schedule the suite's 70 loops on 8
+//! clustered machines and their 2 unified counterparts, and Table 2 and
+//! the profile sweep the suite again serially.
 
-use gpsched_eval::report;
-use gpsched_eval::{figure2, figure3, series_for_specs, table2, tables};
+use gpsched_eval::{figure2, figure3, report, series_for_specs, table2, IpcTable};
 use gpsched_machine::{Interconnect, MachineConfig};
 use gpsched_sched::AlgorithmSpec;
+use gpsched_workloads::spec_suite;
 use std::time::Instant;
+
+/// Generated loops in the `stress` and `portfolio` corpora, spread over
+/// every generator preset.
+const SYNTH_BUDGET: usize = 90;
 
 /// The variant figure: the paper's modulo algorithms next to the bundled
 /// policy variants, on the clustered machines of Figures 2/3.
-fn variants_figure() -> Vec<gpsched_eval::VariantSeries> {
-    let programs = gpsched_workloads::spec_suite();
+fn variants_figure() -> Vec<IpcTable> {
+    let programs = spec_suite();
     let specs: Vec<AlgorithmSpec> = ["uracam", "uracam:greedy-merit", "gp", "gp:norepart"]
         .iter()
         .map(|s| AlgorithmSpec::parse(s).expect("bundled specs parse"))
@@ -55,14 +65,10 @@ fn variants_figure() -> Vec<gpsched_eval::VariantSeries> {
 /// shape. `portfolio`: the catalog plus `portfolio` over the preset
 /// corpora and SPECfp95 on two bus machines.
 fn audited(portfolio: bool) -> gpsched_eval::AuditedReport {
-    let budget = gpsched_engine::conformance::synth_budget(90);
-    let mut corpora = gpsched_eval::preset_corpora(budget, 0xC0DE);
+    let mut corpora = gpsched_eval::preset_corpora(SYNTH_BUDGET, 0xC0DE);
     let mut specs = AlgorithmSpec::CATALOG.to_vec();
     let machines = if portfolio {
-        let spec_loops = gpsched_workloads::spec_suite()
-            .into_iter()
-            .flat_map(|p| p.loops)
-            .collect();
+        let spec_loops = spec_suite().into_iter().flat_map(|p| p.loops).collect();
         corpora.push(("SPECfp95".to_string(), spec_loops));
         specs.push(AlgorithmSpec::PORTFOLIO);
         vec![
@@ -90,82 +96,52 @@ fn main() {
     let cmd = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     let t0 = Instant::now();
     match cmd.as_str() {
-        "table1" => print!("{}", report::render_table1(&tables::table1())),
-        "fig2" => print!(
+        "table1" => print!("{}", report::table1_section()),
+        "fig2" => print!("{}", report::figure_section(2, &figure2(&spec_suite()))),
+        "fig3" => print!("{}", report::figure_section(3, &figure3(&spec_suite()))),
+        "table2" => print!("{}", report::table2_section(&table2(&spec_suite()))),
+        "profile" => print!(
             "{}",
-            report::render_figure("Figure 2 — IPC, 1 bus, latency 1", &figure2())
+            report::profile_section(&gpsched_eval::profile_report(&spec_suite()))
         ),
-        "fig3" => print!(
-            "{}",
-            report::render_figure("Figure 3 — IPC, 1 bus, latency 2", &figure3())
-        ),
-        "table2" => print!("{}", report::render_table2(&table2())),
-        "variants" => print!(
-            "{}",
-            report::render_variants("Variants — IPC per algorithm spec", &variants_figure())
-        ),
+        "variants" => print!("{}", report::variants_section(&variants_figure())),
         "stress" => {
-            let report = audited(false);
-            println!("Stress — catalog IPC over synthetic preset corpora (sim-audited)\n");
-            print!("{}", report.render());
-            if !report.failures.is_empty() {
+            let r = audited(false);
+            let title = "Stress — catalog IPC over synthetic preset corpora (sim-audited)";
+            print!("{}", report::audited_section(title, &r));
+            if !r.failures.is_empty() {
                 std::process::exit(1);
             }
         }
         "portfolio" => {
-            let report = audited(true);
-            println!("Portfolio — feature-guided selection vs every fixed spec (sim-audited)\n");
-            print!("{}", report.render());
-            let pass = report.portfolio_dominates();
+            let r = audited(true);
+            let title = "Portfolio — feature-guided selection vs every fixed spec (sim-audited)";
+            print!("{}", report::audited_section(title, &r));
+            let pass = r.portfolio_dominates();
             let verdict = if pass { "PASS" } else { "FAIL" };
             println!("portfolio >= every fixed catalog spec on aggregate IPC: {verdict}");
             if !pass {
                 std::process::exit(1);
             }
         }
-        "topologies" => {
-            let report = gpsched_eval::default_topology_report();
-            println!(
-                "Topologies — SPECfp95 IPC per interconnect shape ({} on every machine)\n",
-                report.spec
-            );
-            print!("{}", report.render());
-        }
-        "profile" => {
-            let p = gpsched_eval::profile_report();
-            println!("Profile — per-phase scheduling time (traced serial sweep, cache off)\n");
-            print!("{}", p.render(20));
-        }
+        "topologies" => print!(
+            "{}",
+            report::topologies_section(&gpsched_eval::default_topology_report())
+        ),
         "all" => {
-            print!("{}", report::render_table1(&tables::table1()));
-            let f2 = figure2();
-            print!(
-                "\n{}",
-                report::render_figure("Figure 2 — IPC, 1 bus, latency 1", &f2)
-            );
-            let f3 = figure3();
-            print!(
-                "\n{}",
-                report::render_figure("Figure 3 — IPC, 1 bus, latency 2", &f3)
-            );
-            let t2 = table2();
-            print!("\n{}", report::render_table2(&t2));
-            let p = gpsched_eval::profile_report();
-            print!(
-                "\nProfile — per-phase scheduling time (traced serial sweep, cache off)\n{}",
-                p.render(20)
-            );
-            let md = report::experiments_markdown(&f2, &f3, &t2, &p);
+            let (md, appendix) = report::experiments(&spec_suite());
+            print!("{md}{appendix}");
             let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
-            match std::fs::write(path, &md) {
-                Ok(()) => println!("\nwrote EXPERIMENTS.md"),
-                Err(e) => eprintln!("\ncould not write EXPERIMENTS.md: {e}"),
+            if let Err(e) = std::fs::write(path, &md) {
+                eprintln!("could not write EXPERIMENTS.md: {e}");
+                std::process::exit(1);
             }
+            eprintln!("wrote EXPERIMENTS.md");
         }
         other => {
             eprintln!(
                 "unknown command `{other}`; use \
-                 table1|fig2|fig3|table2|variants|stress|portfolio|topologies|profile|all"
+                 table1|fig2|fig3|table2|profile|variants|stress|portfolio|topologies|all"
             );
             std::process::exit(2);
         }

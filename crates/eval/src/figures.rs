@@ -4,96 +4,41 @@
 //! [`gpsched_engine::run_sweep`], so they use every CPU the host offers
 //! and share MII/partition preprocessing across the per-algorithm bars.
 
-use crate::variants::series_for_specs;
+use crate::variants::{series_for_specs, IpcTable};
 use gpsched_machine::MachineConfig;
 use gpsched_sched::AlgorithmSpec;
-use gpsched_workloads::{spec_suite, Program};
+use gpsched_workloads::Program;
 
-/// One program's bars in a figure.
-#[derive(Clone, Debug)]
-pub struct FigureRow {
-    /// Program name (or `"average"`).
-    pub program: String,
-    /// Unified-machine IPC (white bar; the upper bound).
-    pub unified: f64,
-    /// URACAM IPC (light grey bar).
-    pub uracam: f64,
-    /// Fixed Partition IPC (dark grey bar).
-    pub fixed: f64,
-    /// GP IPC (black bar).
-    pub gp: f64,
-}
-
-/// One sub-graph of a figure: a clustered configuration with all its bars.
-#[derive(Clone, Debug)]
-pub struct FigureSeries {
-    /// Machine short name (e.g. `c2r32b1l1`).
-    pub machine: String,
-    /// Human title matching the paper ("2-cluster, 32 registers").
-    pub title: String,
-    /// Per-program rows followed by the `"average"` row.
-    pub rows: Vec<FigureRow>,
-}
-
-impl FigureSeries {
-    /// The average row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the series is empty.
-    pub fn average(&self) -> &FigureRow {
-        self.rows.last().expect("series has an average row")
-    }
-
-    /// GP speedup over URACAM on the average row.
-    pub fn gp_speedup_over_uracam(&self) -> f64 {
-        let avg = self.average();
-        avg.gp / avg.uracam
-    }
-}
-
-/// Builds one figure series for a clustered machine configuration from
-/// two [`series_for_specs`] sweeps: the unified upper bound (GP on one
-/// cluster — all algorithms coincide there) and the clustered machine
-/// under the three modulo algorithms.
-pub fn series_for(programs: &[Program], machine: &MachineConfig, title: &str) -> FigureSeries {
+/// Builds one figure sub-graph for a clustered machine configuration
+/// from two [`series_for_specs`] sweeps: the unified upper bound (GP on
+/// one cluster — all algorithms coincide there) and the clustered
+/// machine under the three modulo algorithms. Its columns are `unified`
+/// (the unified machine with the same total registers), URACAM, Fixed
+/// and GP.
+pub fn series_for(programs: &[Program], machine: &MachineConfig) -> IpcTable {
     let unified = series_for_specs(
         programs,
         &MachineConfig::unified(machine.total_registers()),
         &[AlgorithmSpec::GP],
     );
-    let clustered = series_for_specs(programs, machine, &AlgorithmSpec::MODULO);
-    // Both series end with their average row, so zipping them pairs it too.
-    let rows = unified
-        .rows
-        .into_iter()
-        .zip(clustered.rows)
-        .map(|(u, c)| FigureRow {
-            program: u.program,
-            unified: u.ipc[0],
-            uracam: c.ipc[0],
-            fixed: c.ipc[1],
-            gp: c.ipc[2],
-        })
-        .collect();
-    FigureSeries {
-        machine: machine.short_name(),
-        title: title.to_string(),
-        rows,
+    let mut table = series_for_specs(programs, machine, &AlgorithmSpec::MODULO);
+    table.columns.insert(0, "unified".to_string());
+    // Both tables end with their average row, so zipping them pairs it too.
+    for (row, u) in table.rows.iter_mut().zip(unified.rows) {
+        row.ipc.insert(0, u.ipc[0]);
     }
+    table
 }
 
-fn figure(bus_latency: u32) -> Vec<FigureSeries> {
-    let programs = spec_suite();
+fn figure(programs: &[Program], bus_latency: u32) -> Vec<IpcTable> {
     let mut out = Vec::new();
-    for (clusters, label) in [(2u32, "2-cluster"), (4, "4-cluster")] {
+    for clusters in [2u32, 4] {
         for regs in [32u32, 64] {
             let machine = match clusters {
                 2 => MachineConfig::two_cluster(regs, 1, bus_latency),
                 _ => MachineConfig::four_cluster(regs, 1, bus_latency),
             };
-            let title = format!("{label}, {regs} registers, 1 bus lat {bus_latency}");
-            out.push(series_for(&programs, &machine, &title));
+            out.push(series_for(programs, &machine));
         }
     }
     out
@@ -101,18 +46,19 @@ fn figure(bus_latency: u32) -> Vec<FigureSeries> {
 
 /// **Figure 2**: IPC for 2- and 4-cluster machines, 32 and 64 registers,
 /// one bus of latency 1.
-pub fn figure2() -> Vec<FigureSeries> {
-    figure(1)
+pub fn figure2(programs: &[Program]) -> Vec<IpcTable> {
+    figure(programs, 1)
 }
 
 /// **Figure 3**: the same sweep with a 2-cycle bus.
-pub fn figure3() -> Vec<FigureSeries> {
-    figure(2)
+pub fn figure3(programs: &[Program]) -> Vec<IpcTable> {
+    figure(programs, 2)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::variants::IpcRow;
     use gpsched_workloads::kernels;
 
     fn mini_suite() -> Vec<Program> {
@@ -131,22 +77,22 @@ mod tests {
     #[test]
     fn series_has_programs_plus_average() {
         let m = MachineConfig::two_cluster(32, 1, 1);
-        let s = series_for(&mini_suite(), &m, "2-cluster test");
+        let s = series_for(&mini_suite(), &m);
+        assert_eq!(s.columns, ["unified", "URACAM", "Fixed", "GP"]);
         assert_eq!(s.rows.len(), 3);
         assert_eq!(s.rows[0].program, "alpha");
         assert_eq!(s.rows[2].program, "average");
-        let avg = s.average();
-        assert!((avg.gp - (s.rows[0].gp + s.rows[1].gp) / 2.0).abs() < 1e-12);
+        assert!((s.average_of("GP") - (s.rows[0].ipc[3] + s.rows[1].ipc[3]) / 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn unified_bar_is_highest() {
         let m = MachineConfig::four_cluster(32, 1, 2);
-        let s = series_for(&mini_suite(), &m, "4-cluster test");
+        let s = series_for(&mini_suite(), &m);
         for r in &s.rows {
-            assert!(r.unified >= r.gp - 1e-9, "{}", r.program);
-            assert!(r.unified >= r.uracam - 1e-9, "{}", r.program);
-            assert!(r.unified >= r.fixed - 1e-9, "{}", r.program);
+            for &ipc in &r.ipc[1..] {
+                assert!(r.ipc[0] >= ipc - 1e-9, "{}", r.program);
+            }
         }
     }
 
@@ -156,29 +102,28 @@ mod tests {
         // produces — the engine adds parallelism, not drift.
         let suite = mini_suite();
         let m = MachineConfig::two_cluster(32, 1, 1);
-        let s = series_for(&suite, &m, "check");
+        let s = series_for(&suite, &m);
         let (mut ops, mut cycles) = (0u128, 0u128);
         for ddg in &suite[0].loops {
             let r = gpsched_sched::schedule_loop(ddg, &m, AlgorithmSpec::GP).expect("schedules");
             ops += r.ops as u128 * r.trips as u128;
             cycles += r.cycles() as u128;
         }
-        assert!((s.rows[0].gp - ops as f64 / cycles as f64).abs() < 1e-12);
+        assert!((s.rows[0].ipc[3] - ops as f64 / cycles as f64).abs() < 1e-12);
     }
 
     #[test]
     fn speedup_helper() {
-        let s = FigureSeries {
-            machine: "x".into(),
-            title: "t".into(),
-            rows: vec![FigureRow {
+        let s = IpcTable {
+            name: "x".into(),
+            columns: ["unified", "URACAM", "Fixed", "GP"]
+                .map(String::from)
+                .to_vec(),
+            rows: vec![IpcRow {
                 program: "average".into(),
-                unified: 4.0,
-                uracam: 2.0,
-                fixed: 2.2,
-                gp: 2.5,
+                ipc: vec![4.0, 2.0, 2.2, 2.5],
             }],
         };
-        assert!((s.gp_speedup_over_uracam() - 1.25).abs() < 1e-12);
+        assert!((s.speedup("GP", "URACAM") - 1.25).abs() < 1e-12);
     }
 }

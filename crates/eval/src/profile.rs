@@ -1,16 +1,17 @@
-//! The `reproduce profile` section: where does scheduling time go?
+//! The `reproduce profile` section: what does a scheduling sweep do?
 //!
 //! Runs the SPECfp95 suite through the engine inside a trace session —
 //! serially and with the memo cache disabled, like Table 2, so every unit
-//! pays its full algorithmic cost and self-time fractions of the wall
-//! clock are directly meaningful — and reduces the trace to the per-phase
-//! profile of `TraceSummary`.
+//! pays its full algorithmic cost — and reduces the trace to the
+//! per-phase profile of `TraceSummary`. Its span counts and counters
+//! repeat exactly; its self times, which vary with the host, are for the
+//! timing appendix only.
 
-use gpsched_engine::{run_sweep, JobSpec, SweepOptions};
+use gpsched_engine::{run_sweep, JobSpec, SweepOptions, SweepResult};
 use gpsched_machine::MachineConfig;
 use gpsched_sched::AlgorithmSpec;
-use gpsched_trace::TraceSummary;
-use gpsched_workloads::spec_suite;
+use gpsched_trace::{Trace, TraceSession, TraceSummary};
+use gpsched_workloads::Program;
 
 /// A traced evaluation sweep reduced to per-phase statistics.
 #[derive(Clone, Debug)]
@@ -23,35 +24,35 @@ pub struct ProfileReport {
     pub summary: TraceSummary,
 }
 
-impl ProfileReport {
-    /// Renders the text report: header plus the top `top_n` phases.
-    pub fn render(&self, top_n: usize) -> String {
-        format!(
-            "[{}] {} units, serial, cache off\n{}",
-            self.machine,
-            self.units,
-            self.summary.render(top_n)
-        )
-    }
-}
-
-/// Profiles `programs` × [`AlgorithmSpec::PAPER`] on one machine.
-pub fn profile_report_on(
-    programs: &[gpsched_workloads::Program],
+/// Schedules `programs` × `specs` on `machine` serially with the memo
+/// cache off, inside one trace session: every unit pays its full
+/// algorithmic cost, and the session's process-wide counters are this
+/// sweep's alone as long as nothing else schedules meanwhile.
+pub(crate) fn traced_sweep(
+    programs: &[Program],
     machine: &MachineConfig,
-) -> ProfileReport {
+    specs: &[AlgorithmSpec],
+) -> (SweepResult, Trace) {
     let job = JobSpec::new()
         .programs(programs)
         .machines([machine.clone()])
-        .algorithms(AlgorithmSpec::PAPER);
+        .algorithms(specs.iter().copied());
     let opts = SweepOptions {
         workers: 1,
         use_cache: false,
         progress: false,
     };
-    let session = gpsched_trace::TraceSession::start();
+    let session = TraceSession::start();
     let result = run_sweep(&job, &opts, None);
-    let trace = session.finish();
+    (result, session.finish())
+}
+
+/// **Profile**: `programs` × [`AlgorithmSpec::PAPER`] on the paper's
+/// reference clustered machine (2 clusters, 32 registers, 1 bus, latency
+/// 1).
+pub fn profile_report(programs: &[Program]) -> ProfileReport {
+    let machine = MachineConfig::two_cluster(32, 1, 1);
+    let (result, trace) = traced_sweep(programs, &machine, &AlgorithmSpec::PAPER);
     ProfileReport {
         machine: machine.short_name(),
         units: result.stats.units,
@@ -59,16 +60,10 @@ pub fn profile_report_on(
     }
 }
 
-/// **Profile**: the full SPECfp95 suite on the paper's reference clustered
-/// machine (2 clusters, 32 registers, 1 bus, latency 1).
-pub fn profile_report() -> ProfileReport {
-    profile_report_on(&spec_suite(), &MachineConfig::two_cluster(32, 1, 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpsched_workloads::{kernels, Program};
+    use gpsched_workloads::kernels;
 
     #[test]
     fn profile_covers_every_layer() {
@@ -76,7 +71,7 @@ mod tests {
             name: "mini",
             loops: vec![kernels::daxpy(100), kernels::fir(80, 6)],
         }];
-        let p = profile_report_on(&programs, &MachineConfig::two_cluster(32, 1, 1));
+        let p = profile_report(&programs);
         assert_eq!(p.units, 2 * AlgorithmSpec::PAPER.len());
         // Spans from every instrumented layer show up.
         for phase in ["engine.unit", "sched.ii_attempt", "partition.run"] {
@@ -90,10 +85,9 @@ mod tests {
         // cache counters: tracing is process-global, so concurrent tests'
         // sweeps can contribute counts during this session.)
         assert!(p.summary.counter("graph.bf.runs") > 0);
-        // All phases: concurrent tests' spans can push `engine.unit` out
-        // of any fixed top-N by self time.
-        let text = p.render(0);
-        assert!(text.contains("c2r32b1l1"));
-        assert!(text.contains("engine.unit"));
+        let text = crate::report::profile_section(&p);
+        assert!(text.contains("`c2r32b1l1`"));
+        assert!(text.contains("| engine.unit |"));
+        assert!(text.contains("| graph.bf.runs |"));
     }
 }

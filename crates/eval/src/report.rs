@@ -1,265 +1,403 @@
-//! Text and Markdown renderers for the reproduced tables and figures.
+//! The one Markdown renderer: every section `reproduce` prints, the shape
+//! checks, and `EXPERIMENTS.md`.
+//!
+//! The file [`experiments`] renders holds IPC and work counts only, and
+//! every sentence in it that states a measured number, range or ordering
+//! is computed from them, so it regenerates to the same bytes on any host
+//! and worker count. Wall-clock milliseconds and self times go to the
+//! timing appendix, which `reproduce` prints after the document and never
+//! writes into the file.
 
-use crate::figures::FigureSeries;
-use crate::tables::Table2Row;
+use crate::audited::{AuditedReport, AuditedRow};
+use crate::figures::{figure2, figure3};
+use crate::profile::{profile_report, ProfileReport};
+use crate::tables::{table1, table2, Table2Row, Work};
+use crate::variants::IpcTable;
+use gpsched_sched::AlgorithmSpec;
+use gpsched_workloads::Program;
 use std::fmt::Write as _;
 
-/// Renders Table 1 (the configuration matrix).
-pub fn render_table1(rows: &[(String, String)]) -> String {
-    let mut out = String::from("Table 1 — machine configurations\n");
-    out.push_str(&format!("{:<12} {}\n", "name", "shape"));
-    for (name, shape) in rows {
-        let _ = writeln!(out, "{name:<12} {shape}");
+/// Appends a Markdown table: `header` (cells separated by ` | `), its
+/// rule, one line per row, and a blank line.
+fn table(out: &mut String, header: &str, rows: impl IntoIterator<Item = Vec<String>>) {
+    let columns = header.matches(" | ").count() + 1;
+    let _ = writeln!(out, "| {header} |\n|{}", "---|".repeat(columns));
+    for row in rows {
+        let _ = writeln!(out, "| {} |", row.join(" | "));
     }
-    out
+    out.push('\n');
 }
 
-/// Renders one figure (a set of per-configuration series) as text bars.
-pub fn render_figure(title: &str, series: &[FigureSeries]) -> String {
-    let mut out = format!("{title}\n");
-    for s in series {
-        let _ = writeln!(out, "\n[{}] {}", s.machine, s.title);
-        let _ = writeln!(
-            out,
-            "{:<10} {:>8} {:>8} {:>8} {:>8}",
-            "program", "unified", "URACAM", "Fixed", "GP"
-        );
-        for r in &s.rows {
-            let _ = writeln!(
-                out,
-                "{:<10} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-                r.program, r.unified, r.uracam, r.fixed, r.gp
-            );
-        }
-        let _ = writeln!(
-            out,
-            "GP speedup over URACAM (average): {:+.1}%",
-            (s.gp_speedup_over_uracam() - 1.0) * 100.0
-        );
-    }
-    out
+/// An IPC cell.
+fn ipc(v: &f64) -> String {
+    format!("{v:.3}")
 }
 
-/// Renders a variant figure: one column per algorithm spec.
-pub fn render_variants(title: &str, series: &[crate::variants::VariantSeries]) -> String {
-    let mut out = format!("{title}\n");
-    for s in series {
-        let _ = writeln!(out, "\n[{}]", s.machine);
-        let width: Vec<usize> = s.specs.iter().map(|c| c.len().max(8)).collect();
-        let _ = write!(out, "{:<10}", "program");
-        for (c, w) in s.specs.iter().zip(&width) {
-            let _ = write!(out, " {c:>w$}");
-        }
-        out.push('\n');
-        for r in &s.rows {
-            let _ = write!(out, "{:<10}", r.program);
-            for (v, w) in r.ipc.iter().zip(&width) {
-                let _ = write!(out, " {v:>w$.3}");
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
-
-/// Renders Table 2 (average scheduling CPU time).
-pub fn render_table2(rows: &[Table2Row]) -> String {
-    let mut out =
-        String::from("Table 2 — average CPU time to compute the schedule (ms per benchmark)\n");
-    out.push_str(&format!(
-        "{:<12} {:>10} {:>10} {:>10} {:>14}\n",
-        "machine", "URACAM", "Fixed", "GP", "URACAM slowdn"
-    ));
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:<12} {:>10.2} {:>10.2} {:>10.2} {:>13.1}x",
-            r.machine,
-            r.uracam_ms,
-            r.fixed_ms,
-            r.gp_ms,
-            r.uracam_slowdown()
-        );
-    }
-    out
-}
-
-/// Markdown summary written into `EXPERIMENTS.md` by `reproduce all`:
-/// paper-vs-measured for every figure and table, with the shape checks,
-/// plus the per-phase scheduling profile.
-pub fn experiments_markdown(
-    fig2: &[FigureSeries],
-    fig3: &[FigureSeries],
-    t2: &[Table2Row],
-    profile: &crate::profile::ProfileReport,
-) -> String {
+/// `n` with thousands separators: `14338` → `14,338`.
+fn count(n: u64) -> String {
+    let digits = n.to_string();
     let mut out = String::new();
-    out.push_str("# EXPERIMENTS — paper vs. measured\n\n");
-    out.push_str(
-        "Workload: synthetic SPECfp95 suite (see `DESIGN.md` §4 for the\n\
+    for (i, d) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
+            out.push(',');
+        }
+        out.push(d);
+    }
+    out
+}
+
+/// The smallest and largest of `values`.
+fn range(values: impl Iterator<Item = f64>) -> (f64, f64) {
+    values.fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), v| {
+        (lo.min(v), hi.max(v))
+    })
+}
+
+/// Appends one row per program (and the average) of `t`.
+fn ipc_rows(out: &mut String, t: &IpcTable) {
+    let rows = t.rows.iter().map(|r| {
+        let mut cells = vec![r.program.clone()];
+        cells.extend(r.ipc.iter().map(ipc));
+        cells
+    });
+    table(out, &format!("program | {}", t.columns.join(" | ")), rows);
+}
+
+/// GP's average-IPC gain over URACAM on one figure sub-graph, in percent.
+fn gp_gain(t: &IpcTable) -> f64 {
+    (t.speedup("GP", "URACAM") - 1.0) * 100.0
+}
+
+/// The `## Table 1` section: every configuration with its shape.
+pub fn table1_section() -> String {
+    let mut out = String::from("## Table 1 — machine configurations\n\n");
+    let rows = table1().into_iter().map(|(name, shape)| vec![name, shape]);
+    table(&mut out, "config | shape", rows);
+    out
+}
+
+/// The section of Figure `figure` (2: one bus of latency 1; 3: latency
+/// 2): what the paper reports, the average row of every configuration
+/// with GP's gain over URACAM, then each configuration's per-program
+/// rows.
+pub fn figure_section(figure: u32, tables: &[IpcTable]) -> String {
+    let (latency, paper) = match figure {
+        2 => (
+            1,
+            "GP > Fixed > URACAM on average; unified is the upper bound; \
+             GP ≈ +23% over URACAM on the 2-cluster/32-register machine.",
+        ),
+        _ => (
+            2,
+            "Same ordering with a slower bus; a few programs favour Fixed \
+             (re-partitioning under register pressure can backfire — §4.2).",
+        ),
+    };
+    let mut out =
+        format!("## Figure {figure} — IPC, 1 bus, latency {latency}\n\nPaper: {paper}\n\n");
+    let rows = tables.iter().map(|t| {
+        let mut cells = vec![t.name.clone()];
+        cells.extend(t.average().ipc.iter().map(ipc));
+        cells.push(format!("{:+.1}%", gp_gain(t)));
+        cells
+    });
+    let header = "config | unified | URACAM | Fixed | GP | GP vs URACAM";
+    table(&mut out, header, rows);
+    for t in tables {
+        let _ = writeln!(out, "<details><summary>{} per program</summary>\n", t.name);
+        ipc_rows(&mut out, t);
+        out.push_str("</details>\n\n");
+    }
+    out
+}
+
+/// The `## Table 2` section: placement trials with URACAM's slowdown,
+/// then II attempts and partition moves evaluated.
+pub fn table2_section(rows: &[Table2Row]) -> String {
+    let mut out = String::from(
+        "## Table 2 — scheduling work\n\n\
+         Paper: URACAM is 2–7× slower than Fixed/GP because it tries every\n\
+         cluster for every node.\n\n\
+         Each (configuration, algorithm) pair is one serial sweep of the suite\n\
+         with the memo cache off, counted by `gpsched-trace`. The counts repeat\n\
+         exactly on any host, so they stand in for the paper's CPU time; the\n\
+         milliseconds print to stdout only, after the document. A placement\n\
+         trial (`sched.place_trials`) is one tentative placement of an op in a\n\
+         cluster and cycle; the slowdown divides URACAM's trials by the fewer\n\
+         of Fixed's and GP's.\n\n",
+    );
+    let trials = rows.iter().map(|r| {
+        let mut cells = vec![r.machine.clone()];
+        cells.extend([r.uracam, r.fixed, r.gp].map(|w| count(w.place_trials)));
+        cells.push(format!("{:.1}x", r.uracam_slowdown()));
+        cells
+    });
+    let header = "config | URACAM | Fixed | GP | URACAM slowdown";
+    table(&mut out, header, trials);
+    out.push_str("II attempts (`sched.ii_attempt` spans) and partition moves evaluated:\n\n");
+    let work = rows.iter().map(|r| {
+        let works = [r.uracam, r.fixed, r.gp];
+        let mut cells = vec![r.machine.clone()];
+        cells.extend(works.map(|w| count(w.ii_attempts)));
+        cells.extend(works.map(|w| count(w.moves_evaluated)));
+        cells
+    });
+    let header = "config | URACAM II attempts | Fixed II attempts | GP II attempts \
+                  | URACAM moves | Fixed moves | GP moves";
+    table(&mut out, header, work);
+    let same = rows
+        .iter()
+        .filter(|r| r.uracam.moves_evaluated == r.fixed.moves_evaluated);
+    let _ = writeln!(
+        out,
+        "URACAM evaluates exactly as many partition moves as Fixed on {} of\n\
+         {} configurations, although it never reads the seed partition they\n\
+         build (ROADMAP item 3).\n",
+        same.count(),
+        rows.len()
+    );
+    out
+}
+
+/// The `## Profile` section: span counts and counter totals by name.
+pub fn profile_section(p: &ProfileReport) -> String {
+    let algorithms: Vec<String> = AlgorithmSpec::PAPER.iter().map(|s| s.name()).collect();
+    let mut out = format!(
+        "## Profile — what a serial sweep does\n\n\
+         Span counts and counter totals, by name, of a traced serial sweep of\n\
+         the suite with the memo cache off: {} units on `{}` under\n\
+         {}.\n\
+         They repeat exactly; self times vary with the host and print to\n\
+         stdout only, after the document. `gpsched-engine profile --spec\n\
+         --machines {} --algos all --no-cache` prints the same counts.\n\n",
+        p.units,
+        p.machine,
+        algorithms.join(", "),
+        p.machine
+    );
+    let mut phases: Vec<_> = p.summary.phases.iter().collect();
+    phases.sort_by(|a, b| a.name.cmp(&b.name));
+    let spans = phases
+        .iter()
+        .map(|ph| vec![ph.name.clone(), count(ph.count)]);
+    table(&mut out, "phase | spans", spans);
+    let counters = p.summary.counters.iter();
+    table(
+        &mut out,
+        "counter | total",
+        counters.map(|(n, v)| vec![n.clone(), count(*v)]),
+    );
+    out
+}
+
+/// A shape claim, and the test one configuration must pass for it.
+type Claim<'a, T> = (&'a str, &'a dyn Fn(&T) -> bool);
+
+/// Appends one shape check per claim: ticked when every configuration
+/// passes, otherwise unticked and naming those that do not.
+fn checks<T>(
+    out: &mut String,
+    prefix: &str,
+    configs: &[T],
+    name: fn(&T) -> &str,
+    claims: &[Claim<T>],
+) {
+    for (claim, holds) in claims {
+        let deviants: Vec<&str> = configs.iter().filter(|c| !holds(c)).map(name).collect();
+        let _ = match deviants[..] {
+            [] => writeln!(out, "- [x] {prefix}{claim}"),
+            _ => writeln!(
+                out,
+                "- [ ] {prefix}{claim} — not on `{}`",
+                deviants.join("`, `")
+            ),
+        };
+    }
+}
+
+/// The paper's orderings of one figure, on every configuration's average
+/// row.
+fn figure_checks(out: &mut String, figure: u32, tables: &[IpcTable]) {
+    let claims: [Claim<IpcTable>; 4] = [
+        (
+            "unified ≥ URACAM, Fixed and GP on every configuration",
+            &|t| t.average().ipc.iter().all(|&v| t.average().ipc[0] >= v),
+        ),
+        ("GP > URACAM on every configuration", &|t| gp_gain(t) > 0.0),
+        ("GP ≥ Fixed on every configuration", &|t| {
+            t.average_of("GP") >= t.average_of("Fixed")
+        }),
+        ("Fixed ≥ URACAM on every configuration", &|t| {
+            t.average_of("Fixed") >= t.average_of("URACAM")
+        }),
+    ];
+    let prefix = format!("Figure {figure}: ");
+    checks(out, &prefix, tables, |t| t.name.as_str(), &claims);
+}
+
+/// The `## Shape checks` section: the paper's orderings per figure and
+/// Table 2's claims, each on every configuration.
+fn checks_section(fig2: &[IpcTable], fig3: &[IpcTable], t2: &[Table2Row]) -> String {
+    let mut out = String::from(
+        "## Shape checks\n\n\
+         Each check runs on every configuration and names the ones that\n\
+         deviate. An unticked box records where this reproduction departs\n\
+         from the paper's shape; it does not fail the build.\n\n",
+    );
+    figure_checks(&mut out, 2, fig2);
+    figure_checks(&mut out, 3, fig3);
+    let c2 = t2.iter().filter(|r| r.machine.starts_with("c2"));
+    let c2_max = range(c2.map(Table2Row::uracam_slowdown)).1;
+    let claims: [Claim<Table2Row>; 3] = [
+        (
+            "URACAM tries more placements than Fixed and GP on every configuration",
+            &|r| r.uracam_slowdown() > 1.0,
+        ),
+        (
+            "URACAM's slowdown is within the paper's 2–7× on every configuration",
+            &|r| (2.0..=7.0).contains(&r.uracam_slowdown()),
+        ),
+        (
+            "URACAM's slowdown on every 4-cluster configuration exceeds its \
+             largest 2-cluster one",
+            &|r| !r.machine.starts_with("c4") || r.uracam_slowdown() > c2_max,
+        ),
+    ];
+    checks(&mut out, "Table 2: ", t2, |r| r.machine.as_str(), &claims);
+    out
+}
+
+/// Measures every section over `programs` — the figures first (a
+/// parallel sweep each), then the traced serial sweeps of Table 2 and the
+/// profile, which nothing else may overlap — and renders the
+/// `EXPERIMENTS.md` bytes and the timing appendix that follows them on
+/// stdout.
+pub fn experiments(programs: &[Program]) -> (String, String) {
+    let (fig2, fig3) = (figure2(programs), figure3(programs));
+    let (t2, profile) = (table2(programs), profile_report(programs));
+    let appendix = timing_appendix(&t2, &profile);
+    (experiments_markdown(&fig2, &fig3, &t2, &profile), appendix)
+}
+
+/// The `EXPERIMENTS.md` bytes: IPC and counts only.
+fn experiments_markdown(
+    fig2: &[IpcTable],
+    fig3: &[IpcTable],
+    t2: &[Table2Row],
+    profile: &ProfileReport,
+) -> String {
+    let mut out = String::from(
+        "# EXPERIMENTS — paper vs. measured\n\n\
+         Workload: synthetic SPECfp95 suite (see `DESIGN.md` §4 for the\n\
          substitution); machines: Table 1 presets. Absolute IPC differs from\n\
          the paper (different loop bodies, latencies); the *shape* — who\n\
          wins, by roughly what factor, where the exceptions sit — is the\n\
-         reproduction target. Regenerate with\n\
-         `cargo run --release -p gpsched-eval --bin reproduce -- all`.\n\n\
-         Magnitude note: the paper's headline is GP +23% over URACAM on the\n\
-         2-cluster/32-register machine; we measure +2–9% depending on the\n\
-         configuration. The direction and the per-program exceptions\n\
-         (URACAM winning on mgrid/hydro2d-style loops) reproduce; the gap\n\
-         is smaller because our URACAM baseline shares the full engine —\n\
-         SMS windows with the ASAP-first retry, spill-on-overflow, list\n\
-         fallback — and is therefore stronger than the 2001 baseline.\n\n",
+         reproduction target. This file is a build output: CI regenerates it\n\
+         with `cargo run --release -p gpsched-eval --bin reproduce -- all`\n\
+         and fails if it differs from the committed bytes.\n\n",
     );
-
-    let fig = |out: &mut String, name: &str, paper: &str, series: &[FigureSeries]| {
-        let _ = writeln!(out, "## {name}\n");
-        let _ = writeln!(out, "Paper: {paper}\n");
-        let _ = writeln!(
-            out,
-            "| config | unified | URACAM | Fixed | GP | GP vs URACAM |"
-        );
-        let _ = writeln!(out, "|---|---|---|---|---|---|");
-        for s in series {
-            let a = s.average();
-            let _ = writeln!(
-                out,
-                "| {} | {:.3} | {:.3} | {:.3} | {:.3} | {:+.1}% |",
-                s.machine,
-                a.unified,
-                a.uracam,
-                a.fixed,
-                a.gp,
-                (s.gp_speedup_over_uracam() - 1.0) * 100.0
-            );
-        }
-        let _ = writeln!(out);
-        // Per-program detail.
-        for s in series {
-            let _ = writeln!(
-                out,
-                "<details><summary>{} per program</summary>\n",
-                s.machine
-            );
-            let _ = writeln!(out, "| program | unified | URACAM | Fixed | GP |");
-            let _ = writeln!(out, "|---|---|---|---|---|");
-            for r in &s.rows {
-                let _ = writeln!(
-                    out,
-                    "| {} | {:.3} | {:.3} | {:.3} | {:.3} |",
-                    r.program, r.unified, r.uracam, r.fixed, r.gp
-                );
-            }
-            let _ = writeln!(out, "\n</details>\n");
-        }
-    };
-    fig(
-        &mut out,
-        "Figure 2 — IPC, 1 bus, latency 1",
-        "GP > Fixed > URACAM on average; unified is the upper bound; \
-         GP ≈ +23% over URACAM on the 2-cluster/32-register machine.",
-        fig2,
-    );
-    fig(
-        &mut out,
-        "Figure 3 — IPC, 1 bus, latency 2",
-        "Same ordering with a slower bus; a few programs favour Fixed \
-         (re-partitioning under register pressure can backfire — §4.2).",
-        fig3,
-    );
-
-    out.push_str("## Table 2 — scheduling CPU time\n\n");
-    out.push_str(
-        "Paper: URACAM is 2–7× slower than Fixed/GP because it tries every\n\
-         cluster for every node. Here URACAM is slower than Fixed on every\n\
-         configuration (the last column divides by the faster of Fixed/GP),\n\
-         by less on the 2-cluster machines than on the 4-cluster ones, where\n\
-         its per-node search covers four clusters. GP's selective\n\
-         re-partitioning as the II grows puts it close to or above URACAM on\n\
-         the slow-bus (latency 2) machines and on the 4-cluster ones. Every\n\
-         column includes the unit's MII and seed partition, which URACAM\n\
-         computes but never reads. The paper's magnitudes do not reproduce\n\
-         because our URACAM shares the stronger engine; see `DESIGN.md` §7.\n\n",
-    );
-    out.push_str("| config | URACAM (ms) | Fixed (ms) | GP (ms) | URACAM slowdown |\n");
-    out.push_str("|---|---|---|---|---|\n");
-    for r in t2 {
-        let _ = writeln!(
-            out,
-            "| {} | {:.2} | {:.2} | {:.2} | {:.1}x |",
-            r.machine,
-            r.uracam_ms,
-            r.fixed_ms,
-            r.gp_ms,
-            r.uracam_slowdown()
-        );
-    }
-    out.push('\n');
-
-    // Where the scheduling time goes (gpsched-trace).
-    out.push_str("## Profile — where scheduling time goes\n\n");
+    let all: Vec<&IpcTable> = fig2.iter().chain(fig3).collect();
+    let (lo, hi) = range(all.iter().map(|t| gp_gain(t)));
+    // Figure 2's first sub-graph is the 2-cluster, 32-register machine.
+    let reference = &fig2[0];
     let _ = writeln!(
         out,
-        "Traced serial sweep of the suite on `{}` with the memo cache off\n\
-         ({} units); absolute times vary with the host, the *ranking* is\n\
-         the reproducible part. Regenerate interactively with\n\
-         `cargo run --release -p gpsched-engine -- profile`.\n",
-        profile.machine, profile.units
+        "Magnitude note: the paper's headline is GP +23% over URACAM on the\n\
+         2-cluster/32-register machine; we measure {:+.1}% there (`{}`) and\n\
+         {lo:+.1}% to {hi:+.1}% across the {} configurations of Figures 2 and 3.\n\
+         Our URACAM baseline shares the full engine — SMS windows with the\n\
+         ASAP-first retry, spill-on-overflow, list fallback — and is therefore\n\
+         stronger than the 2001 baseline.\n",
+        gp_gain(reference),
+        reference.name,
+        all.len()
     );
-    out.push_str("| phase | count | total ms | self ms | self % |\n");
-    out.push_str("|---|---|---|---|---|\n");
-    let wall = profile.summary.wall_ns.max(1) as f64;
-    for p in profile.summary.phases.iter().take(10) {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {:.2} | {:.2} | {:.1}% |",
-            p.name,
-            p.count,
-            p.total_ns as f64 / 1e6,
-            p.self_ns as f64 / 1e6,
-            100.0 * p.self_ns as f64 / wall
-        );
-    }
-    out.push('\n');
-    let counters_of_note = [
-        "partition.moves_evaluated",
-        "partition.screen_rejected",
-        "partition.evaluator_rebuilds",
-        "graph.bf.runs",
-        "graph.bf.edges_scanned",
-        "sched.ii_growth",
-        "sched.transfers_booked",
-        "sched.spills_inserted",
-    ];
-    out.push_str("Counters of note:\n\n");
-    for name in counters_of_note {
-        let _ = writeln!(out, "- `{name}`: {}", profile.summary.counter(name));
-    }
-    out.push('\n');
+    out.push_str(&table1_section());
+    out.push_str(&figure_section(2, fig2));
+    out.push_str(&figure_section(3, fig3));
+    out.push_str(&table2_section(t2));
+    out.push_str(&profile_section(profile));
+    out.push_str(&checks_section(fig2, fig3, t2));
+    out
+}
 
-    // Shape checks.
-    out.push_str("## Shape checks\n\n");
-    let avg_over = |series: &[FigureSeries], f: &dyn Fn(&crate::figures::FigureRow) -> f64| {
-        series.iter().map(|s| f(s.average())).sum::<f64>() / series.len() as f64
+/// Host-dependent timings of the same sweeps, after a blank line: Table
+/// 2's milliseconds (average scheduling wall time per program) and the
+/// profile's phases by self time. Never written into the file.
+fn timing_appendix(rows: &[Table2Row], p: &ProfileReport) -> String {
+    let mut out = String::from("\n## Timing appendix — Table 2 milliseconds (host-dependent)\n\n");
+    let rows = rows.iter().map(|r| {
+        let mut cells = vec![r.machine.clone()];
+        cells.extend([r.uracam, r.fixed, r.gp].map(|w: Work| format!("{:.2}", w.ms_per_program)));
+        let fastest = r.fixed.ms_per_program.min(r.gp.ms_per_program);
+        cells.push(format!("{:.1}x", r.uracam.ms_per_program / fastest));
+        cells
+    });
+    let header = "config | URACAM (ms) | Fixed (ms) | GP (ms) | URACAM slowdown";
+    table(&mut out, header, rows);
+    out.push_str("## Timing appendix — profile self times (host-dependent)\n\n");
+    let wall = p.summary.wall_ns.max(1) as f64;
+    let rows = p.summary.phases.iter().map(|ph| {
+        let ms = |ns: u64| format!("{:.2}", ns as f64 / 1e6);
+        let share = format!("{:.1}%", 100.0 * ph.self_ns as f64 / wall);
+        vec![ph.name.clone(), ms(ph.total_ns), ms(ph.self_ns), share]
+    });
+    table(&mut out, "phase | total ms | self ms | self %", rows);
+    out
+}
+
+/// The variant figure: one per-program table per machine.
+pub fn variants_section(tables: &[IpcTable]) -> String {
+    let mut out = String::from("## Variants — IPC per algorithm spec\n\n");
+    for t in tables {
+        let _ = writeln!(out, "### {}\n", t.name);
+        ipc_rows(&mut out, t);
+    }
+    out
+}
+
+/// The topology comparison: one column per interconnect shape.
+pub fn topologies_section(t: &IpcTable) -> String {
+    let mut out = format!(
+        "## Topologies — SPECfp95 IPC per interconnect shape ({} on every machine)\n\n",
+        t.name
+    );
+    ipc_rows(&mut out, t);
+    out
+}
+
+/// A sim-audited report under `title`: the table with its aggregate row,
+/// then the audit tallies and one `FAIL` line per failure.
+pub fn audited_section(title: &str, r: &AuditedReport) -> String {
+    let mut out = format!("## {title}\n\n");
+    let aggregate = AuditedRow {
+        corpus: "aggregate".to_string(),
+        machine: "(all)".to_string(),
+        ipc: r.aggregate_ipc(),
+        worst_ii_over_mii: (r.rows.iter()).fold(1.0, |w, row| w.max(row.worst_ii_over_mii)),
     };
-    let gp2 = avg_over(fig2, &|r| r.gp);
-    let ur2 = avg_over(fig2, &|r| r.uracam);
-    let fx2 = avg_over(fig2, &|r| r.fixed);
-    let un2 = avg_over(fig2, &|r| r.unified);
-    let checks = [
-        ("unified ≥ GP (upper bound)", un2 >= gp2),
-        ("GP ≥ Fixed on average", gp2 >= fx2),
-        ("GP > URACAM on average", gp2 > ur2),
-        ("URACAM slower than GP/Fixed on 4-cluster configs (mean)", {
-            let c4: Vec<f64> = t2
-                .iter()
-                .filter(|r| r.machine.starts_with("c4"))
-                .map(Table2Row::uracam_slowdown)
-                .collect();
-            !c4.is_empty() && c4.iter().sum::<f64>() / c4.len() as f64 >= 1.0
-        }),
-    ];
-    for (name, ok) in checks {
-        let _ = writeln!(out, "- [{}] {}", if ok { "x" } else { " " }, name);
+    let rows = r.rows.iter().chain([&aggregate]).map(|row| {
+        let mut cells = vec![row.corpus.clone(), row.machine.clone()];
+        cells.extend(row.ipc.iter().map(ipc));
+        cells.push(format!("{:.2}", row.worst_ii_over_mii));
+        cells
+    });
+    let header = format!("corpus | machine | {} | worst II/MII", r.specs.join(" | "));
+    table(&mut out, &header, rows);
+    let _ = writeln!(
+        out,
+        "{} loops, {} units audited — {} list fallbacks, {} spilled units, {} audit failures\n",
+        r.loops,
+        r.audited,
+        r.fallbacks,
+        r.spilled,
+        r.failures.len()
+    );
+    for f in &r.failures {
+        let _ = writeln!(out, "- FAIL {f}");
+    }
+    if !r.failures.is_empty() {
+        out.push('\n');
     }
     out
 }
@@ -267,74 +405,104 @@ pub fn experiments_markdown(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::FigureRow;
+    use crate::variants::IpcRow;
 
-    fn fake_series() -> Vec<FigureSeries> {
-        vec![FigureSeries {
-            machine: "c2r32b1l1".into(),
-            title: "2-cluster, 32 regs".into(),
-            rows: vec![
-                FigureRow {
-                    program: "swim".into(),
-                    unified: 5.0,
-                    uracam: 3.0,
-                    fixed: 3.5,
-                    gp: 4.0,
-                },
-                FigureRow {
-                    program: "average".into(),
-                    unified: 5.0,
-                    uracam: 3.0,
-                    fixed: 3.5,
-                    gp: 4.0,
-                },
-            ],
-        }]
+    /// A figure sub-graph with one program and its average.
+    fn fake_table(machine: &str, ipc: [f64; 4]) -> IpcTable {
+        let row = |program: &str| IpcRow {
+            program: program.into(),
+            ipc: ipc.to_vec(),
+        };
+        IpcTable {
+            name: machine.into(),
+            columns: ["unified", "URACAM", "Fixed", "GP"]
+                .map(String::from)
+                .to_vec(),
+            rows: vec![row("swim"), row("average")],
+        }
+    }
+
+    fn fake_series() -> Vec<IpcTable> {
+        vec![fake_table("c2r32b1l1", [5.0, 3.0, 3.5, 4.0])]
+    }
+
+    fn work(place_trials: u64) -> Work {
+        Work {
+            place_trials,
+            ii_attempts: 7,
+            moves_evaluated: 1234,
+            ms_per_program: 1.5,
+        }
     }
 
     fn fake_t2() -> Vec<Table2Row> {
         vec![Table2Row {
             machine: "c2r32b1l1".into(),
-            uracam_ms: 100.0,
-            fixed_ms: 30.0,
-            gp_ms: 40.0,
+            uracam: work(100_000),
+            fixed: work(30_000),
+            gp: work(40_000),
         }]
     }
 
     #[test]
     fn table1_renders_all_rows() {
-        let t = crate::tables::table1();
-        let s = render_table1(&t);
-        assert!(s.contains("u-r32"));
-        assert!(s.contains("c2r32b1l1"));
+        let s = table1_section();
+        assert!(s.contains("| u-r32 | unified 12-issue"));
+        assert!(s.contains("| c2r32b1l1 |"));
+        assert_eq!(s.matches('\n').count(), 2 + 2 + 10 + 1);
     }
 
     #[test]
     fn figure_render_contains_bars_and_speedup() {
-        let s = render_figure("Figure 2", &fake_series());
-        assert!(s.contains("swim"));
-        assert!(s.contains("average"));
-        assert!(s.contains("+33.3%"));
+        let s = figure_section(2, &fake_series());
+        assert!(s.contains("| c2r32b1l1 | 5.000 | 3.000 | 3.500 | 4.000 | +33.3% |"));
+        assert!(s.contains("| swim | 5.000 | 3.000 | 3.500 | 4.000 |"));
+        assert!(s.contains("| average |"));
     }
 
     #[test]
     fn table2_render_contains_slowdown() {
-        let s = render_table2(&fake_t2());
-        assert!(s.contains("3.3x"));
+        let s = table2_section(&fake_t2());
+        assert!(s.contains("| c2r32b1l1 | 100,000 | 30,000 | 40,000 | 3.3x |"));
+        assert!(s.contains("| c2r32b1l1 | 7 | 7 | 7 | 1,234 | 1,234 | 1,234 |"));
+        assert!(s.contains("as many partition moves as Fixed on 1 of\n1 configurations"));
+        // Milliseconds stay out of the section, in the appendix.
+        assert!(!s.contains("1.50"));
+        let appendix = timing_appendix(&fake_t2(), &fake_profile());
+        assert!(appendix.contains("| c2r32b1l1 | 1.50 | 1.50 | 1.50 | 1.0x |"));
     }
 
-    fn fake_profile() -> crate::profile::ProfileReport {
-        crate::profile::ProfileReport {
+    #[test]
+    fn counts_get_thousands_separators() {
+        let cases = [
+            (0, "0"),
+            (999, "999"),
+            (1000, "1,000"),
+            (140_802, "140,802"),
+        ];
+        for (n, s) in cases {
+            assert_eq!(count(n), s);
+        }
+        assert_eq!(count(1_234_567), "1,234,567");
+    }
+
+    fn fake_profile() -> ProfileReport {
+        let phase = |name: &str, count, self_ns| gpsched_trace::PhaseStat {
+            name: name.into(),
+            count,
+            total_ns: 80_000_000,
+            self_ns,
+        };
+        ProfileReport {
             machine: "c2r32b1l1".into(),
             units: 42,
             summary: gpsched_trace::TraceSummary {
-                phases: vec![gpsched_trace::PhaseStat {
-                    name: "engine.unit".into(),
-                    count: 42,
-                    total_ns: 80_000_000,
-                    self_ns: 20_000_000,
-                }],
-                counters: vec![("graph.bf.runs".into(), 9)],
+                // Self-time order, as `TraceSummary` sorts them.
+                phases: vec![
+                    phase("sched.order", 9, 30_000_000),
+                    phase("engine.unit", 42, 20_000_000),
+                ],
+                counters: vec![("graph.bf.runs".into(), 9000)],
                 wall_ns: 100_000_000,
                 dropped: 0,
             },
@@ -343,13 +511,40 @@ mod tests {
 
     #[test]
     fn markdown_has_checks() {
-        let md = experiments_markdown(&fake_series(), &fake_series(), &fake_t2(), &fake_profile());
-        assert!(md.contains("# EXPERIMENTS"));
-        assert!(md.contains("- [x] GP > URACAM on average"));
-        assert!(md.contains("Figure 3"));
-        assert!(md.contains("| c2r32b1l1 | 100.00 | 30.00 | 40.00 | 3.3x |"));
-        assert!(md.contains("## Profile — where scheduling time goes"));
-        assert!(md.contains("| engine.unit | 42 | 80.00 | 20.00 | 20.0% |"));
-        assert!(md.contains("- `graph.bf.runs`: 9"));
+        let (fig, t2, profile) = (fake_series(), fake_t2(), fake_profile());
+        let md = experiments_markdown(&fig, &fig, &t2, &profile);
+        assert!(md.starts_with("# EXPERIMENTS"));
+        assert!(md.contains("- [x] Figure 2: GP > URACAM on every configuration"));
+        assert!(md.contains("- [x] Figure 3: Fixed ≥ URACAM on every configuration"));
+        assert!(md.contains("we measure +33.3% there (`c2r32b1l1`) and\n+33.3% to +33.3%"));
+        assert!(md.contains("| c2r32b1l1 | 100,000 | 30,000 | 40,000 | 3.3x |"));
+        assert!(md.contains("- [x] Table 2: URACAM's slowdown is within the paper's 2–7×"));
+        // The profile lists spans and counters by name, without times.
+        let engine = md.find("| engine.unit | 42 |").expect("engine.unit row");
+        let order = md.find("| sched.order | 9 |").expect("sched.order row");
+        assert!(engine < order);
+        assert!(md.contains("| graph.bf.runs | 9,000 |"));
+        assert!(!md.contains("self ms") && !md.contains("(ms)"));
+        let appendix = timing_appendix(&t2, &profile);
+        assert!(appendix.contains("| sched.order | 80.00 | 30.00 | 30.0% |"));
+        assert!(appendix.contains("| c2r32b1l1 | 1.50 |"));
+    }
+
+    #[test]
+    fn a_deviating_configuration_is_unticked_and_named() {
+        let tables = vec![
+            fake_table("c2r32b1l1", [5.0, 3.0, 3.5, 4.0]),
+            // Fixed below URACAM here only.
+            fake_table("c4r32b1l1", [5.0, 3.5, 3.1, 3.6]),
+            fake_table("c4r64b1l1", [5.0, 4.0, 4.2, 4.4]),
+        ];
+        let mut out = String::new();
+        figure_checks(&mut out, 2, &tables);
+        assert!(out.contains(
+            "- [ ] Figure 2: Fixed ≥ URACAM on every configuration — not on `c4r32b1l1`\n"
+        ));
+        assert!(out.contains("- [x] Figure 2: GP ≥ Fixed on every configuration\n"));
+        assert!(out.contains("- [x] Figure 2: GP > URACAM on every configuration\n"));
+        assert!(out.contains("- [x] Figure 2: unified ≥ URACAM, Fixed and GP"));
     }
 }

@@ -1,82 +1,91 @@
-//! Table 1 (configurations) and Table 2 (scheduling CPU time).
+//! Table 1 (configurations) and Table 2 (scheduling work).
 //!
-//! Table 2 runs through the engine with the memo cache **disabled**: its
-//! metric is the CPU cost of each algorithm, so every unit must pay its
-//! own MII and partitioning work (a cache would siphon Fixed/GP's
-//! preprocessing into whichever unit ran first and skew the comparison).
+//! Table 2 counts work instead of timing it. Each (machine, algorithm)
+//! pair runs one serial sweep of the suite with the memo cache
+//! **disabled**, inside its own trace session: every unit pays its own MII
+//! and partitioning work (a cache would siphon Fixed/GP's preprocessing
+//! into whichever unit ran first), and the counters of one session belong
+//! to one pair. The counts equal `gpsched-engine profile --machines M
+//! --algos A --workers 1 --no-cache` for the same suite and repeat
+//! exactly on any host; the wall clock, which does not, is kept for the
+//! timing appendix.
 
-use gpsched_engine::{aggregate_by_group, run_sweep, JobSpec, SweepOptions};
+use crate::profile::traced_sweep;
 use gpsched_machine::{table1_configs, MachineConfig};
 use gpsched_sched::AlgorithmSpec;
-use gpsched_workloads::{spec_suite, Program};
+use gpsched_workloads::Program;
 
-/// One row of Table 2: average CPU milliseconds to compute the schedule of
-/// a whole benchmark, per algorithm, on one configuration.
+/// The work one algorithm did scheduling a whole suite on one machine.
+#[derive(Clone, Copy, Debug)]
+pub struct Work {
+    /// Placement trials (`sched.place_trials`): one per (op, cluster,
+    /// cycle) the modulo scheduler tried.
+    pub place_trials: u64,
+    /// II attempts (`sched.ii_attempt` spans).
+    pub ii_attempts: u64,
+    /// Partition moves evaluated (`partition.moves_evaluated`).
+    pub moves_evaluated: u64,
+    /// Scheduling wall time per program, milliseconds. Host-dependent:
+    /// the timing appendix prints it, the document does not.
+    pub ms_per_program: f64,
+}
+
+/// One row of Table 2: the work of each modulo algorithm on one
+/// configuration.
 #[derive(Clone, Debug)]
 pub struct Table2Row {
     /// Machine short name.
     pub machine: String,
-    /// URACAM average milliseconds.
-    pub uracam_ms: f64,
-    /// Fixed Partition average milliseconds.
-    pub fixed_ms: f64,
-    /// GP average milliseconds.
-    pub gp_ms: f64,
+    /// URACAM's work.
+    pub uracam: Work,
+    /// Fixed Partition's work.
+    pub fixed: Work,
+    /// GP's work.
+    pub gp: Work,
 }
 
 impl Table2Row {
-    /// URACAM slowdown vs the faster of Fixed/GP (the paper reports 2–7×).
+    /// URACAM's placement trials over the fewer of Fixed's and GP's (the
+    /// paper reports a 2–7× CPU-time slowdown).
     pub fn uracam_slowdown(&self) -> f64 {
-        self.uracam_ms / self.fixed_ms.min(self.gp_ms)
+        self.uracam.place_trials as f64 / self.fixed.place_trials.min(self.gp.place_trials) as f64
     }
 }
 
-/// Scheduling-time rows for the given machines over `programs`.
-pub fn table2_for(programs: &[Program], machines: &[MachineConfig]) -> Vec<Table2Row> {
-    let job = JobSpec::new()
-        .programs(programs)
-        .machines(machines.iter().cloned())
-        .algorithms(AlgorithmSpec::MODULO);
-    let opts = SweepOptions {
-        use_cache: false,
-        ..SweepOptions::default()
-    };
-    let result = run_sweep(&job, &opts, None);
-    let agg = aggregate_by_group(&result.records);
+/// Counts the work of scheduling `programs` on `machine` under `spec` in
+/// one traced serial sweep.
+fn work(programs: &[Program], machine: &MachineConfig, spec: AlgorithmSpec) -> Work {
+    let (result, trace) = traced_sweep(programs, machine, &[spec]);
+    let sched_us: u64 = result.records.iter().map(|r| r.sched_time_us).sum();
+    Work {
+        place_trials: trace.counter("sched.place_trials"),
+        ii_attempts: trace
+            .summary()
+            .phase("sched.ii_attempt")
+            .map_or(0, |p| p.count),
+        moves_evaluated: trace.counter("partition.moves_evaluated"),
+        ms_per_program: sched_us as f64 / programs.len() as f64 / 1e3,
+    }
+}
 
-    let nprograms = programs.len() as f64;
-    let avg_ms = |machine: &str, algo: AlgorithmSpec| -> f64 {
-        let total_us: u64 = agg
-            .iter()
-            .filter(|a| a.machine == machine && a.algorithm == algo.name())
-            .map(|a| a.sched_time_us)
-            .sum();
-        total_us as f64 / nprograms / 1e3
-    };
+/// Table 2 rows for the given machines over `programs`.
+pub fn table2_for(programs: &[Program], machines: &[MachineConfig]) -> Vec<Table2Row> {
     machines
         .iter()
-        .map(|m| {
-            let name = m.short_name();
-            Table2Row {
-                uracam_ms: avg_ms(&name, AlgorithmSpec::URACAM),
-                fixed_ms: avg_ms(&name, AlgorithmSpec::FIXED),
-                gp_ms: avg_ms(&name, AlgorithmSpec::GP),
-                machine: name,
-            }
+        .map(|m| Table2Row {
+            machine: m.short_name(),
+            uracam: work(programs, m, AlgorithmSpec::URACAM),
+            fixed: work(programs, m, AlgorithmSpec::FIXED),
+            gp: work(programs, m, AlgorithmSpec::GP),
         })
         .collect()
 }
 
-/// **Table 2**: the full suite on every clustered configuration of the
+/// **Table 2**: `programs` on every clustered configuration of the
 /// paper's evaluation (both bus latencies, both register counts).
-pub fn table2() -> Vec<Table2Row> {
-    let programs = spec_suite();
-    let machines: Vec<MachineConfig> = table1_configs()
-        .into_iter()
-        .map(|(_, m)| m)
-        .filter(|m| !m.is_unified())
-        .collect();
-    table2_for(&programs, &machines)
+pub fn table2(programs: &[Program]) -> Vec<Table2Row> {
+    let machines = gpsched_engine::machine_set("clustered").expect("a bundled machine set");
+    table2_for(programs, &machines)
 }
 
 /// **Table 1** as data: every configuration with its resource shape.
@@ -113,8 +122,13 @@ mod tests {
         let rows = table2_for(&programs, &machines);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].machine, "c2r32b1l1");
+        // Lower bounds only: other tests' sweeps may add to a session's
+        // process-wide counters.
         for r in &rows {
-            assert!(r.uracam_ms > 0.0 && r.fixed_ms > 0.0 && r.gp_ms > 0.0);
+            for w in [r.uracam, r.fixed, r.gp] {
+                assert!(w.place_trials > 0 && w.ii_attempts > 0, "{r:?}");
+                assert!(w.moves_evaluated > 0 && w.ms_per_program > 0.0, "{r:?}");
+            }
             assert!(r.uracam_slowdown() > 0.0);
         }
     }

@@ -9,41 +9,29 @@
 //! stays out of `reproduce all`, which pins the paper's frozen
 //! evaluation.
 
-use crate::variants::{program_rows, VariantRow};
+use crate::variants::{program_rows, IpcTable};
 use gpsched_machine::{topology_presets, MachineConfig};
 use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::Program;
 
-/// The full topology comparison.
-#[derive(Clone, Debug)]
-pub struct TopologyReport {
-    /// Algorithm spec the comparison ran under.
-    pub spec: String,
-    /// Machine short names, in column order.
-    pub machines: Vec<String>,
-    /// Interconnect kind tag per machine column.
-    pub kinds: Vec<String>,
-    /// Per-program rows followed by the `"average"` row, one IPC per
-    /// machine.
-    pub rows: Vec<VariantRow>,
-}
-
-/// Builds the topology report: `programs` on every machine in `machines`
-/// under `spec`, aggregated per program exactly like the paper's figures
-/// (`Σ ops·trips / Σ cycles`), through the engine executor.
+/// Builds the topology comparison: `programs` on every machine in
+/// `machines` under `spec`, aggregated per program exactly like the
+/// paper's figures (`Σ ops·trips / Σ cycles`), through the engine
+/// executor. The table is named after `spec`; each column is labelled
+/// `short-name (interconnect kind)`.
 pub fn topology_report(
     programs: &[Program],
     machines: &[MachineConfig],
     spec: AlgorithmSpec,
-) -> TopologyReport {
+) -> IpcTable {
     let names: Vec<String> = machines.iter().map(MachineConfig::short_name).collect();
     let rows = program_rows(programs, machines, &[spec], &names, |a| &a.machine);
-    TopologyReport {
-        spec: spec.name(),
-        machines: names,
-        kinds: machines
+    IpcTable {
+        name: spec.name(),
+        columns: names
             .iter()
-            .map(|m| m.interconnect().kind_name().to_string())
+            .zip(machines)
+            .map(|(n, m)| format!("{n} ({})", m.interconnect().kind_name()))
             .collect(),
         rows,
     }
@@ -51,43 +39,12 @@ pub fn topology_report(
 
 /// The default comparison: the SPECfp95 suite under GP over the bundled
 /// [`topology_presets`].
-pub fn default_topology_report() -> TopologyReport {
+pub fn default_topology_report() -> IpcTable {
     topology_report(
         &gpsched_workloads::spec_suite(),
         &topology_presets(),
         AlgorithmSpec::parse("gp").expect("bundled spec"),
     )
-}
-
-impl TopologyReport {
-    /// Plain-text rendering of the table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let widths: Vec<usize> = self.machines.iter().map(|m| m.len().max(8)).collect();
-        out.push_str(&format!("{:<10}", "program"));
-        for (m, w) in self.machines.iter().zip(&widths) {
-            out.push_str(&format!(" {m:>w$}"));
-        }
-        out.push('\n');
-        out.push_str(&format!("{:<10}", ""));
-        for (k, w) in self.kinds.iter().zip(&widths) {
-            out.push_str(&format!(" {k:>w$}"));
-        }
-        out.push('\n');
-        for row in &self.rows {
-            if row.program == "average" {
-                let dashes: usize = 10 + widths.iter().map(|w| w + 1).sum::<usize>();
-                out.push_str(&"-".repeat(dashes));
-                out.push('\n');
-            }
-            out.push_str(&format!("{:<10}", row.program));
-            for (v, w) in row.ipc.iter().zip(&widths) {
-                out.push_str(&format!(" {v:>w$.3}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -113,15 +70,15 @@ mod tests {
             &machines,
             AlgorithmSpec::parse("gp").expect("parses"),
         );
-        assert_eq!(r.machines.len(), machines.len());
+        assert_eq!(r.columns.len(), machines.len());
         assert_eq!(r.rows.len(), 3); // 2 programs + average
         for row in &r.rows {
             assert_eq!(row.ipc.len(), machines.len());
             assert!(row.ipc.iter().all(|&x| x > 0.0), "{}", row.program);
         }
-        let text = r.render();
+        let text = crate::report::topologies_section(&r);
         assert!(text.contains("average"));
-        assert!(text.contains("ring"));
-        assert!(text.contains("p2p"));
+        assert!(text.contains("(ring)"));
+        assert!(text.contains("(p2p)"));
     }
 }

@@ -1,64 +1,70 @@
-//! Variant figures: IPC per program for an *arbitrary* list of algorithm
-//! specs.
+//! Per-program IPC tables, the one table type behind Figures 2/3, the
+//! variant figure and the topology comparison: one row per program plus
+//! the `"average"` row, one IPC column per algorithm spec or machine.
 //!
-//! Figures 2/3 ([`crate::figures`]) reproduce the paper's fixed bar sets;
-//! this module opens the same aggregation to any [`AlgorithmSpec`] list,
-//! so policy variants (`gp:norepart`, `uracam:greedy-merit`, …) land in
-//! figures and tables exactly like the paper's algorithms.
+//! [`series_for_specs`] opens the paper's aggregation to any
+//! [`AlgorithmSpec`] list, so policy variants (`gp:norepart`,
+//! `uracam:greedy-merit`, …) land in tables exactly like the paper's
+//! algorithms.
 
 use gpsched_engine::{aggregate_by_group, run_sweep, GroupAggregate, JobSpec, SweepOptions};
 use gpsched_machine::MachineConfig;
 use gpsched_sched::AlgorithmSpec;
 use gpsched_workloads::Program;
 
-/// One program's bars in a variant figure or a topology report: one IPC
-/// per column (a spec of [`VariantSeries::specs`] or a machine of
-/// [`crate::TopologyReport::machines`]), in column order.
+/// One program's row of an [`IpcTable`]: one IPC per column, in column
+/// order.
 #[derive(Clone, Debug)]
-pub struct VariantRow {
+pub struct IpcRow {
     /// Program name (or `"average"`).
     pub program: String,
     /// IPC per column.
     pub ipc: Vec<f64>,
 }
 
-/// One sub-graph of a variant figure: a machine with one IPC column per
-/// algorithm spec.
+/// Per-program IPC: a figure's sub-graph, a variant series or the
+/// topology comparison.
 #[derive(Clone, Debug)]
-pub struct VariantSeries {
-    /// Machine short name.
-    pub machine: String,
-    /// Display name of every spec, in column order.
-    pub specs: Vec<String>,
+pub struct IpcTable {
+    /// What every column shares: the machine (figures, variants) or the
+    /// algorithm spec (topologies).
+    pub name: String,
+    /// Column headers, in column order: spec display names, `unified`,
+    /// or machine labels.
+    pub columns: Vec<String>,
     /// Per-program rows followed by the `"average"` row.
-    pub rows: Vec<VariantRow>,
+    pub rows: Vec<IpcRow>,
 }
 
-impl VariantSeries {
+impl IpcTable {
     /// The average row.
     ///
     /// # Panics
     ///
-    /// Panics if the series is empty.
-    pub fn average(&self) -> &VariantRow {
-        self.rows.last().expect("series has an average row")
+    /// Panics if the table is empty.
+    pub fn average(&self) -> &IpcRow {
+        self.rows.last().expect("table has an average row")
     }
 
-    /// Average-IPC ratio of spec column `a` over spec column `b` (e.g.
-    /// `gp` over `gp:norepart` to price selective re-partitioning).
+    /// Average IPC of the named column.
     ///
     /// # Panics
     ///
-    /// Panics if either name is not a column of this series.
+    /// Panics if `column` is not a column of this table.
+    pub fn average_of(&self, column: &str) -> f64 {
+        let col = self.columns.iter().position(|c| c == column);
+        let col = col.unwrap_or_else(|| panic!("column `{column}` not in table `{}`", self.name));
+        self.average().ipc[col]
+    }
+
+    /// Average-IPC ratio of column `a` over column `b` (e.g. `GP` over
+    /// `GP:norepart` to price selective re-partitioning).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either name is not a column of this table.
     pub fn speedup(&self, a: &str, b: &str) -> f64 {
-        let col = |name: &str| {
-            self.specs
-                .iter()
-                .position(|s| s == name)
-                .unwrap_or_else(|| panic!("spec `{name}` not in series"))
-        };
-        let avg = self.average();
-        avg.ipc[col(a)] / avg.ipc[col(b)]
+        self.average_of(a) / self.average_of(b)
     }
 }
 
@@ -69,7 +75,7 @@ pub fn series_for_specs(
     programs: &[Program],
     machine: &MachineConfig,
     specs: &[AlgorithmSpec],
-) -> VariantSeries {
+) -> IpcTable {
     let names: Vec<String> = specs.iter().map(AlgorithmSpec::name).collect();
     let rows = program_rows(
         programs,
@@ -78,9 +84,9 @@ pub fn series_for_specs(
         &names,
         |a| &a.algorithm,
     );
-    VariantSeries {
-        machine: machine.short_name(),
-        specs: names,
+    IpcTable {
+        name: machine.short_name(),
+        columns: names,
         rows,
     }
 }
@@ -96,7 +102,7 @@ pub(crate) fn program_rows(
     specs: &[AlgorithmSpec],
     columns: &[String],
     column: fn(&GroupAggregate) -> &String,
-) -> Vec<VariantRow> {
+) -> Vec<IpcRow> {
     let job = JobSpec::new()
         .programs(programs)
         .machines(machines.iter().cloned())
@@ -108,15 +114,15 @@ pub(crate) fn program_rows(
             .map(|a| a.ipc)
             .expect("sweep covers every (program, column)")
     };
-    let mut rows: Vec<VariantRow> = programs
+    let mut rows: Vec<IpcRow> = programs
         .iter()
-        .map(|p| VariantRow {
+        .map(|p| IpcRow {
             program: p.name.to_string(),
             ipc: columns.iter().map(|c| ipc_of(p.name, c)).collect(),
         })
         .collect();
     let n = rows.len() as f64;
-    rows.push(VariantRow {
+    rows.push(IpcRow {
         program: "average".to_string(),
         ipc: (0..columns.len())
             .map(|i| rows.iter().map(|r| r.ipc[i]).sum::<f64>() / n)
@@ -152,7 +158,7 @@ mod tests {
         ];
         let m = MachineConfig::four_cluster(32, 1, 2);
         let s = series_for_specs(&mini_suite(), &m, &specs);
-        assert_eq!(s.specs, vec!["GP", "GP:norepart", "URACAM:greedy-merit"]);
+        assert_eq!(s.columns, vec!["GP", "GP:norepart", "URACAM:greedy-merit"]);
         assert_eq!(s.rows.len(), 3); // 2 programs + average
         for r in &s.rows {
             assert_eq!(r.ipc.len(), 3);
@@ -167,15 +173,16 @@ mod tests {
     #[test]
     fn variant_column_matches_legacy_figure_path() {
         // The bare-GP column of a variant series must equal the GP bar of
-        // the legacy figure series: same engine, same aggregation.
+        // the figure series: same engine, same aggregation.
         let suite = mini_suite();
         let m = MachineConfig::two_cluster(32, 1, 1);
         let specs = [AlgorithmSpec::parse("gp").unwrap()];
         let v = series_for_specs(&suite, &m, &specs);
-        let legacy = crate::figures::series_for(&suite, &m, "check");
-        for (vr, lr) in v.rows.iter().zip(&legacy.rows) {
-            assert_eq!(vr.program, lr.program);
-            assert!((vr.ipc[0] - lr.gp).abs() < 1e-12, "{}", vr.program);
+        let figure = crate::figures::series_for(&suite, &m);
+        assert_eq!(figure.columns[3], "GP");
+        for (vr, fr) in v.rows.iter().zip(&figure.rows) {
+            assert_eq!(vr.program, fr.program);
+            assert!((vr.ipc[0] - fr.ipc[3]).abs() < 1e-12, "{}", vr.program);
         }
     }
 }

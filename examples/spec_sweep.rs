@@ -27,17 +27,13 @@ fn main() {
         if machine.is_unified() {
             continue;
         }
-        let series = series_for(&programs, &machine, "");
-        println!("\n=== {} ===", series.machine);
-        println!(
-            "{:<12} {:>8} {:>8} {:>8} {:>8}",
-            "program", "unified", "URACAM", "Fixed", "GP"
-        );
+        let series = series_for(&programs, &machine);
+        println!("\n=== {} ===", series.name);
+        let header: Vec<String> = series.columns.iter().map(|c| format!("{c:>8}")).collect();
+        println!("{:<12} {}", "program", header.join(" "));
         for r in &series.rows {
-            println!(
-                "{:<12} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-                r.program, r.unified, r.uracam, r.fixed, r.gp
-            );
+            let cells: Vec<String> = r.ipc.iter().map(|v| format!("{v:>8.3}")).collect();
+            println!("{:<12} {}", r.program, cells.join(" "));
         }
     }
 
