@@ -113,16 +113,32 @@ pub fn rec_mii_with(ddg: &Ddg, mut extra: impl FnMut(DepId) -> i64) -> i64 {
 /// Panics if no feasible II exists below the latency sum (see
 /// [`rec_mii_with`]).
 pub fn rec_mii_on(kernel: &mut BfKernel, deps: &[(usize, usize, i64, i64)]) -> i64 {
-    let upper: i64 = deps.iter().map(|d| d.2.max(0)).sum::<i64>().max(1);
+    min_feasible_ii_from(kernel, deps, 1)
+}
+
+/// The smallest recurrence-feasible II at or above `lower`, searched up
+/// to the latency sum (every II from there on is feasible).
+fn min_feasible_ii_from(
+    kernel: &mut BfKernel,
+    deps: &[(usize, usize, i64, i64)],
+    lower: i64,
+) -> i64 {
+    let upper: i64 = deps.iter().map(|d| d.2.max(0)).sum::<i64>().max(lower);
     kernel
-        .min_feasible_ii(1, upper, None)
+        .min_feasible_ii(lower, upper, None)
         .expect("validated DDG must have a feasible II")
 }
 
 /// `MII = max(ResMII, RecMII)` — the partitioner's input (§3.1).
+///
+/// Found as the smallest recurrence-feasible II at or above ResMII
+/// (feasibility is monotone in the II): one probe when the loop is
+/// resource-bound, and a binary search only above ResMII otherwise.
 pub fn mii(ddg: &Ddg, machine: &MachineConfig) -> i64 {
     let _span = gpsched_trace::span!("ddg.mii");
-    res_mii(ddg, machine).max(rec_mii(ddg))
+    let deps = ddg.constraint_deps(|_| 0);
+    let mut kernel = BfKernel::build(ddg.op_count(), &deps);
+    min_feasible_ii_from(&mut kernel, &deps, res_mii(ddg, machine))
 }
 
 #[cfg(test)]

@@ -16,21 +16,33 @@ use gpsched_workloads::Program;
 /// (the unified machine with the same total registers), URACAM, Fixed
 /// and GP.
 pub fn series_for(programs: &[Program], machine: &MachineConfig) -> IpcTable {
-    let unified = series_for_specs(
+    let unified = unified_bound(programs, machine.total_registers());
+    with_unified(programs, machine, &unified)
+}
+
+/// The unified upper bound: GP on one cluster with `registers` registers.
+fn unified_bound(programs: &[Program], registers: u32) -> IpcTable {
+    series_for_specs(
         programs,
-        &MachineConfig::unified(machine.total_registers()),
+        &MachineConfig::unified(registers),
         &[AlgorithmSpec::GP],
-    );
+    )
+}
+
+/// [`series_for`] with the unified bound already swept.
+fn with_unified(programs: &[Program], machine: &MachineConfig, unified: &IpcTable) -> IpcTable {
     let mut table = series_for_specs(programs, machine, &AlgorithmSpec::MODULO);
     table.columns.insert(0, "unified".to_string());
     // Both tables end with their average row, so zipping them pairs it too.
-    for (row, u) in table.rows.iter_mut().zip(unified.rows) {
+    for (row, u) in table.rows.iter_mut().zip(&unified.rows) {
         row.ipc.insert(0, u.ipc[0]);
     }
     table
 }
 
 fn figure(programs: &[Program], bus_latency: u32) -> Vec<IpcTable> {
+    // Machines with the same register total share one unified sweep.
+    let mut unified: Vec<(u32, IpcTable)> = Vec::new();
     let mut out = Vec::new();
     for clusters in [2u32, 4] {
         for regs in [32u32, 64] {
@@ -38,7 +50,15 @@ fn figure(programs: &[Program], bus_latency: u32) -> Vec<IpcTable> {
                 2 => MachineConfig::two_cluster(regs, 1, bus_latency),
                 _ => MachineConfig::four_cluster(regs, 1, bus_latency),
             };
-            out.push(series_for(programs, &machine));
+            let total = machine.total_registers();
+            let at = match unified.iter().position(|(r, _)| *r == total) {
+                Some(at) => at,
+                None => {
+                    unified.push((total, unified_bound(programs, total)));
+                    unified.len() - 1
+                }
+            };
+            out.push(with_unified(programs, &machine, &unified[at].1));
         }
     }
     out

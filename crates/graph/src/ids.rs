@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Identifier of a node inside a [`crate::DiGraph`] or [`crate::UnGraph`].
+/// Identifier of a node inside a [`crate::DiGraph`].
 ///
 /// `NodeId`s are dense indices assigned in insertion order; they are stable
 /// (nodes are never removed from the containers in this workspace).
@@ -36,7 +36,7 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Identifier of an edge inside a [`crate::DiGraph`] or [`crate::UnGraph`].
+/// Identifier of an edge inside a [`crate::DiGraph`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub(crate) u32);
 

@@ -9,8 +9,6 @@
 //!
 //! * [`DiGraph`]: a directed multigraph with node and edge payloads, the
 //!   backing store for loop data-dependence graphs;
-//! * [`UnGraph`]: an undirected weighted graph used by the multilevel
-//!   partitioner during coarsening;
 //! * [`NodeBitSet`]: a flat bitset over dense node indices, the
 //!   allocation-free membership set used by the scheduler's ordering and
 //!   the partitioner's inner loops;
@@ -44,7 +42,6 @@
 mod bitset;
 mod digraph;
 mod ids;
-mod ugraph;
 mod unionfind;
 
 pub mod feasibility;
@@ -55,5 +52,4 @@ pub mod topo;
 pub use bitset::NodeBitSet;
 pub use digraph::DiGraph;
 pub use ids::{EdgeId, NodeId};
-pub use ugraph::{UnEdge, UnGraph};
 pub use unionfind::UnionFind;

@@ -39,33 +39,30 @@ pub fn maximum_weight_matching(
     edges: &[WeightedEdge],
     max_cardinality: bool,
 ) -> Matching {
-    let filtered: Vec<WeightedEdge> = edges
-        .iter()
-        .copied()
-        .filter(|&(u, v, w)| u != v && w > 0)
-        // Double the weights to keep dual variables integral.
-        .map(|(u, v, w)| (u, v, w.checked_mul(2).expect("matching weight overflow")))
-        .collect();
-    if n == 0 || filtered.is_empty() {
-        return Matching::empty(n);
-    }
-    let mut m = Matcher::new(n, filtered, max_cardinality);
-    m.solve();
-    Matching::from_mates(
-        m.mate
-            .iter()
-            .map(|&p| {
-                if p == NONE {
-                    None
-                } else {
-                    Some(m.endpoint[p as usize])
-                }
-            })
-            .collect(),
-    )
+    let mut m = Matcher::new();
+    m.solve(n, edges, max_cardinality);
+    Matching::from_mates((0..n).map(|v| m.mate(v)).collect())
 }
 
-struct Matcher {
+/// A reusable exact maximum-weight matcher: the state behind
+/// [`maximum_weight_matching`], kept between calls. [`Matcher::solve`]
+/// resets its buffers rather than allocating new ones, so a caller that
+/// matches many small graphs — the partitioner, once per coarsening
+/// level — pays for them once.
+///
+/// # Example
+///
+/// ```
+/// use gpsched_graph::matching::Matcher;
+///
+/// let mut m = Matcher::new();
+/// m.solve(4, &[(0, 1, 5), (1, 2, 6), (2, 3, 5)], false);
+/// assert_eq!(m.mate(0), Some(1));
+/// m.solve(3, &[(0, 1, 6), (1, 2, 5), (0, 2, 4)], false);
+/// assert_eq!(m.mate(2), None);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct Matcher {
     nvertex: usize,
     edges: Vec<WeightedEdge>,
     max_cardinality: bool,
@@ -76,6 +73,8 @@ struct Matcher {
     /// an edge incident to `v`, in edge order.
     neighbend_row: Vec<usize>,
     neighbend: Vec<usize>,
+    /// Scratch fill cursors for building `neighbend`.
+    cursor: Vec<usize>,
     /// `mate[v]` = remote endpoint of the matched edge, or −1.
     mate: Vec<isize>,
     /// Label per (top-level) vertex/blossom: 0 free, 1 S, 2 T
@@ -103,60 +102,106 @@ struct Matcher {
 }
 
 impl Matcher {
-    fn new(nvertex: usize, edges: Vec<WeightedEdge>, max_cardinality: bool) -> Self {
-        let nedge = edges.len();
-        let maxweight = edges.iter().map(|e| e.2).max().unwrap_or(0).max(0);
-        let mut endpoint = Vec::with_capacity(2 * nedge);
-        for &(i, j, _) in &edges {
-            endpoint.push(i);
-            endpoint.push(j);
+    /// Creates a matcher with empty buffers; they grow on first use.
+    pub fn new() -> Self {
+        Matcher::default()
+    }
+
+    /// Computes an exact maximum-weight matching of `edges` over `n`
+    /// vertices, with the contract of [`maximum_weight_matching`] (same
+    /// matching for the same input); read it with [`Matcher::mate`].
+    pub fn solve(&mut self, n: usize, edges: &[WeightedEdge], max_cardinality: bool) {
+        self.reset(n, edges, max_cardinality);
+        if n > 0 && !self.edges.is_empty() {
+            self.run();
+        }
+    }
+
+    /// The partner of `v` in the most recent [`Matcher::solve`], or
+    /// `None` if `v` is unmatched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not a vertex of that graph.
+    pub fn mate(&self, v: usize) -> Option<usize> {
+        let p = self.mate[v];
+        (p != NONE).then(|| self.endpoint[p as usize])
+    }
+
+    /// Loads a new graph: self-loops and non-positive edges dropped,
+    /// weights doubled to keep the duals integral, and every other buffer
+    /// put in its initial state.
+    fn reset(&mut self, nvertex: usize, edges: &[WeightedEdge], max_cardinality: bool) {
+        self.nvertex = nvertex;
+        self.max_cardinality = max_cardinality;
+        self.edges.clear();
+        self.edges.extend(
+            edges
+                .iter()
+                .copied()
+                .filter(|&(u, v, w)| u != v && w > 0)
+                .map(|(u, v, w)| (u, v, w.checked_mul(2).expect("matching weight overflow"))),
+        );
+        let nedge = self.edges.len();
+        let maxweight = self.edges.iter().map(|e| e.2).max().unwrap_or(0).max(0);
+        self.endpoint.clear();
+        for &(i, j, _) in &self.edges {
+            self.endpoint.push(i);
+            self.endpoint.push(j);
         }
         // Stable counting sort by vertex: each vertex keeps its incident
         // endpoints in edge order.
-        let mut neighbend_row = vec![0usize; nvertex + 1];
-        for &(i, j, _) in &edges {
-            neighbend_row[i + 1] += 1;
-            neighbend_row[j + 1] += 1;
+        self.neighbend_row.clear();
+        self.neighbend_row.resize(nvertex + 1, 0);
+        for &(i, j, _) in &self.edges {
+            self.neighbend_row[i + 1] += 1;
+            self.neighbend_row[j + 1] += 1;
         }
         for v in 0..nvertex {
-            neighbend_row[v + 1] += neighbend_row[v];
+            self.neighbend_row[v + 1] += self.neighbend_row[v];
         }
-        let mut cursor = neighbend_row[..nvertex].to_vec();
-        let mut neighbend = vec![0usize; 2 * nedge];
-        for (k, &(i, j, _)) in edges.iter().enumerate() {
-            neighbend[cursor[i]] = 2 * k + 1;
-            cursor[i] += 1;
-            neighbend[cursor[j]] = 2 * k;
-            cursor[j] += 1;
+        self.cursor.clear();
+        self.cursor
+            .extend_from_slice(&self.neighbend_row[..nvertex]);
+        self.neighbend.clear();
+        self.neighbend.resize(2 * nedge, 0);
+        for (k, &(i, j, _)) in self.edges.iter().enumerate() {
+            self.neighbend[self.cursor[i]] = 2 * k + 1;
+            self.cursor[i] += 1;
+            self.neighbend[self.cursor[j]] = 2 * k;
+            self.cursor[j] += 1;
         }
-        let mut dualvar = vec![maxweight; nvertex];
-        dualvar.extend(std::iter::repeat(0).take(nvertex));
-        Matcher {
-            nvertex,
-            edges,
-            max_cardinality,
-            endpoint,
-            neighbend_row,
-            neighbend,
-            mate: vec![NONE; nvertex],
-            label: vec![0; 2 * nvertex],
-            labelend: vec![NONE; 2 * nvertex],
-            inblossom: (0..nvertex).collect(),
-            blossomparent: vec![NONE; 2 * nvertex],
-            blossomchilds: vec![None; 2 * nvertex],
-            blossombase: (0..nvertex as isize)
-                .chain(std::iter::repeat(NONE).take(nvertex))
-                .collect(),
-            blossomendps: vec![None; 2 * nvertex],
-            bestedge: vec![NONE; 2 * nvertex],
-            blossombestedges: vec![None; 2 * nvertex],
-            unusedblossoms: (nvertex..2 * nvertex).collect(),
-            dualvar,
-            allowedge: vec![false; nedge],
-            queue: Vec::new(),
-            leaf_stack: Vec::new(),
-            scan_path: Vec::new(),
-        }
+        self.mate.clear();
+        self.mate.resize(nvertex, NONE);
+        self.label.clear();
+        self.label.resize(2 * nvertex, 0);
+        self.labelend.clear();
+        self.labelend.resize(2 * nvertex, NONE);
+        self.inblossom.clear();
+        self.inblossom.extend(0..nvertex);
+        self.blossomparent.clear();
+        self.blossomparent.resize(2 * nvertex, NONE);
+        self.blossomchilds.clear();
+        self.blossomchilds.resize(2 * nvertex, None);
+        self.blossombase.clear();
+        self.blossombase.extend(0..nvertex as isize);
+        self.blossombase.resize(2 * nvertex, NONE);
+        self.blossomendps.clear();
+        self.blossomendps.resize(2 * nvertex, None);
+        self.bestedge.clear();
+        self.bestedge.resize(2 * nvertex, NONE);
+        self.blossombestedges.clear();
+        self.blossombestedges.resize(2 * nvertex, None);
+        self.unusedblossoms.clear();
+        self.unusedblossoms.extend(nvertex..2 * nvertex);
+        self.dualvar.clear();
+        self.dualvar.resize(nvertex, maxweight);
+        self.dualvar.resize(2 * nvertex, 0);
+        self.allowedge.clear();
+        self.allowedge.resize(nedge, false);
+        self.queue.clear();
+        self.leaf_stack.clear();
+        self.scan_path.clear();
     }
 
     fn slack(&self, k: usize) -> i64 {
@@ -528,7 +573,7 @@ impl Matcher {
         }
     }
 
-    fn solve(&mut self) {
+    fn run(&mut self) {
         for _stage in 0..self.nvertex {
             // Reset stage state.
             self.label.iter_mut().for_each(|l| *l = 0);

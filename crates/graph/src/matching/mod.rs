@@ -8,7 +8,7 @@
 //!   multilevel partitioners (sort edges by weight, take greedily);
 //! * [`maximum_weight_matching`] — an exact primal–dual blossom algorithm
 //!   (Galil's O(V³) formulation, following van Rantwijk's reference
-//!   implementation).
+//!   implementation); [`Matcher`] runs it with reusable buffers.
 //!
 //! The partitioner uses the exact algorithm (matching LEDA) on coarsening
 //! levels of up to 192 nodes by default and the greedy one above that.
@@ -16,7 +16,7 @@
 mod blossom;
 mod greedy;
 
-pub use blossom::maximum_weight_matching;
+pub use blossom::{maximum_weight_matching, Matcher};
 pub use greedy::greedy_matching;
 
 /// A weighted undirected edge `(u, v, weight)` over dense vertex indices.
@@ -82,8 +82,8 @@ impl Matching {
     ///
     /// Parallel duplicates in `edges` are counted once per listed edge only
     /// if matched; an edge `(u,v,w)` contributes iff `mate[u] == v`.
-    /// With merged parallel edges (as [`crate::UnGraph`] guarantees) this is
-    /// the usual matching weight.
+    /// With merged parallel edges (as the partitioner's coarsening levels
+    /// guarantee) this is the usual matching weight.
     pub fn weight(&self, edges: &[WeightedEdge]) -> i64 {
         let mut counted = vec![false; self.mate.len()];
         let mut total = 0;

@@ -8,6 +8,41 @@
 use crate::digraph::DiGraph;
 use crate::ids::NodeId;
 
+/// Strongly connected components as one flat node list: component `c`
+/// is `nodes[start[c]..start[c + 1]]`, so computing them allocates per
+/// call, not per component.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Components {
+    nodes: Vec<NodeId>,
+    start: Vec<usize>,
+}
+
+impl Components {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    /// Returns `true` if there are no components (the graph is empty).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The nodes of each component, in component order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &[NodeId]> + ExactSizeIterator + '_ {
+        self.start.windows(2).map(|w| &self.nodes[w[0]..w[1]])
+    }
+}
+
+impl std::ops::Index<usize> for Components {
+    type Output = [NodeId];
+
+    /// The nodes of component `c`.
+    fn index(&self, c: usize) -> &[NodeId] {
+        &self.nodes[self.start[c]..self.start[c + 1]]
+    }
+}
+
 /// Computes the strongly connected components of `g` with Tarjan's
 /// algorithm (iterative, so deep graphs cannot overflow the stack).
 ///
@@ -29,9 +64,9 @@ use crate::ids::NodeId;
 /// g.add_edge(b, c, ());
 /// let comps = tarjan_scc(&g);
 /// assert_eq!(comps.len(), 2);
-/// assert!(comps[0] == vec![c]); // sink component first
+/// assert_eq!(&comps[0], &[c][..]); // sink component first
 /// ```
-pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
+pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Components {
     const UNVISITED: usize = usize::MAX;
     let n = g.node_count();
     let mut index = vec![UNVISITED; n];
@@ -39,24 +74,28 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
-    let mut components = Vec::new();
+    let mut components = Components {
+        nodes: Vec::with_capacity(n),
+        start: vec![0],
+    };
 
-    // Successor lists are materialized once so each DFS step is O(1).
-    let succ: Vec<Vec<usize>> = (0..n)
-        .map(|v| {
-            g.successors(NodeId::from_index(v))
-                .map(|w| w.index())
-                .collect()
-        })
-        .collect();
+    // Successor lists are materialized once, flat, so each DFS step is
+    // O(1): node `v`'s successors are `succ[row[v]..row[v + 1]]`.
+    let mut row = Vec::with_capacity(n + 1);
+    let mut succ = Vec::with_capacity(g.edge_count());
+    row.push(0);
+    for v in g.node_ids() {
+        succ.extend(g.successors(v).map(|w| w.index()));
+        row.push(succ.len());
+    }
 
-    // Explicit DFS frame: (node, iterator position over its out-edges).
+    // Explicit DFS frame: (node, position in its successor list).
     let mut call: Vec<(usize, usize)> = Vec::new();
     for root in 0..n {
         if index[root] != UNVISITED {
             continue;
         }
-        call.push((root, 0));
+        call.push((root, row[root]));
         index[root] = next_index;
         low[root] = next_index;
         next_index += 1;
@@ -64,8 +103,8 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
         on_stack[root] = true;
 
         while let Some(&mut (v, ref mut pos)) = call.last_mut() {
-            if *pos < succ[v].len() {
-                let w = succ[v][*pos];
+            if *pos < row[v + 1] {
+                let w = succ[*pos];
                 *pos += 1;
                 if index[w] == UNVISITED {
                     index[w] = next_index;
@@ -73,7 +112,7 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
                     next_index += 1;
                     stack.push(w);
                     on_stack[w] = true;
-                    call.push((w, 0));
+                    call.push((w, row[w]));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }
@@ -83,17 +122,18 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
                     low[parent] = low[parent].min(low[v]);
                 }
                 if low[v] == index[v] {
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
+                    // The component is the stack from `v` up, in
+                    // discovery order.
+                    let at = stack
+                        .iter()
+                        .rposition(|&w| w == v)
+                        .expect("tarjan root is on the stack");
+                    for &w in &stack[at..] {
                         on_stack[w] = false;
-                        comp.push(NodeId::from_index(w));
-                        if w == v {
-                            break;
-                        }
+                        components.nodes.push(NodeId::from_index(w));
                     }
-                    comp.reverse();
-                    components.push(comp);
+                    stack.truncate(at);
+                    components.start.push(components.nodes.len());
                 }
             }
         }
@@ -101,9 +141,9 @@ pub fn tarjan_scc<N, E>(g: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     components
 }
 
-/// Returns, for every node, the index of its component in the vector
-/// produced by [`tarjan_scc`].
-pub fn component_index<N, E>(g: &DiGraph<N, E>) -> (Vec<Vec<NodeId>>, Vec<usize>) {
+/// Returns, for every node, the index of its component in the
+/// [`Components`] produced by [`tarjan_scc`].
+pub fn component_index<N, E>(g: &DiGraph<N, E>) -> (Components, Vec<usize>) {
     let comps = tarjan_scc(g);
     let mut idx = vec![0usize; g.node_count()];
     for (ci, comp) in comps.iter().enumerate() {
@@ -143,7 +183,7 @@ mod tests {
         let comps = tarjan_scc(&g);
         assert_eq!(comps.len(), 2);
         // Reverse topological: the {c,d} sink component comes first.
-        let first: Vec<_> = comps[0].clone();
+        let first = &comps[0];
         assert!(first.contains(&c) && first.contains(&d));
         assert!(comps[1].contains(&a) && comps[1].contains(&b));
     }
@@ -157,7 +197,10 @@ mod tests {
         g.add_edge(a, b, ());
         g.add_edge(b, c, ());
         let comps = tarjan_scc(&g);
-        assert_eq!(comps, vec![vec![c], vec![b], vec![a]]);
+        assert_eq!(
+            comps.iter().collect::<Vec<_>>(),
+            vec![&[c][..], &[b][..], &[a][..]]
+        );
     }
 
     #[test]
@@ -166,7 +209,7 @@ mod tests {
         let a = g.add_node(());
         g.add_edge(a, a, ());
         let comps = tarjan_scc(&g);
-        assert_eq!(comps, vec![vec![a]]);
+        assert_eq!(comps.iter().collect::<Vec<_>>(), vec![&[a][..]]);
     }
 
     #[test]

@@ -42,24 +42,24 @@ pub fn topo_order<N, E>(
             indegree[g.edge_target(e).index()] += 1;
         }
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-    // Process in ascending id order for determinism.
-    ready.sort_unstable_by(|a, b| b.cmp(a));
+    // Always take the smallest ready id, for determinism: `ready` is kept
+    // sorted descending, so that id sits at the end.
+    let mut ready: Vec<usize> = (0..n).rev().filter(|&v| indegree[v] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(v) = ready.pop() {
         order.push(NodeId::from_index(v));
-        let mut newly = Vec::new();
+        let before = ready.len();
         for (e, w) in g.out_edges(NodeId::from_index(v)) {
             if kept[e.index()] {
                 indegree[w.index()] -= 1;
                 if indegree[w.index()] == 0 {
-                    newly.push(w.index());
+                    ready.push(w.index());
                 }
             }
         }
-        newly.sort_unstable_by(|a, b| b.cmp(a));
-        ready.extend(newly);
-        ready.sort_unstable_by(|a, b| b.cmp(a));
+        if ready.len() > before {
+            ready.sort_unstable_by(|a, b| b.cmp(a));
+        }
     }
     (order.len() == n).then_some(order)
 }

@@ -37,6 +37,7 @@
 
 use crate::comm::ChannelLoad;
 use crate::estimate::PartitionCost;
+use crate::multilevel::PartitionBuffers;
 use gpsched_ddg::timing::TimingWorkspace;
 use gpsched_ddg::{Ddg, DepKind};
 use gpsched_machine::{MachineConfig, ResourceKind};
@@ -163,6 +164,9 @@ pub struct CostEvaluator<'a> {
     /// uniform p2p), that scalar; −1 for asymmetric topologies. Keeps the
     /// per-edge cut refresh a register read on the paper's machines.
     uniform_lat: i64,
+    /// The multilevel driver's level buffers, kept here so every
+    /// partitioning call through this evaluator reuses them.
+    pub(crate) buffers: PartitionBuffers,
     /// Batched `partition.*` screen tallies, flushed when the evaluator
     /// drops. The refinement screen rejects tens of thousands of
     /// candidates per run; per-rejection atomic counters were a
@@ -350,6 +354,7 @@ impl<'a> CostEvaluator<'a> {
             dep_epoch: 0,
             deps_touched: Vec::new(),
             ws,
+            buffers: PartitionBuffers::default(),
         };
         let zeros = vec![0usize; ddg.op_count()];
         ev.reset(1, &zeros);

@@ -1,10 +1,10 @@
 //! The multilevel partitioning driver (§3.2).
 
-use crate::coarsen::{coarsen_to, initial_level, Level};
+use crate::coarsen::{coarsen_to, initial_level, CoarsenBuffers, Level};
 use crate::estimate::PartitionCost;
 use crate::evaluator::CostEvaluator;
 use crate::partition::Partition;
-use crate::refine::{expand, refine_level};
+use crate::refine::{expand_into, refine_level, RefineBuffers};
 use crate::weights::edge_weights;
 use gpsched_ddg::Ddg;
 use gpsched_machine::MachineConfig;
@@ -20,6 +20,20 @@ use gpsched_machine::MachineConfig;
 /// [`partition_ddg`] and of `gpsched_sched::schedule_loop_spec_seeded`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PartitionOptions {}
+
+/// Buffers a partitioning call reuses across its coarsening levels. The
+/// [`CostEvaluator`] every call already threads through keeps them, so
+/// the GP driver's re-partitions reuse them too: a call allocates per
+/// level, not per node.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PartitionBuffers {
+    coarsen: CoarsenBuffers,
+    refine: RefineBuffers,
+    /// Op → node at the coarser level of a projection.
+    node_of: Vec<usize>,
+    /// The projected assignment of the finer level.
+    finer_assign: Vec<usize>,
+}
 
 /// Result of [`partition_ddg`].
 #[derive(Clone, Debug)]
@@ -84,12 +98,15 @@ pub fn partition_ddg_with(
         };
     }
 
+    // The buffers go back into the evaluator when the call returns.
+    let mut bufs = std::mem::take(&mut ev.buffers);
+
     // 1. Weighted graph + coarsening hierarchy.
     let levels: Vec<Level> = {
         let _span = gpsched_trace::span!("partition.coarsen");
         let weights = edge_weights(ddg, machine, ii_input, ev.timing_workspace());
-        let finest = initial_level(ddg, &weights);
-        coarsen_to(finest, nclusters)
+        let finest = initial_level(ddg, &weights, &mut bufs.coarsen);
+        coarsen_to(finest, nclusters, &mut bufs.coarsen)
     };
 
     // 2. Initial partition of the coarsest level: one node per cluster.
@@ -97,25 +114,43 @@ pub fn partition_ddg_with(
     let mut assign: Vec<usize> = (0..coarsest.node_count()).map(|i| i % nclusters).collect();
 
     // 3. Uncoarsen: project and refine level by level.
-    let mut cost = refine_level(ddg, machine, ii_input, coarsest, &mut assign, ev, None);
+    let mut cost = refine_level(
+        ddg,
+        machine,
+        ii_input,
+        coarsest,
+        &mut assign,
+        ev,
+        None,
+        &mut bufs.refine,
+    );
     for idx in (0..levels.len() - 1).rev() {
         let finer = &levels[idx];
-        let coarser = &levels[idx + 1];
         // Project: a finer node inherits the cluster of the coarser node
         // that contains its ops.
-        let op_to_coarse = coarser.op_to_node();
-        let mut finer_assign = vec![0usize; finer.node_count()];
-        for (node, ops) in finer.members.iter().enumerate() {
-            let op = ops[0];
-            finer_assign[node] = assign[op_to_coarse[op]];
-        }
-        assign = finer_assign;
+        levels[idx + 1].node_of_ops(&mut bufs.node_of);
+        let node_of = &bufs.node_of;
+        bufs.finer_assign.clear();
+        bufs.finer_assign
+            .extend((0..finer.node_count()).map(|node| assign[node_of[finer.members(node)[0]]]));
+        std::mem::swap(&mut assign, &mut bufs.finer_assign);
         // The projection leaves the op-level assignment unchanged, so the
         // previous level's final cost is this level's entry cost.
-        cost = refine_level(ddg, machine, ii_input, finer, &mut assign, ev, Some(cost));
+        cost = refine_level(
+            ddg,
+            machine,
+            ii_input,
+            finer,
+            &mut assign,
+            ev,
+            Some(cost),
+            &mut bufs.refine,
+        );
     }
 
-    let ops = expand(&levels[0], &assign);
+    let mut ops = Vec::new();
+    expand_into(&levels[0], &assign, &mut ops);
+    ev.buffers = bufs;
     PartitionResult {
         partition: Partition::new(ops, nclusters),
         cost,
@@ -224,11 +259,15 @@ mod tests {
         let m = MachineConfig::four_cluster(64, 1, 2);
         let ii = mii::mii(&ddg, &m);
         let weights = edge_weights(&ddg, &m, ii, &mut TimingWorkspace::new());
-        let levels = coarsen_to(initial_level(&ddg, &weights), m.cluster_count());
+        let mut bufs = CoarsenBuffers::default();
+        let levels = coarsen_to(
+            initial_level(&ddg, &weights, &mut bufs),
+            m.cluster_count(),
+            &mut bufs,
+        );
         assert!(levels[0].node_count() > EXACT_MATCH_LIMIT);
-        let w0 = levels[0].graph.total_node_weight();
         for l in &levels {
-            assert_eq!(l.graph.total_node_weight(), w0);
+            assert_eq!(l.op_count(), ddg.op_count());
         }
         let r = partition_ddg(&ddg, &m, ii, &PartitionOptions::default());
         assert_eq!(r.levels, levels.len());

@@ -28,111 +28,137 @@ pub const SWAP_CANDIDATES: usize = 4;
 /// per move round of the cut pass.
 pub const EVAL_CANDIDATES: usize = 12;
 
-/// Expands a per-node assignment at `level` into a per-op assignment.
-pub fn expand(level: &Level, assign: &[usize]) -> Vec<usize> {
-    let nops: usize = level.members.iter().map(Vec::len).sum();
-    let mut out = vec![0usize; nops];
-    for (node, ops) in level.members.iter().enumerate() {
-        for &op in ops {
-            out[op] = assign[node];
+/// Refinement's per-level tables and candidate lists, reused across
+/// levels (and across calls through one [`CostEvaluator`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RefineBuffers {
+    /// `usage[node][kind]` = member ops of that kind.
+    usage: Vec<[i64; 3]>,
+    /// Op → node at the current level.
+    node_of: Vec<usize>,
+    /// Boundary members, node after node (see [`boundary_members`]).
+    boundary: Vec<usize>,
+    boundary_start: Vec<usize>,
+    /// The per-op expansion of the entry assignment.
+    expanded: Vec<usize>,
+    caps: Vec<[i64; 3]>,
+    totals: Vec<[i64; 3]>,
+    overloaded: Vec<(usize, usize, f64)>,
+    nodes: Vec<usize>,
+    candidates: Vec<(i64, usize, usize)>,
+    gain_to: Vec<i64>,
+    gain_clusters: Vec<usize>,
+    partners: Vec<usize>,
+    changes: Vec<(usize, usize)>,
+    best_changes: Vec<(usize, usize)>,
+}
+
+/// Expands a per-node assignment at `level` into a per-op assignment in
+/// `out`.
+pub(crate) fn expand_into(level: &Level, assign: &[usize], out: &mut Vec<usize>) {
+    out.clear();
+    out.resize(level.op_count(), 0);
+    for (node, &c) in assign.iter().enumerate() {
+        for &op in level.members(node) {
+            out[op] = c;
         }
     }
-    out
 }
 
 /// Per-node boundary members: the member ops with a dependence whose
 /// other endpoint belongs to a different node. Only they can change
 /// communication or cut state when the node moves — the evaluator's
 /// overlay trials skip the interior entirely ([`TrialBatch::boundary`]).
-fn boundary_members(ddg: &Ddg, level: &Level) -> Vec<Vec<usize>> {
-    let mut node_of = vec![0u32; ddg.op_count()];
-    for (node, ops) in level.members.iter().enumerate() {
-        for &op in ops {
-            node_of[op] = node as u32;
-        }
+/// Node `v`'s are `boundary[boundary_start[v]..boundary_start[v + 1]]`.
+fn boundary_members(ddg: &Ddg, level: &Level, bufs: &mut RefineBuffers) {
+    level.node_of_ops(&mut bufs.node_of);
+    let node_of = &bufs.node_of;
+    bufs.boundary.clear();
+    bufs.boundary_start.clear();
+    bufs.boundary_start.push(0);
+    for node in 0..level.node_count() {
+        bufs.boundary
+            .extend(level.members(node).iter().copied().filter(|&op| {
+                let id = gpsched_graph::NodeId::from_index(op);
+                ddg.graph()
+                    .in_edges(id)
+                    .map(|(_, p)| p)
+                    .chain(ddg.graph().out_edges(id).map(|(_, d)| d))
+                    .any(|n| node_of[n.index()] != node)
+            }));
+        bufs.boundary_start.push(bufs.boundary.len());
     }
-    level
-        .members
-        .iter()
-        .map(|ops| {
-            ops.iter()
-                .copied()
-                .filter(|&op| {
-                    let id = gpsched_graph::NodeId::from_index(op);
-                    let here = node_of[op];
-                    ddg.graph()
-                        .in_edges(id)
-                        .map(|(_, p)| p)
-                        .chain(ddg.graph().out_edges(id).map(|(_, d)| d))
-                        .any(|n| node_of[n.index()] != here)
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// Per-node functional-unit usage: `usage[node][kind]` = ops of that kind.
-fn node_usage(ddg: &Ddg, level: &Level) -> Vec<[i64; 3]> {
-    level
-        .members
-        .iter()
-        .map(|ops| {
-            let mut u = [0i64; 3];
-            for &op in ops {
-                let id = gpsched_graph::NodeId::from_index(op);
-                u[ddg.op(id).class.resource().index()] += 1;
-            }
-            u
-        })
-        .collect()
+fn node_usage(ddg: &Ddg, level: &Level, usage: &mut Vec<[i64; 3]>) {
+    usage.clear();
+    usage.extend((0..level.node_count()).map(|node| {
+        let mut u = [0i64; 3];
+        for &op in level.members(node) {
+            let id = gpsched_graph::NodeId::from_index(op);
+            u[ddg.op(id).class.resource().index()] += 1;
+        }
+        u
+    }));
 }
 
-/// Per-cluster usage totals under `assign`.
-fn cluster_usage(usage: &[[i64; 3]], assign: &[usize], nclusters: usize) -> Vec<[i64; 3]> {
-    let mut totals = vec![[0i64; 3]; nclusters];
+/// Per-cluster usage totals under `assign`, into `totals`.
+fn cluster_usage(
+    usage: &[[i64; 3]],
+    assign: &[usize],
+    nclusters: usize,
+    totals: &mut Vec<[i64; 3]>,
+) {
+    totals.clear();
+    totals.resize(nclusters, [0i64; 3]);
     for (node, u) in usage.iter().enumerate() {
         for k in 0..3 {
             totals[assign[node]][k] += u[k];
         }
     }
-    totals
 }
 
-/// Per-cluster capacity at interval `ii`: `units × ii` slots per kind.
-fn capacities(machine: &MachineConfig, ii: i64) -> Vec<[i64; 3]> {
-    machine
-        .clusters()
-        .map(|c| {
-            let mut cap = [0i64; 3];
-            for kind in ResourceKind::ALL {
-                cap[kind.index()] = c.units(kind) as i64 * ii;
-            }
-            cap
-        })
-        .collect()
+/// Per-cluster capacity at interval `ii`: `units × ii` slots per kind,
+/// into `caps`.
+fn capacities(machine: &MachineConfig, ii: i64, caps: &mut Vec<[i64; 3]>) {
+    caps.clear();
+    caps.extend(machine.clusters().map(|c| {
+        let mut cap = [0i64; 3];
+        for kind in ResourceKind::ALL {
+            cap[kind.index()] = c.units(kind) as i64 * ii;
+        }
+        cap
+    }));
 }
 
 /// Workload balance (§3.2.2 "Improving Workload Balance"): while some
 /// (cluster, resource) is loaded beyond 100% of its `ii` slots, move a node
 /// that uses the resource to a cluster where it fits without overloading
 /// that resource or any more-saturated one. Returns the number of moves.
-/// `usage` must be `node_usage` for this level (the caller shares one
+/// `bufs.usage` must hold the level's node usage (the caller shares one
 /// table between both refinement passes).
-pub fn balance_pass(
+fn balance_pass(
     machine: &MachineConfig,
     ii: i64,
     level: &Level,
-    usage: &[[i64; 3]],
     assign: &mut [usize],
+    bufs: &mut RefineBuffers,
 ) -> usize {
-    let caps = capacities(machine, ii);
+    let RefineBuffers {
+        usage,
+        caps,
+        totals,
+        overloaded,
+        nodes,
+        ..
+    } = bufs;
+    capacities(machine, ii, caps);
     let nclusters = machine.cluster_count();
     let mut moves = 0usize;
 
     // Maintained incrementally across moves (it was recomputed per round).
-    let mut totals = cluster_usage(usage, assign, nclusters);
-    let mut overloaded: Vec<(usize, usize, f64)> = Vec::new();
-    let mut nodes: Vec<usize> = Vec::new();
+    cluster_usage(usage, assign, nclusters, totals);
 
     while moves < MAX_MOVES {
         // Overloaded (cluster, kind), most saturated first.
@@ -154,13 +180,13 @@ pub fn balance_pass(
         let rank_of = |k: usize| overloaded.iter().position(|&(_, k2, _)| k2 == k);
 
         let mut applied = false;
-        'search: for &(cl, kind, _) in &overloaded {
+        'search: for &(cl, kind, _) in overloaded.iter() {
             // Candidate nodes in `cl` that use `kind`, heaviest users first.
             nodes.clear();
             nodes
                 .extend((0..level.node_count()).filter(|&v| assign[v] == cl && usage[v][kind] > 0));
             nodes.sort_by_key(|&v| std::cmp::Reverse(usage[v][kind]));
-            for &v in &nodes {
+            for &v in nodes.iter() {
                 for c2 in 0..nclusters {
                     if c2 == cl {
                         continue;
@@ -207,17 +233,17 @@ pub fn balance_pass(
 /// this evaluator computed it — the multilevel driver's projection leaves
 /// the op-level assignment unchanged between levels, so the entry
 /// reload-and-recost is skipped whenever the evaluator still holds it.
-/// `usage` must be `node_usage` for this level.
+/// `bufs.usage` must hold the level's node usage.
 #[allow(clippy::too_many_arguments)]
-pub fn cut_pass(
+fn cut_pass(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii_input: i64,
     level: &Level,
-    usage: &[[i64; 3]],
     assign: &mut [usize],
     ev: &mut CostEvaluator<'_>,
     prev: Option<PartitionCost>,
+    bufs: &mut RefineBuffers,
 ) -> PartitionCost {
     assert!(
         ev.is_for(ddg, machine),
@@ -225,16 +251,34 @@ pub fn cut_pass(
     );
     // At the finest level every node is a single op and the conservative
     // "everything is boundary" answer is exact — skip the edge walk.
-    let boundary = (level.node_count() < ddg.op_count()).then(|| boundary_members(ddg, level));
+    let interior = level.node_count() < ddg.op_count();
+    if interior {
+        boundary_members(ddg, level, bufs);
+    }
+    let RefineBuffers {
+        usage,
+        boundary,
+        boundary_start,
+        expanded,
+        caps,
+        totals,
+        candidates,
+        gain_to,
+        gain_clusters,
+        partners,
+        changes,
+        best_changes,
+        ..
+    } = bufs;
     let nclusters = machine.cluster_count();
-    let expanded = expand(level, assign);
+    expand_into(level, assign, expanded);
     let mut current = match prev {
         Some(cost) if ev.ii_input() == ii_input && ev.assignment() == &expanded[..] => {
             debug_assert_eq!(cost, ev.cost(), "stale entry cost passed to cut_pass");
             cost
         }
         _ => {
-            ev.reset(ii_input, &expanded);
+            ev.reset(ii_input, expanded);
             ev.cost()
         }
     };
@@ -244,55 +288,61 @@ pub fn cut_pass(
     // increment per overlay trial was a measurable share of
     // enabled-tracing overhead.
     let evaluated = std::cell::Cell::new(0u64);
-
-    // Buffers hoisted out of the move loop.
-    let mut candidates: Vec<(i64, usize, usize)> = Vec::new();
-    let mut gain_to: Vec<i64> = vec![0; nclusters];
-    let mut gain_clusters: Vec<usize> = Vec::new();
-    let mut partners: Vec<usize> = Vec::new();
-    let mut changes: Vec<(usize, usize)> = Vec::new();
+    gain_to.clear();
+    gain_to.resize(nclusters, 0);
 
     // "Enough resources" is judged at the II the current partition
     // actually achieves, not the (possibly smaller) input II. Capacities
     // follow that II across rounds; totals follow the applied moves.
     let mut caps_ii = current.ii_effective.max(1);
-    let mut caps = capacities(machine, caps_ii);
-    let mut totals = cluster_usage(usage, assign, nclusters);
+    capacities(machine, caps_ii, caps);
+    cluster_usage(usage, assign, nclusters, totals);
+    let usage = &*usage;
+    // The boundary members of node `v` (all of them at the finest level).
+    let boundary_of = |v: usize| -> &[usize] {
+        if interior {
+            &boundary[boundary_start[v]..boundary_start[v + 1]]
+        } else {
+            level.members(v)
+        }
+    };
 
     while moves < MAX_MOVES {
         if current.ii_effective.max(1) != caps_ii {
             caps_ii = current.ii_effective.max(1);
-            caps = capacities(machine, caps_ii);
+            capacities(machine, caps_ii, caps);
         }
-        let caps = &caps;
+        let caps = &*caps;
         let fits_move = |totals: &[[i64; 3]], v: usize, c2: usize| -> bool {
             (0..3).all(|k| totals[c2][k] + usage[v][k] <= caps[c2][k])
         };
 
-        let mut best: Option<(Vec<(usize, usize)>, PartitionCost)> = None;
+        // The best trial so far: its cost, its moves in `best_changes`.
+        let mut best: Option<PartitionCost> = None;
 
         // Evaluates `changes` as an overlay trial: screen + estimate
         // against the best so far, without touching the evaluator's
         // resident state. No allocation beyond the (reused) buffers.
-        let boundary = &boundary;
-        let consider =
-            |changes: &[(usize, usize)],
-             ev: &mut CostEvaluator<'_>,
-             best: &mut Option<(Vec<(usize, usize)>, PartitionCost)>| {
-                evaluated.set(evaluated.get() + 1);
-                let threshold = best.as_ref().map_or(&current, |(_, b)| b);
-                let cost = ev.trial_moves(
-                    changes.iter().map(|&(v, c)| TrialBatch {
-                        ops: &level.members[v],
-                        boundary: boundary.as_ref().map_or(&level.members[v], |b| &b[v]),
-                        cluster: c,
-                    }),
-                    threshold,
-                );
-                if let Some(cost) = cost {
-                    *best = Some((changes.to_vec(), cost));
-                }
-            };
+        let consider = |changes: &[(usize, usize)],
+                        ev: &mut CostEvaluator<'_>,
+                        best: &mut Option<PartitionCost>,
+                        best_changes: &mut Vec<(usize, usize)>| {
+            evaluated.set(evaluated.get() + 1);
+            let threshold = best.as_ref().unwrap_or(&current);
+            let cost = ev.trial_moves(
+                changes.iter().map(|&(v, c)| TrialBatch {
+                    ops: level.members(v),
+                    boundary: boundary_of(v),
+                    cluster: c,
+                }),
+                threshold,
+            );
+            if let Some(cost) = cost {
+                *best = Some(cost);
+                best_changes.clear();
+                best_changes.extend_from_slice(changes);
+            }
+        };
 
         // Boundary nodes and their foreign neighbor clusters, screened by
         // the classic KL weight gain (external − internal edge weight).
@@ -304,8 +354,8 @@ pub fn cut_pass(
             let cl = assign[v];
             gain_clusters.clear();
             let mut internal = 0i64;
-            for (_, w, wt) in level.graph.neighbors(gpsched_graph::NodeId::from_index(v)) {
-                let cw = assign[w.index()];
+            for (w, wt) in level.neighbors(v) {
+                let cw = assign[w];
                 if cw == cl {
                     internal += wt;
                 } else {
@@ -316,7 +366,7 @@ pub fn cut_pass(
                 }
             }
             gain_clusters.sort_unstable();
-            for &c2 in &gain_clusters {
+            for &c2 in gain_clusters.iter() {
                 candidates.push((gain_to[c2] - internal, v, c2));
                 gain_to[c2] = 0;
             }
@@ -332,12 +382,12 @@ pub fn cut_pass(
             candidates.truncate(EVAL_CANDIDATES);
         }
         candidates.sort_by(by_gain);
-        for &(_, v, c2) in &candidates {
+        for &(_, v, c2) in candidates.iter() {
             let cl = assign[v];
-            if fits_move(&totals, v, c2) {
+            if fits_move(totals, v, c2) {
                 changes.clear();
                 changes.push((v, c2));
-                consider(&changes, ev, &mut best);
+                consider(changes, ev, &mut best, best_changes);
             } else {
                 // Try interchanges that make room (§3.2.2).
                 partners.clear();
@@ -345,7 +395,7 @@ pub fn cut_pass(
                 // Prefer partners whose departure frees the most slots.
                 partners.sort_by_key(|&u| std::cmp::Reverse(usage[u].iter().sum::<i64>()));
                 partners.truncate(SWAP_CANDIDATES);
-                for &u in &partners {
+                for &u in partners.iter() {
                     // Capacity check with both displacements applied.
                     let ok = (0..3).all(|k| {
                         totals[c2][k] + usage[v][k] - usage[u][k] <= caps[c2][k]
@@ -355,21 +405,21 @@ pub fn cut_pass(
                         changes.clear();
                         changes.push((v, c2));
                         changes.push((u, cl));
-                        consider(&changes, ev, &mut best);
+                        consider(changes, ev, &mut best, best_changes);
                     }
                 }
             }
         }
 
         match best {
-            Some((chosen, cost)) => {
-                for (v, c) in chosen {
+            Some(cost) => {
+                for &(v, c) in best_changes.iter() {
                     for k in 0..3 {
                         totals[assign[v]][k] -= usage[v][k];
                         totals[c][k] += usage[v][k];
                     }
                     assign[v] = c;
-                    ev.apply_many(&level.members[v], c);
+                    ev.apply_many(level.members(v), c);
                 }
                 debug_assert_eq!(cost, ev.cost(), "overlay trial diverged from apply");
                 current = cost;
@@ -387,7 +437,8 @@ pub fn cut_pass(
 /// carries the timing workspace and cut state across levels and calls;
 /// `prev` (the previous level's final cost, when the assignment projected
 /// through unchanged) lets the cut pass skip its entry re-evaluation.
-pub fn refine_level(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn refine_level(
     ddg: &Ddg,
     machine: &MachineConfig,
     ii_input: i64,
@@ -395,21 +446,22 @@ pub fn refine_level(
     assign: &mut [usize],
     ev: &mut CostEvaluator<'_>,
     prev: Option<PartitionCost>,
+    bufs: &mut RefineBuffers,
 ) -> PartitionCost {
     let _span = gpsched_trace::span!("partition.refine", "nodes={}", level.node_count());
     // Both passes consume the same per-node usage table; compute it once.
-    let usage = node_usage(ddg, level);
+    node_usage(ddg, level, &mut bufs.usage);
     let mut prev = prev;
-    if balance_pass(machine, ii_input, level, &usage, assign) > 0 {
+    if balance_pass(machine, ii_input, level, assign, bufs) > 0 {
         prev = None; // the assignment changed under the carried cost
     }
-    cut_pass(ddg, machine, ii_input, level, &usage, assign, ev, prev)
+    cut_pass(ddg, machine, ii_input, level, assign, ev, prev, bufs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coarsen::initial_level;
+    use crate::coarsen::{initial_level, CoarsenBuffers};
     use crate::estimate::estimate;
     use crate::partition::Partition;
     use crate::weights::edge_weights;
@@ -419,7 +471,21 @@ mod tests {
 
     fn level_of(ddg: &Ddg, machine: &MachineConfig) -> Level {
         let w = edge_weights(ddg, machine, 1, &mut TimingWorkspace::new());
-        initial_level(ddg, &w)
+        initial_level(ddg, &w, &mut CoarsenBuffers::default())
+    }
+
+    /// Buffers holding `level`'s node usage, as `refine_level` leaves
+    /// them for the two passes.
+    fn buffers_for(ddg: &Ddg, level: &Level) -> RefineBuffers {
+        let mut bufs = RefineBuffers::default();
+        node_usage(ddg, level, &mut bufs.usage);
+        bufs
+    }
+
+    fn expand(level: &Level, assign: &[usize]) -> Vec<usize> {
+        let mut out = Vec::new();
+        expand_into(level, assign, &mut out);
+        out
     }
 
     #[test]
@@ -434,8 +500,8 @@ mod tests {
         let m = MachineConfig::two_cluster(32, 1, 1);
         let level = level_of(&ddg, &m);
         let mut assign = vec![0usize; 8];
-        let usage = node_usage(&ddg, &level);
-        let moves = balance_pass(&m, 2, &level, &usage, &mut assign);
+        let mut bufs = buffers_for(&ddg, &level);
+        let moves = balance_pass(&m, 2, &level, &mut assign, &mut bufs);
         assert!(moves >= 4);
         let in_c1 = assign.iter().filter(|&&c| c == 1).count();
         assert_eq!(in_c1, 4);
@@ -454,8 +520,8 @@ mod tests {
         let mut assign = vec![0usize; 10];
         // Must terminate (no infinite loop) even though both clusters stay
         // overloaded.
-        let usage = node_usage(&ddg, &level);
-        balance_pass(&m, 1, &level, &usage, &mut assign);
+        let mut bufs = buffers_for(&ddg, &level);
+        balance_pass(&m, 1, &level, &mut assign, &mut bufs);
     }
 
     #[test]
@@ -484,10 +550,10 @@ mod tests {
             &m,
             1,
             &level,
-            &node_usage(&ddg, &level),
             &mut assign,
             &mut ev,
             None,
+            &mut buffers_for(&ddg, &level),
         );
         assert!(cost.better_than(&before));
         assert_eq!(cost.comm_count, 1);
@@ -505,7 +571,16 @@ mod tests {
             let mut assign: Vec<usize> = (0..level.node_count()).map(|i| i % 2).collect();
             let before = estimate(&ddg, &m, 1, &Partition::new(expand(&level, &assign), 2));
             let mut ev = CostEvaluator::new(&ddg, &m);
-            let after = refine_level(&ddg, &m, 1, &level, &mut assign, &mut ev, None);
+            let after = refine_level(
+                &ddg,
+                &m,
+                1,
+                &level,
+                &mut assign,
+                &mut ev,
+                None,
+                &mut RefineBuffers::default(),
+            );
             assert!(
                 !before.better_than(&after),
                 "{}: refinement worsened cost",
@@ -539,10 +614,10 @@ mod tests {
             &m,
             2,
             &level,
-            &node_usage(&ddg, &level),
             &mut assign,
             &mut ev,
             None,
+            &mut buffers_for(&ddg, &level),
         );
         assert!(!before.better_than(&after));
     }

@@ -18,7 +18,7 @@
 //! never invisible to the maximum-weight matching.
 
 use gpsched_ddg::timing::TimingWorkspace;
-use gpsched_ddg::{mii, Ddg};
+use gpsched_ddg::{mii, Ddg, DepId};
 use gpsched_graph::feasibility::BfKernel;
 use gpsched_graph::scc::component_index;
 use gpsched_machine::MachineConfig;
@@ -30,6 +30,16 @@ use gpsched_machine::MachineConfig;
 /// timing analysis runs in `ws` (the partitioner lends its evaluator's
 /// workspace, already prepared for `ddg`; any workspace gives the same
 /// weights).
+///
+/// Two shortcuts keep this cheap, and both are exact:
+///
+/// * the analysis at `ii_input` doubles as the RecMII probe. The weights
+///   need `ii_base = max(ii_input, RecMII)`, so RecMII is only searched
+///   for when that analysis finds `ii_input` infeasible;
+/// * each recurrence edge is probed on a kernel of its own strongly
+///   connected component. At any II ≥ `ii_base` every cycle of the graph
+///   is already feasible, and delaying `e` changes only the cycles
+///   through `e`, which all lie inside `e`'s component.
 ///
 /// # Panics
 ///
@@ -44,51 +54,76 @@ pub fn edge_weights(
     let bus_lat = machine.max_transfer_latency();
     let niter = ddg.trip_count() as i64;
 
-    // One prepared kernel serves the RecMII search and every per-edge
-    // probe: bump the probed edge's weight base by the bus latency,
-    // search, restore. Successive recurrence edges tend to share an
-    // answer, so each search is seeded with the previous one's result.
-    let deps = ddg.constraint_deps(|_| 0);
-    let mut kernel = BfKernel::build(ddg.op_count(), &deps);
-    let rec_base = mii::rec_mii_on(&mut kernel, &deps);
-    let ii_base = ii_input.max(rec_base);
-    let t = ws
-        .analyze(ddg, ii_base, |_| 0)
-        .expect("ii at or above RecMII is feasible");
+    let ii_base = if ws.analyze(ddg, ii_input, |_| 0).is_some() {
+        ii_input
+    } else {
+        let rec = mii::rec_mii(ddg);
+        ws.analyze(ddg, rec, |_| 0)
+            .expect("ii at or above RecMII is feasible");
+        rec
+    };
+    let t = ws.last();
     let maxsl = t.max_slack;
 
-    // Only edges inside a strongly connected component can change RecMII.
-    let (_, comp) = component_index(ddg.graph());
-    let mut last_rec_after = None;
+    // II after delaying each dep by `bus_lat`. Only edges inside a
+    // strongly connected component lie on a cycle; every other edge keeps
+    // `ii_base`. Each component's internal edges form one kernel over
+    // local node numbers, probed once per edge over `[ii_base, ii_base +
+    // bus_lat]`: one delayed edge raises RecMII by at most `bus_lat`.
+    let mut ii_after = vec![ii_base; ddg.dep_count()];
+    let (comps, comp) = component_index(ddg.graph());
+    let mut local = vec![0usize; ddg.op_count()];
+    for members in comps.iter() {
+        for (i, v) in members.iter().enumerate() {
+            local[v.index()] = i;
+        }
+    }
+    let mut deps: Vec<(usize, usize, i64, i64)> = Vec::new();
+    let mut group: Vec<DepId> = Vec::new();
+    for (c, members) in comps.iter().enumerate() {
+        deps.clear();
+        group.clear();
+        for &v in members {
+            for (e, w) in ddg.graph().out_edges(v) {
+                if comp[w.index()] == c {
+                    let dep = ddg.dep(e);
+                    deps.push((
+                        local[v.index()],
+                        local[w.index()],
+                        dep.latency as i64,
+                        dep.distance as i64,
+                    ));
+                    group.push(e);
+                }
+            }
+        }
+        if group.is_empty() {
+            continue;
+        }
+        let mut kernel = BfKernel::build(members.len(), &deps);
+        let mut hint = None;
+        for (k, e) in group.iter().enumerate() {
+            kernel.add_extra(k, bus_lat);
+            let after = kernel
+                .min_feasible_ii(ii_base, ii_base + bus_lat, hint)
+                .expect("RecMII grows by at most the added delay");
+            kernel.add_extra(k, -bus_lat);
+            hint = Some(after);
+            ii_after[e.index()] = after;
+        }
+    }
 
     ddg.dep_ids()
         .map(|e| {
             let (s, d) = ddg.dep_endpoints(e);
             let dep = ddg.dep(e);
-
-            // II after delaying e (only recompute when e is on a cycle;
-            // adding `bus_lat` to one edge raises RecMII by at most
-            // `bus_lat`, which tightly bounds the search).
-            let ii_after = if comp[s.index()] == comp[d.index()] {
-                kernel.add_extra(e.index(), bus_lat);
-                let rec_after = kernel
-                    .min_feasible_ii(rec_base, rec_base + bus_lat, last_rec_after)
-                    .expect("RecMII grows by at most the added delay");
-                kernel.add_extra(e.index(), -bus_lat);
-                last_rec_after = Some(rec_after);
-                ii_input.max(rec_after)
-            } else {
-                ii_base
-            };
-
             // max_path after delaying e (only distance-0 edges stretch it).
             let mp_after = if dep.distance == 0 {
                 t.max_path_with_delay(s.index(), d.index(), dep.latency as i64, bus_lat)
             } else {
                 t.max_path
             };
-
-            let delay = (niter - 1) * (ii_after - ii_base) + (mp_after - t.max_path);
+            let delay = (niter - 1) * (ii_after[e.index()] - ii_base) + (mp_after - t.max_path);
             delay * (maxsl + 1) + maxsl - t.edge_slack[e.index()] + 1
         })
         .collect()

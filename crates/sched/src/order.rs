@@ -54,7 +54,7 @@ pub fn sms_precompute(ddg: &Ddg) -> SmsPrecomp {
     let comps = tarjan_scc(ddg.graph());
     let mut rec_sets: Vec<(i64, Vec<usize>)> = Vec::new();
     let mut in_recurrence = vec![false; n];
-    for comp in &comps {
+    for comp in comps.iter() {
         let non_trivial =
             comp.len() > 1 || ddg.graph().out_edges(comp[0]).any(|(_, w)| w == comp[0]);
         if non_trivial {
